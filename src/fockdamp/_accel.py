@@ -1,11 +1,11 @@
 """Backend selection for the hot kernels.
 
 The heavy inner loops (dense generator application, sparse matvec, the
-trajectory sampler) exist twice: a numba ``@njit`` version and a pure-NumPy
-version. The environment variable ``FOCKDAMP_BACKEND`` picks one at import
-time (``auto`` | ``numba`` | ``numpy``; default ``auto`` uses numba when it
-imports). ``use_backend`` switches at runtime, which the benchmark script
-uses to time both paths in one process.
+integrator's error norm) exist twice: a numba ``@njit`` version and a
+pure-NumPy version. The environment variable ``FOCKDAMP_BACKEND`` picks
+one at import time (``auto`` | ``numba`` | ``numpy``; default ``auto`` uses
+numba when it imports). ``use_backend`` switches at runtime, which the tests use to
+compare both paths in one process.
 """
 
 from __future__ import annotations

@@ -6,15 +6,14 @@ hashed per-stream starting point so distinct trajectories use effectively
 disjoint slices of the sequence. No state is shared, so results do not
 depend on execution order or thread count.
 
-Two implementations: plain-int (Python/NumPy fallback) and uint64 numba.
-They are bit-identical; the test suite checks this.
+``mix64``, ``stream_key`` and ``uniform`` serve both Python ints and uint64
+NumPy arrays: array arithmetic wraps modulo 2**64 exactly where the int
+path masks, and the int constants convert to uint64. The batched sampler
+draws a whole chunk of trajectories in one call through the array form.
+Both forms are bit-identical; the test suite checks this.
 """
 
 from __future__ import annotations
-
-import numpy as np
-
-from ._accel import njit
 
 _M64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -24,8 +23,8 @@ _SEED_SALT = 0x5851F42D4C957F2D
 _INV_2_53 = 2.0**-53
 
 
-def mix64(z: int) -> int:
-    z &= _M64
+def mix64(z):
+    z = z & _M64
     z ^= z >> 30
     z = (z * _MIX1) & _M64
     z ^= z >> 27
@@ -33,46 +32,13 @@ def mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def stream_key(master_seed: int, traj: int) -> int:
+def stream_key(master_seed: int, traj):
     base = mix64((master_seed & _M64) ^ _SEED_SALT)
     return mix64((base + ((traj + 1) * _GOLDEN)) & _M64)
 
 
-def uniform(key: int, draw: int) -> float:
+def uniform(key, draw):
     """Draw number ``draw`` of the stream ``key``, uniform strictly inside (0, 1)."""
     word = mix64((key + ((draw + 1) * _GOLDEN)) & _M64)
     return ((word >> 11) + 0.5) * _INV_2_53
 
-
-# uint64 numba twins: all operands kept unsigned to avoid integer promotion.
-
-_U_GOLDEN = np.uint64(_GOLDEN)
-_U_MIX1 = np.uint64(_MIX1)
-_U_MIX2 = np.uint64(_MIX2)
-_U_SALT = np.uint64(_SEED_SALT)
-_S30 = np.uint64(30)
-_S27 = np.uint64(27)
-_S31 = np.uint64(31)
-_S11 = np.uint64(11)
-_U_ONE = np.uint64(1)
-
-
-@njit(cache=True)
-def mix64_nb(z):
-    z = z ^ (z >> _S30)
-    z = z * _U_MIX1
-    z = z ^ (z >> _S27)
-    z = z * _U_MIX2
-    return z ^ (z >> _S31)
-
-
-@njit(cache=True)
-def stream_key_nb(master_seed, traj):
-    base = mix64_nb(master_seed ^ _U_SALT)
-    return mix64_nb(base + (traj + _U_ONE) * _U_GOLDEN)
-
-
-@njit(cache=True)
-def uniform_nb(key, draw):
-    word = mix64_nb(key + (draw + _U_ONE) * _U_GOLDEN)
-    return (np.float64(word >> _S11) + 0.5) * _INV_2_53

@@ -12,18 +12,17 @@ Trajectories own counter-based random substreams keyed on
 (master_seed, trajectory index); identical configuration gives bit-identical
 output. Per-trajectory results accumulate into fixed chunks that are
 combined by pairwise summation, so the reduction is independent of
-execution order and thread count.
+execution order. All trajectories of a chunk advance together on their
+level populations.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _accel, _rng
-from ._accel import njit, prange
+from . import _rng
 from .analysis import TimeSeries, observables
 from .channels import JumpChannel, KerrTerm, lowering_amplitudes
 from .errors import SeedStreamExhausted
@@ -32,6 +31,7 @@ from .fock import PureState, _frozen_array
 _BISECT_TOL = 1e-10
 _MAX_DRAWS = np.int64(2**53)
 _U1 = np.uint64(1)
+_RECORD_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -81,207 +81,164 @@ class EnsembleResult:
         return TimeSeries(self.t, mean, std, g2, trace_err, self.mean_populations)
 
 
-@njit(cache=True)
-def _qnorm_nb(psi, s, tau):
-    q = 0.0
-    for n in range(psi.size):
-        a2 = psi[n].real ** 2 + psi[n].imag ** 2
-        if a2 > 0.0:
-            q += a2 * math.exp(-s[n] * tau)
-    return q
+def _qnorm(w, s, tau):
+    """Norm^2 of each row's no-jump flow after its own time ``tau``."""
+    return (w * np.exp(-s * tau[:, None])).sum(axis=1)
 
 
-@njit(cache=True)
-def _record_nb(psi, s, delta, out_p, out_p2, i):
-    q = _qnorm_nb(psi, s, delta)
-    for n in range(psi.size):
-        a2 = psi[n].real ** 2 + psi[n].imag ** 2
-        v = a2 * math.exp(-s[n] * delta) / q
-        out_p[i, n] += v
-        out_p2[i, n] += v * v
+def _record(w, s, t_grid, t, first, stop, shift, out_p, out_p2):
+    """Add row r's normalized populations, less ``shift``, at samples
+    first[r]..stop[r]-1, in blocks of rows holding about ``_RECORD_BLOCK``
+    values, so a long sample grid never allocates rows x samples x levels."""
+    n1 = s.size
+    counts = stop - first
+    ends = np.cumsum(counts)
+    lo = 0
+    while lo < counts.size:
+        budget = ends[lo] - counts[lo] + max(1, _RECORD_BLOCK // n1)
+        hi = max(lo + 1, int(np.searchsorted(ends, budget, side="right")))
+        c = counts[lo:hi]
+        rows = np.repeat(np.arange(lo, hi), c)
+        samples = np.arange(rows.size) + np.repeat(first[lo:hi] - (np.cumsum(c) - c), c)
+        lo = hi
+        if not rows.size:
+            continue
+        v = w[rows] * np.exp(-s * (t_grid[samples] - t[rows])[:, None])
+        v /= v.sum(axis=1, keepdims=True)
+        v -= shift[samples]
+        flat = (samples[:, None] * n1 + np.arange(n1)).ravel()
+        out_p += np.bincount(flat, v.ravel(), out_p.size).reshape(out_p.shape)
+        out_p2 += np.bincount(flat, (v * v).ravel(), out_p.size).reshape(out_p.shape)
 
 
-@njit(cache=True)
-def _traj_nb(psi0, s, theta, m_all, m2_all, rates, deltas, t_grid, dt_max, key, out_p, out_p2):
-    n1 = psi0.size
+def _run_chunk(w0, s, m2_all, rates, deltas, t_grid, dt_max, keys, shift, out_p, out_p2):
+    """Advance the trajectories of one chunk together; return their draw counts.
+
+    Row r holds |psi_n|^2 of the trajectory keyed ``keys[r]``. Every jump
+    shifts the number basis with a real amplitude and the no-jump flow is
+    number-diagonal, so phases (and the Kerr term) never reach the output.
+    Each step is the scalar algorithm under masks: the dark test, bracket
+    doubling from ``dt_max``, bisection, then the channel draw.
+    """
     n_samples = t_grid.size
+    n1 = w0.size
     n_ch = rates.size
-    psi = psi0.copy()
-    work = np.empty(n1, np.complex128)
-    wbuf = np.empty(n_ch, np.float64)
-    t = t_grid[0]
-    draw = np.uint64(0)
-    _record_nb(psi, s, 0.0, out_p, out_p2, 0)
-    i_s = 1
-    u = _rng.uniform_nb(key, draw)
+    dark_levels = s == 0.0
+    n_draws = np.empty(keys.size, dtype=np.int64)
+    live = np.arange(keys.size)
+    w = np.tile(w0, (keys.size, 1))
+    t = np.full(keys.size, t_grid[0])
+    i_s = np.zeros(keys.size, dtype=np.int64)
+    _record(w, s, t_grid, t, i_s, i_s + 1, shift, out_p, out_p2)
+    i_s += 1
+    draw = np.zeros(keys.size, dtype=np.uint64)
+    u = _rng.uniform(keys, draw)
     draw += _U1
-    while i_s < n_samples:
-        dark = 0.0
-        for n in range(n1):
-            if s[n] == 0.0:
-                dark += psi[n].real ** 2 + psi[n].imag ** 2
-        no_jump = u <= dark
-        tau_j = 0.0
-        if not no_jump:
-            tau_lo = 0.0
-            tau_hi = dt_max
-            grow = 0
-            while _qnorm_nb(psi, s, tau_hi) > u:
-                tau_lo = tau_hi
-                tau_hi *= 2.0
-                grow += 1
-                if grow > 200:  # u - dark below float resolution
-                    no_jump = True
-                    break
-            if not no_jump:
-                while tau_hi - tau_lo > _BISECT_TOL:
-                    mid = 0.5 * (tau_lo + tau_hi)
-                    if _qnorm_nb(psi, s, mid) > u:
-                        tau_lo = mid
-                    else:
-                        tau_hi = mid
-                tau_j = 0.5 * (tau_lo + tau_hi)
-        if no_jump:
-            for i in range(i_s, n_samples):
-                _record_nb(psi, s, t_grid[i] - t, out_p, out_p2, i)
-            i_s = n_samples
-            break
-        while i_s < n_samples and t_grid[i_s] <= t + tau_j:
-            _record_nb(psi, s, t_grid[i_s] - t, out_p, out_p2, i_s)
-            i_s += 1
-        if i_s >= n_samples:
+    while True:
+        jump = u > w[:, dark_levels].sum(axis=1)
+        lo = np.zeros(live.size)
+        hi = np.full(live.size, dt_max)
+        idx = np.flatnonzero(jump)
+        for _ in range(201):
+            idx = idx[_qnorm(w[idx], s, hi[idx]) > u[idx]]
+            if not idx.size:
+                break
+            lo[idx] = hi[idx]
+            hi[idx] *= 2.0
+        jump[idx] = False  # still above u after 200 doublings: u - dark below resolution
+        idx = np.flatnonzero(jump)
+        while True:
+            idx = idx[hi[idx] - lo[idx] > _BISECT_TOL]
+            if not idx.size:
+                break
+            mid = 0.5 * (lo[idx] + hi[idx])
+            above = _qnorm(w[idx], s, mid) > u[idx]
+            lo[idx[above]] = mid[above]
+            hi[idx[~above]] = mid[~above]
+        tau = 0.5 * (lo + hi)
+        stop = np.where(jump, np.searchsorted(t_grid, t + tau, side="right"), n_samples)
+        _record(w, s, t_grid, t, i_s, stop, shift, out_p, out_p2)
+        done = stop >= n_samples
+        n_draws[live[done]] = draw[done]
+        keep = ~done
+        live, keys, draw, w, t, tau = live[keep], keys[keep], draw[keep], w[keep], t[keep], tau[keep]
+        i_s = stop[keep]
+        if not live.size:
             break
         # advance to the jump time and renormalize
-        for n in range(n1):
-            mag = math.exp(-0.5 * s[n] * tau_j)
-            ang = -theta[n] * tau_j
-            psi[n] = psi[n] * (mag * complex(math.cos(ang), math.sin(ang)))
-        norm = math.sqrt(_qnorm_nb(psi, s, 0.0))
-        for n in range(n1):
-            psi[n] = psi[n] / norm
+        w = w * np.exp(-s * tau[:, None])
+        w /= w.sum(axis=1, keepdims=True)
         # pick the channel with probability proportional to rate * |L psi|^2
-        total_w = 0.0
-        for c in range(n_ch):
-            wc = 0.0
-            for n in range(n1):
-                a2 = psi[n].real ** 2 + psi[n].imag ** 2
-                wc += m2_all[c, n] * a2
-            wbuf[c] = rates[c] * wc
-            total_w += wbuf[c]
-        r = _rng.uniform_nb(key, draw) * total_w
+        weights = rates * (w @ m2_all.T)
+        r = _rng.uniform(keys, draw) * weights.sum(axis=1)
         draw += _U1
-        pick = n_ch - 1
-        acc = 0.0
+        below = r[:, None] < np.cumsum(weights, axis=1)
+        pick = np.where(below.any(axis=1), below.argmax(axis=1), n_ch - 1)
+        nxt = np.zeros_like(w)
         for c in range(n_ch):
-            acc += wbuf[c]
-            if r < acc:
-                pick = c
-                break
-        d = deltas[pick]
-        for n in range(n1 - d):
-            work[n] = m_all[pick, n + d] * psi[n + d]
-        for n in range(n1 - d, n1):
-            work[n] = 0.0
-        norm2 = 0.0
-        for n in range(n1):
-            norm2 += work[n].real ** 2 + work[n].imag ** 2
-        norm = math.sqrt(norm2)
-        for n in range(n1):
-            psi[n] = work[n] / norm
-        t = t + tau_j
-        u = _rng.uniform_nb(key, draw)
+            rows = pick == c
+            d = int(deltas[c])
+            nxt[rows, : n1 - d] = m2_all[c, d:] * w[rows, d:]
+        w = nxt / nxt.sum(axis=1, keepdims=True)
+        t = t + tau
+        u = _rng.uniform(keys, draw)
         draw += _U1
-    return np.int64(draw)
+    return n_draws
 
 
-@njit(cache=True, parallel=True)
-def _ensemble_nb(
-    psi0, s, theta, m_all, m2_all, rates, deltas, t_grid, dt_max, seed, n_traj, chunk, out_p, out_p2, draws
-):
-    n_chunks = out_p.shape[0]
-    for ci in prange(n_chunks):
-        lo = ci * chunk
-        hi = min(n_traj, lo + chunk)
-        for tr in range(lo, hi):
-            key = _rng.stream_key_nb(seed, np.uint64(tr))
-            draws[tr] = _traj_nb(
-                psi0, s, theta, m_all, m2_all, rates, deltas, t_grid, dt_max, key,
-                out_p[ci], out_p2[ci],
-            )
-
-
-def _qnorm_np(psi, s, tau):
-    return float(np.sum((psi.real**2 + psi.imag**2) * np.exp(-s * tau)))
-
-
-def _traj_np(psi0, s, theta, m_all, m2_all, rates, deltas, t_grid, dt_max, key, out_p, out_p2):
-    psi = psi0.copy()
+def _jump_tables(psi0: PureState, channels: list[JumpChannel], cfg: TrajectoryConfig):
+    """Normalized psi0, total decay rates s_n, per-channel amplitudes, rates
+    and net lowerings, the sample grid and ``dt_max``."""
+    active = [c for c in channels if c.rate > 0.0]
+    psi = np.array(psi0.amplitudes, dtype=np.complex128)
+    psi /= np.linalg.norm(psi)
     n1 = psi.size
-    n_samples = t_grid.size
-    t = float(t_grid[0])
-    draw = 0
+    nmax = n1 - 1
+    t_grid = np.asarray(cfg.t_grid, dtype=float)
+    n_ch = max(len(active), 1)
+    m_all = np.zeros((n_ch, n1))
+    rates = np.zeros(n_ch)
+    deltas = np.zeros(n_ch, dtype=np.int64)
+    s_tot = np.zeros(n1)
+    for ci, c in enumerate(active):
+        amp = lowering_amplitudes(c, nmax)
+        m_all[ci] = amp
+        rates[ci] = c.rate
+        deltas[ci] = c.net_lowering
+        s_tot += c.rate * amp**2
 
-    def record(i, delta):
-        q = _qnorm_np(psi, s, delta)
-        v = (psi.real**2 + psi.imag**2) * np.exp(-s * delta) / q
-        out_p[i] += v
-        out_p2[i] += v * v
+    t_span = float(t_grid[-1] - t_grid[0]) if t_grid.size > 1 else 1.0
+    dt_max = cfg.dt_max if cfg.dt_max is not None else max(t_span / 100.0, 1e-6)
+    return psi, s_tot, m_all, rates, deltas, t_grid, dt_max
 
-    record(0, 0.0)
-    i_s = 1
-    u = _rng.uniform(key, draw)
-    draw += 1
-    while i_s < n_samples:
-        dark = float(np.sum((psi.real**2 + psi.imag**2)[s == 0.0]))
-        no_jump = u <= dark
-        tau_j = 0.0
-        if not no_jump:
-            tau_lo, tau_hi = 0.0, dt_max
-            grow = 0
-            while _qnorm_np(psi, s, tau_hi) > u:
-                tau_lo = tau_hi
-                tau_hi *= 2.0
-                grow += 1
-                if grow > 200:
-                    no_jump = True
-                    break
-            if not no_jump:
-                while tau_hi - tau_lo > _BISECT_TOL:
-                    mid = 0.5 * (tau_lo + tau_hi)
-                    if _qnorm_np(psi, s, mid) > u:
-                        tau_lo = mid
-                    else:
-                        tau_hi = mid
-                tau_j = 0.5 * (tau_lo + tau_hi)
-        if no_jump:
-            for i in range(i_s, n_samples):
-                record(i, float(t_grid[i]) - t)
-            break
-        while i_s < n_samples and t_grid[i_s] <= t + tau_j:
-            record(i_s, float(t_grid[i_s]) - t)
-            i_s += 1
-        if i_s >= n_samples:
-            break
-        psi = psi * np.exp(-(0.5 * s + 1j * theta) * tau_j)
-        psi /= math.sqrt(_qnorm_np(psi, s, 0.0))
-        weights = rates * (m2_all @ (psi.real**2 + psi.imag**2))
-        r = _rng.uniform(key, draw) * float(weights.sum())
-        draw += 1
-        pick = int(weights.size) - 1
-        acc = 0.0
-        for c in range(weights.size):
-            acc += float(weights[c])
-            if r < acc:
-                pick = c
-                break
-        d = int(deltas[pick])
-        nxt = np.zeros(n1, dtype=np.complex128)
-        nxt[: n1 - d] = m_all[pick, d:] * psi[d:]
-        psi = nxt / np.linalg.norm(nxt)
-        t = t + tau_j
-        u = _rng.uniform(key, draw)
-        draw += 1
-    return draw
+
+def _no_jump_populations(w0, s, t_grid):
+    """Normalized populations of a trajectory that never jumps, per sample.
+
+    The sampler accumulates populations less this shift. Where trajectories
+    agree (no jump yet, or a coherent state under linear loss) the shifted
+    sums stay near zero, so the variance is not rounding noise of
+    sum(v^2) - n mean^2, which reads ~1e-9 for bins whose true spread is 0.
+    """
+    pop = w0 > 0.0  # relative to the slowest populated level, so nothing underflows
+    k = np.zeros((t_grid.size, w0.size))
+    k[:, pop] = w0[pop] * np.exp(-(s[pop] - s[pop].min()) * (t_grid - t_grid[0])[:, None])
+    return k / k.sum(axis=1, keepdims=True)
+
+
+def _summarize(t_grid, shift, out_p, out_p2, draws) -> EnsembleResult:
+    """Combine the per-chunk shifted sums into means and standard errors."""
+    if draws.max(initial=0) >= _MAX_DRAWS:
+        raise SeedStreamExhausted("a trajectory consumed more draws than a stream provides")
+    n = draws.size
+    offset = out_p.sum(axis=0) / n
+    mean = shift + offset
+    if n > 1:
+        var = (out_p2.sum(axis=0) - n * offset**2) / (n - 1)
+        stderr = np.sqrt(np.maximum(var, 0.0) / n)
+    else:
+        stderr = np.zeros_like(mean)
+    return EnsembleResult(t_grid, mean, stderr, n)
 
 
 def run_ensemble(
@@ -295,61 +252,22 @@ def run_ensemble(
     Returns per-bin means with standard errors. Channel selection at a jump
     is proportional to rate * |L psi|^2; jump times come from bisection on
     the squared norm of the no-jump evolution against a uniform draw.
+    ``kerr`` is number-diagonal, so it moves no population and is unused.
     """
-    active = [c for c in channels if c.rate > 0.0]
-    psi = np.array(psi0.amplitudes, dtype=np.complex128)
-    psi /= np.linalg.norm(psi)
-    n1 = psi.size
-    nmax = n1 - 1
-    t_grid = np.asarray(cfg.t_grid, dtype=float)
-    n_samples = t_grid.size
-    n_ch = max(len(active), 1)
-    m_all = np.zeros((n_ch, n1))
-    rates = np.zeros(n_ch)
-    deltas = np.zeros(n_ch, dtype=np.int64)
-    s_tot = np.zeros(n1)
-    for ci, c in enumerate(active):
-        amp = lowering_amplitudes(c, nmax)
-        m_all[ci] = amp
-        rates[ci] = c.rate
-        deltas[ci] = c.net_lowering
-        s_tot += c.rate * amp**2
+    psi, s_tot, m_all, rates, deltas, t_grid, dt_max = _jump_tables(psi0, channels, cfg)
     m2_all = m_all**2
-    n_levels = np.arange(n1, dtype=float)
-    theta = (kerr.strength if kerr is not None else 0.0) * n_levels * (n_levels - 1.0)
-
-    t_span = float(t_grid[-1] - t_grid[0]) if n_samples > 1 else 1.0
-    dt_max = cfg.dt_max if cfg.dt_max is not None else max(t_span / 100.0, 1e-6)
-
     n_chunks = -(-cfg.n_traj // cfg.chunk_size)
-    out_p = np.zeros((n_chunks, n_samples, n1))
-    out_p2 = np.zeros((n_chunks, n_samples, n1))
+    out_p = np.zeros((n_chunks, t_grid.size, psi.size))
+    out_p2 = np.zeros_like(out_p)
     draws = np.zeros(cfg.n_traj, dtype=np.int64)
-    seed = np.uint64(cfg.master_seed & (2**64 - 1))
+    w0 = psi.real**2 + psi.imag**2
+    shift = _no_jump_populations(w0, s_tot, t_grid)
 
-    if _accel.active_backend() == "numba":
-        _ensemble_nb(
-            psi, s_tot, theta, m_all, m2_all, rates, deltas, t_grid, dt_max,
-            seed, cfg.n_traj, cfg.chunk_size, out_p, out_p2, draws,
+    for ci in range(n_chunks):
+        lo = ci * cfg.chunk_size
+        hi = min(cfg.n_traj, lo + cfg.chunk_size)
+        keys = _rng.stream_key(cfg.master_seed, np.arange(lo, hi, dtype=np.uint64))
+        draws[lo:hi] = _run_chunk(
+            w0, s_tot, m2_all, rates, deltas, t_grid, dt_max, keys, shift, out_p[ci], out_p2[ci]
         )
-    else:
-        for ci in range(n_chunks):
-            lo = ci * cfg.chunk_size
-            hi = min(cfg.n_traj, lo + cfg.chunk_size)
-            for tr in range(lo, hi):
-                key = _rng.stream_key(cfg.master_seed, tr)
-                draws[tr] = _traj_np(
-                    psi, s_tot, theta, m_all, m2_all, rates, deltas, t_grid, dt_max,
-                    key, out_p[ci], out_p2[ci],
-                )
-    if draws.max(initial=0) >= _MAX_DRAWS:
-        raise SeedStreamExhausted("a trajectory consumed more draws than a stream provides")
-
-    n = cfg.n_traj
-    mean = out_p.sum(axis=0) / n
-    if n > 1:
-        var = (out_p2.sum(axis=0) - n * mean**2) / (n - 1)
-        stderr = np.sqrt(np.maximum(var, 0.0) / n)
-    else:
-        stderr = np.zeros_like(mean)
-    return EnsembleResult(t_grid, mean, stderr, n)
+    return _summarize(t_grid, shift, out_p, out_p2, draws)

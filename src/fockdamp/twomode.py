@@ -30,6 +30,8 @@ from .integrate import IntegratorConfig, integrate
 
 _TRACE_DRIFT_LIMIT = 1e-8
 _B_TOP_MASS_LIMIT = 1e-10
+# elimination_comparison: the top B level must sit this far below each error
+_TOP_MASS_MARGIN = 1e4
 
 
 @dataclass(frozen=True)
@@ -273,7 +275,9 @@ def elimination_comparison(
     scaled grid tau = gamma_e * t, and record the sup over samples and
     levels of the population difference. On that grid the corrections to the
     reduced generator enter at relative order |u4|^2/gamma_b^2, so the error
-    shrinks like 1/gamma_b^2: about 4x per doubling of gamma_b.
+    shrinks like 1/gamma_b^2: about 4x per doubling of gamma_b. It warns when
+    a record's top B level mass is not 1e4 below its error, since then the
+    truncation at ``nmax_b`` may drive that error.
     """
     from .dynamics import evolve
 
@@ -286,9 +290,18 @@ def elimination_comparison(
         params = TwoModeParams(u4=u4, gamma_b=gb, nmax_a=nmax_a, nmax_b=nmax_b)
         ge = params.gamma_e
         t_grid = np.linspace(0.0, tau_max / ge, n_samples)
-        two = two_mode_evolve(product_with_vacuum(rho_a0, nmax_b), params, t_grid, cfg)
+        with warnings.catch_warnings():
+            # judged below against the error it would distort, not an absolute limit
+            warnings.filterwarnings("ignore", "top B level", UserWarning)
+            two = two_mode_evolve(product_with_vacuum(rho_a0, nmax_b), params, t_grid, cfg)
         eff_series, _ = evolve(rho_a0, [nonlinear_loss(ge)], None, t_grid, cfg)
         err = float(np.max(np.abs(two.series.populations - eff_series.populations)))
+        if not two.b_top_level_mass * _TOP_MASS_MARGIN <= err:
+            warnings.warn(
+                f"top B level reached {two.b_top_level_mass:.2e} at gamma_b={gb:g}, not "
+                f"{_TOP_MASS_MARGIN:.0e} below the error {err:.2e}; the truncation at "
+                "nmax_b may dominate it, consider raising nmax_b"
+            )
         records.append(
             EliminationRecord(gb, ge, err, float(two.b_occupation.max()), two.b_top_level_mass)
         )

@@ -1,8 +1,8 @@
+import warnings
+
 import numpy as np
-import pytest
 
 from fockdamp import _rng
-from fockdamp._accel import HAVE_NUMBA
 
 
 def test_uniform_strictly_inside_unit_interval():
@@ -25,24 +25,20 @@ def test_uniform_mean_and_spread():
     assert abs(us.var() - 1.0 / 12.0) < 0.005
 
 
-@pytest.mark.skipif(not HAVE_NUMBA, reason="numba not available")
-def test_numba_matches_python_bitwise():
-    rng = np.random.default_rng(1)
-    for _ in range(200):
-        seed = int(rng.integers(0, 2**63))
-        traj = int(rng.integers(0, 10**6))
-        draw = int(rng.integers(0, 10**6))
-        key_py = _rng.stream_key(seed, traj)
-        key_nb = int(_rng.stream_key_nb(np.uint64(seed), np.uint64(traj)))
-        assert key_py == key_nb
-        u_py = _rng.uniform(key_py, draw)
-        u_nb = float(_rng.uniform_nb(np.uint64(key_py), np.uint64(draw)))
-        assert u_py == u_nb
+def test_array_path_matches_int_path_bitwise():
+    rng = np.random.default_rng(3)
+    trajs = rng.integers(0, 2**64, size=100, dtype=np.uint64)
+    draws = rng.integers(0, 2**64, size=100, dtype=np.uint64)
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        for seed in rng.integers(0, 2**64, size=50, dtype=np.uint64).tolist():
+            keys = _rng.stream_key(seed, trajs)
+            assert keys.dtype == np.uint64
+            assert keys.tolist() == [_rng.stream_key(seed, t) for t in trajs.tolist()]
+            us = _rng.uniform(keys, draws)
+            assert us.tolist() == [_rng.uniform(k, d) for k, d in zip(keys.tolist(), draws.tolist())]
+            key = keys.tolist()[0]
+            assert _rng.uniform(key, draws).tolist() == [_rng.uniform(key, d) for d in draws.tolist()]
+        z = rng.integers(0, 2**64, size=100, dtype=np.uint64)
+        assert _rng.mix64(z).tolist() == [_rng.mix64(v) for v in z.tolist()]
 
-
-@pytest.mark.skipif(not HAVE_NUMBA, reason="numba not available")
-def test_mix64_matches_python_bitwise():
-    rng = np.random.default_rng(2)
-    for _ in range(200):
-        z = int(rng.integers(0, 2**64, dtype=np.uint64))
-        assert _rng.mix64(z) == int(_rng.mix64_nb(np.uint64(z)))

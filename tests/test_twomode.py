@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -113,6 +114,25 @@ def test_elimination_error_shrinks_with_damping():
     # populations converge at second order in 1/gamma_b
     ratio = records[0].sup_error / records[1].sup_error
     assert 2.0 < ratio < 8.0
+
+
+def test_elimination_defaults_raise_no_false_alarm():
+    # gamma_b = 25, the smallest default, leaves the most mass in the top B
+    # level: 4.3e-10, past two_mode_evolve's absolute 1e-10 limit, yet
+    # 2.5e7 times below the error it measures
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)
+        (record,) = elimination_comparison(gamma_bs=(25.0,))
+    assert 1e-10 < record.b_top_level_mass <= 1e-4 * record.sup_error
+
+
+def test_elimination_warns_when_truncation_rivals_the_error():
+    with pytest.warns(UserWarning, match="top B level") as caught:
+        (record,) = elimination_comparison(
+            alpha=0.5, nmax_a=4, nmax_b=1, gamma_bs=(25.0,), tau_max=1.0, n_samples=5
+        )
+    assert record.b_top_level_mass * 1e4 > record.sup_error
+    assert len(caught) == 1 and "below the error" in str(caught[0].message)
 
 
 def test_requires_vacuum_partner():
