@@ -165,26 +165,34 @@ class SigmaMinimum:
 
 
 def find_sigma_min(series: TimeSeries, window: tuple[float, float]) -> SigmaMinimum:
-    """Locate the interior minimum of std_n on [t_lo, t_hi].
+    """Locate the first clear minimum of std_n on [t_lo, t_hi].
 
-    Grid argmin (first minimum wins ties, i.e. smaller t) refined by a
-    quadratic fit through the three bracketing samples; populations at the
-    refined time come from the same three-point interpolation. Raises
-    NoInteriorMinimum when the argmin sits on the window boundary.
+    The earliest grid local minimum (ties go to the smaller t) whose drop
+    from the left window edge and whose rise after it (up to where std_n
+    next falls below it) both exceed integration noise. So a flat tail at
+    the steady floor is no minimum, while an early dip is one even if std_n
+    sinks lower later, as when linear loss empties the mode. The grid
+    minimum is refined by a quadratic fit through the three bracketing
+    samples; populations at the refined time come from the same three-point
+    interpolation. Raises NoInteriorMinimum when no local minimum clears
+    the noise.
     """
     t_lo, t_hi = window
     idx = np.nonzero((series.t >= t_lo) & (series.t <= t_hi))[0]
     if idx.size < 3:
         raise NoInteriorMinimum(f"window [{t_lo}, {t_hi}] holds fewer than 3 samples")
     sig = series.std_n[idx]
-    k = int(np.argmin(sig))
-    # a real dip must beat both window edges by more than integration noise,
-    # otherwise a flat tail at the steady floor would masquerade as a minimum
     noise_floor = 1e-8 * max(1.0, float(sig.max()))
-    if k == 0 or k == idx.size - 1 or min(sig[0], sig[-1]) - sig[k] <= noise_floor:
+    for k in np.nonzero((sig[1:-1] < sig[:-2]) & (sig[1:-1] <= sig[2:]))[0] + 1:
+        after = sig[k + 1 :]
+        below = np.nonzero(after < sig[k])[0]
+        rise = after[: below[0] if below.size else None].max() - sig[k]
+        if sig[0] - sig[k] > noise_floor and rise > noise_floor:
+            break
+    else:
         raise NoInteriorMinimum(
             f"std_n has no interior minimum on [{t_lo}, {t_hi}] "
-            f"(argmin at t={series.t[idx[k]]:.6g})"
+            f"(argmin at t={series.t[idx[np.argmin(sig)]]:.6g})"
         )
     i = idx[k]
     t0, t1, t2 = series.t[i - 1], series.t[i], series.t[i + 1]

@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -287,16 +286,7 @@ def _sigma_row(result: RunResult) -> dict:
 def _cmd_sweep(args) -> int:
     raw = load_raw(args.scenario)
     fields, grid = sweep_grid(raw)
-    scenarios = [parse_scenario(g) for g in grid]
-
-    def one(scn):
-        return _sigma_row(run_scenario(scn))
-
-    if args.workers > 1:
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            rows = list(pool.map(one, scenarios))
-    else:
-        rows = [one(s) for s in scenarios]
+    rows = [_sigma_row(run_scenario(parse_scenario(g))) for g in grid]
 
     out_path = Path(args.out)
     out_path.mkdir(parents=True, exist_ok=True)
@@ -379,7 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep_p = sub.add_parser("sweep", help="run a scenario file with sweep ranges")
     sweep_p.add_argument("scenario")
-    sweep_p.add_argument("--workers", type=int, default=1)
     _add_common(sweep_p)
     sweep_p.set_defaults(func=_cmd_sweep)
 

@@ -11,23 +11,20 @@ matrix evolves independently, driven by banded coefficient tables. The
 evolution loop uses that banded form (cross-checked against lindblad_rhs in
 the tests) and shrinks its active window as the upper levels drain, which is
 exact apart from the drop floor since no channel ever raises the photon
-number.
+number; the window and its step cap come from ``integrate.cascade_window``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import _accel
-from ._accel import njit
 from .analysis import TimeSeries, observables
 from .channels import JumpChannel, KerrTerm
 from .errors import DimensionMismatch, TraceDriftExceeded
 from .fock import DensityMatrix, FockCutoff, anharmonicity_matrix, jump_matrix
-from .integrate import IntegratorConfig, integrate
+from .integrate import IntegratorConfig, cascade_window, integrate
 
 _TRACE_DRIFT_LIMIT = 1e-8
 
@@ -95,7 +92,7 @@ def build_generator(channels, kerr, nmax) -> _CascadeGenerator:
     return _CascadeGenerator(nmax, diag, feeds, deltas, s_tot)
 
 
-def _banded_rhs_np(y, diag, feeds, deltas):
+def _banded_rhs(y, diag, feeds, deltas):
     m1 = y.shape[0]
     out = diag[:m1, :m1] * y
     for c in range(feeds.shape[0]):
@@ -104,30 +101,6 @@ def _banded_rhs_np(y, diag, feeds, deltas):
         if w > 0:
             out[:w, :w] += feeds[c, :w, :w] * y[d:, d:]
     return out
-
-
-@njit(cache=True)
-def _banded_rhs_nb(y, diag, feeds, deltas):
-    m1 = y.shape[0]
-    n_ch = feeds.shape[0]
-    out = np.empty((m1, m1), np.complex128)
-    for k in range(m1):
-        for l in range(m1):
-            acc = diag[k, l] * y[k, l]
-            for c in range(n_ch):
-                d = deltas[c]
-                if k + d < m1 and l + d < m1:
-                    acc = acc + feeds[c, k, l] * y[k + d, l + d]
-            out[k, l] = acc
-    return out
-
-
-_banded_rhs = _accel.dispatch(_banded_rhs_np, _banded_rhs_nb)
-
-
-def _frontier_mass(y, m):
-    # l1 mass of the elements whose larger index equals m
-    return float(np.sum(np.abs(y[m, : m + 1])) + np.sum(np.abs(y[:m, m])))
 
 
 def evolve(
@@ -151,33 +124,13 @@ def evolve(
     nmax = rho0.dim - 1
     gen = build_generator(channels, kerr, nmax)
     tr0 = rho0.trace()
-    level_floor = 1e-4 * cfg.abs_tol / (nmax + 1)
-
-    # explicit-stability bound of each window size, from the generator diagonal
-    absdiag = np.abs(gen.diag)
-    block_lam = np.empty(nmax + 1)
-    running = 0.0
-    for m in range(nmax + 1):
-        running = max(running, float(absdiag[m, : m + 1].max()), float(absdiag[: m + 1, m].max()))
-        block_lam[m] = running
-
-    def h_cap(y):
-        lam = block_lam[y.shape[0] - 1]
-        return 2.5 / lam if lam > 0.0 else math.inf
+    h_cap, shrink = cascade_window(gen.diag, cfg.abs_tol)
 
     def rhs(y):
         return _banded_rhs(y, gen.diag, gen.feeds, gen.deltas)
 
     def post_accept(y, f):
-        y = 0.5 * (y + y.conj().T)
-        m1 = y.shape[0]
-        while m1 > 2 and _frontier_mass(y, m1 - 1) < level_floor:
-            m1 -= 1
-        if m1 < y.shape[0]:
-            y = np.ascontiguousarray(y[:m1, :m1])
-            if f is not None:
-                f = np.ascontiguousarray(f[:m1, :m1])
-        return y, f
+        return shrink(0.5 * (y + y.conj().T), f)
 
     t_arr = np.asarray(t_grid, dtype=float)
     n_samples = t_arr.size

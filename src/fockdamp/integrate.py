@@ -5,10 +5,12 @@ are autonomous and linear, so the right-hand side takes the state only; the
 state may be a real or complex array of any shape and is treated opaquely.
 
 A ``post_accept`` hook runs after every accepted step. It may re-symmetrize
-the state and, for the cascade engines, replace state and cached derivative
-with smaller arrays once the top levels have drained: every channel only
-lowers the photon number, so a drained level is never refilled and dropping
-it is exact up to the drop floor.
+the state and replace state and cached derivative with smaller arrays.
+``cascade_window`` builds the window-shrinking hook and the step cap that
+the cascade engines share (``dynamics.evolve``, ``pauli.evolve_populations``
+and ``pauli.evolve_stripe``): every channel only lowers the photon number,
+so a drained top level is never refilled and dropping it is exact up to the
+drop floor.
 
 ``fixed_step`` mode disables adaptivity and subdivides each sampling
 interval into equal steps of at most the requested size, for bit-identical
@@ -22,8 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _accel
-from ._accel import njit
 from .errors import StepSizeUnderflow, TraceDriftExceeded
 
 
@@ -68,29 +68,10 @@ _EXP_ERR = 0.17  # PI controller, fifth-order error estimate
 _EXP_PREV = 0.04
 
 
-def _error_norm_np(err, y0, y1, atol, rtol):
+def _error_norm(err, y0, y1, atol, rtol):
     scale = atol + rtol * np.maximum(np.abs(y0), np.abs(y1))
     q = np.abs(err) / scale
     return float(np.sqrt(np.mean(q * q)))
-
-
-@njit(cache=True)
-def _error_norm_nb(err, y0, y1, atol, rtol):
-    acc = 0.0
-    n = err.size
-    for i in range(n):
-        a0 = abs(y0[i])
-        a1 = abs(y1[i])
-        big = a0 if a0 > a1 else a1
-        q = abs(err[i]) / (atol + rtol * big)
-        acc += q * q
-    return math.sqrt(acc / n)
-
-
-def _error_norm(err, y0, y1, atol, rtol):
-    if _accel.active_backend() == "numba":
-        return _error_norm_nb(err.ravel(), y0.ravel(), y1.ravel(), atol, rtol)
-    return _error_norm_np(err, y0, y1, atol, rtol)
 
 
 def _rms_scaled(v, ref, atol, rtol):
@@ -115,6 +96,55 @@ def _initial_step(rhs, y, f1, atol, rtol, t_span, hmax):
     else:
         h1 = (0.01 / max(d1, d2)) ** 0.2
     return min(100 * h0, h1, t_span, hmax)
+
+
+def cascade_window(diag, abs_tol: float):
+    """Step cap and window shrink of a lowering cascade.
+
+    ``diag`` is the generator diagonal over the state: one entry per level
+    for a vector state, one per element for a square matrix state. The
+    active window holds levels 0..m; its frontier is the set of elements
+    whose largest index is m. After each accepted step the window drops its
+    frontier while the frontier's l1 mass is below 1e-4 * abs_tol / levels,
+    never going below 2 levels. The step cap 2.5 / lam, lam the largest
+    |diag| inside the window, keeps explicit steps stable there, so drained
+    stiff levels decay instead of hovering at the error-control noise floor.
+
+    Returns ``(h_cap, shrink)`` to pass as ``h_cap_fn`` and ``post_accept``;
+    ``shrink(y0, None)`` also gives the smallest starting window.
+    """
+    a = np.abs(np.asarray(diag))
+    floor = 1e-4 * abs_tol / a.shape[0]
+    if a.ndim == 1:
+        front_lam = a
+
+        def frontier_mass(y, m):
+            return abs(y[m])
+
+    else:
+        front_lam = np.maximum(np.tril(a).max(axis=1), np.triu(a).max(axis=0))
+
+        def frontier_mass(y, m):
+            return float(np.sum(np.abs(y[m, : m + 1])) + np.sum(np.abs(y[:m, m])))
+
+    block_lam = np.maximum.accumulate(front_lam)
+
+    def h_cap(y):
+        lam = block_lam[y.shape[0] - 1]
+        return 2.5 / lam if lam > 0.0 else math.inf
+
+    def shrink(y, f):
+        m1 = y.shape[0]
+        while m1 > 2 and frontier_mass(y, m1 - 1) < floor:
+            m1 -= 1
+        if m1 < y.shape[0]:
+            keep = (slice(m1),) * y.ndim
+            y = np.ascontiguousarray(y[keep])
+            if f is not None:
+                f = np.ascontiguousarray(f[keep])
+        return y, f
+
+    return h_cap, shrink
 
 
 def integrate(

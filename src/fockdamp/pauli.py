@@ -8,7 +8,8 @@ observables and the independent oracle for the dense integrator.
 For the pure nonlinear-absorber process, each stripe rho_{k, k+d} of the
 density matrix also evolves independently; ``evolve_stripe`` integrates a
 single stripe. Mixed-channel coherences go through the dense path instead;
-no off-diagonal equations are invented for them here.
+no off-diagonal equations are invented for them here. Both paths take their
+window shrinking and step cap from ``integrate.cascade_window``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .analysis import TimeSeries, observables
 from .channels import JumpChannel, lowering_amplitudes, lowering_weight, nonlinear_loss
 from .errors import TraceDriftExceeded
 from .fock import DensityMatrix, _frozen_array
-from .integrate import IntegratorConfig, integrate
+from .integrate import IntegratorConfig, cascade_window, integrate
 
 _SUM_DRIFT_LIMIT = 1e-8
 
@@ -106,12 +107,7 @@ def evolve_populations(p0, channels: list[JumpChannel], t_grid, cfg: IntegratorC
         deltas[ci] = c.net_lowering
         gains[ci] = w
     sum0 = float(p_init.sum())
-    level_floor = 1e-4 * cfg.abs_tol / (nmax + 1)
-    block_lam = np.maximum.accumulate(loss)
-
-    def h_cap(y):
-        lam = block_lam[y.size - 1]
-        return 2.5 / lam if lam > 0.0 else np.inf
+    h_cap, post_accept = cascade_window(loss, cfg.abs_tol)
 
     def rhs(y):
         m1 = y.size
@@ -121,16 +117,6 @@ def evolve_populations(p0, channels: list[JumpChannel], t_grid, cfg: IntegratorC
             if d < m1:
                 out[: m1 - d] += gains[c, d:m1] * y[d:]
         return out
-
-    def post_accept(y, f):
-        m1 = y.size
-        while m1 > 2 and abs(y[m1 - 1]) < level_floor:
-            m1 -= 1
-        if m1 < y.size:
-            y = np.ascontiguousarray(y[:m1])
-            if f is not None:
-                f = np.ascontiguousarray(f[:m1])
-        return y, f
 
     t_arr = np.asarray(t_grid, dtype=float)
     pops = np.zeros((t_arr.size, nmax + 1))
@@ -200,22 +186,7 @@ def evolve_stripe(
             out[: m1 - 1] += feed[: m1 - 1] * y[1:]
         return out
 
-    level_floor = 1e-4 * cfg.abs_tol / (length + 1)
-    block_lam = np.maximum.accumulate(decay)
-
-    def h_cap(y):
-        lam = block_lam[y.size - 1]
-        return 2.5 / lam if lam > 0.0 else np.inf
-
-    def post_accept(y, f):
-        m1 = y.size
-        while m1 > 1 and abs(y[m1 - 1]) < level_floor:
-            m1 -= 1
-        if m1 < y.size:
-            y = np.ascontiguousarray(y[:m1])
-            if f is not None:
-                f = np.ascontiguousarray(f[:m1])
-        return y, f
+    h_cap, post_accept = cascade_window(decay, cfg.abs_tol)
 
     t_arr = np.asarray(t_grid, dtype=float)
     out = np.zeros((t_arr.size, length), dtype=np.complex128)

@@ -8,7 +8,7 @@ unreduced pair so that reduction can be checked; the reduced-population
 error falls off like 1/gamma_b^2 (relative order |u4|^2/gamma_b^2).
 
 Tensor-product basis |n_A> x |n_B|, index n_A * (nmax_b + 1) + n_B. The
-vectorized generator is a sparse matrix applied by a CSR matvec kernel.
+vectorized generator is a SciPy CSR matrix applied by its matrix-vector product.
 """
 
 from __future__ import annotations
@@ -20,8 +20,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from . import _accel
-from ._accel import njit
 from .analysis import TimeSeries, effective_rate, observables
 from .channels import nonlinear_loss
 from .errors import DimensionMismatch, TraceDriftExceeded
@@ -151,15 +149,6 @@ def _liouvillian(u4: complex, gamma_b: float, dim_a: int, dim_b: int) -> sp.csr_
     return lsup.tocsr()
 
 
-@njit(cache=True)
-def _csr_matvec_nb(data, indices, indptr, x, out):
-    for i in range(out.size):
-        acc = 0.0 + 0.0j
-        for p in range(indptr[i], indptr[i + 1]):
-            acc += data[p] * x[indices[p]]
-        out[i] = acc
-
-
 @dataclass(frozen=True)
 class TwoModeResult:
     series: TimeSeries  # reduced mode-A observables
@@ -193,16 +182,10 @@ def two_mode_evolve(
         raise ValueError("mode B must start in vacuum")
 
     lsup = _liouvillian(params.u4, params.gamma_b, da, db)
-    data, indices, indptr = lsup.data, lsup.indices, lsup.indptr
     d = da * db
     tr0 = float(np.trace(rho0.entries).real)
-    use_numba = _accel.active_backend() == "numba"
 
     def rhs(y):
-        if use_numba:
-            out = np.empty(d * d, dtype=np.complex128)
-            _csr_matvec_nb(data, indices, indptr, y.reshape(-1), out)
-            return out.reshape(d, d)
         return (lsup @ y.reshape(-1)).reshape(d, d)
 
     def post_accept(y, f):

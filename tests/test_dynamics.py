@@ -6,7 +6,7 @@ import scipy.linalg as sla
 
 import fockdamp as fd
 from fockdamp.channels import linear_loss, nonlinear_loss, three_photon_loss, two_photon_loss
-from fockdamp.dynamics import build_generator, _banded_rhs_np
+from fockdamp.dynamics import build_generator, _banded_rhs
 
 ALL = [nonlinear_loss(0.7), linear_loss(0.3), two_photon_loss(0.2), three_photon_loss(0.1)]
 
@@ -63,7 +63,7 @@ def test_banded_generator_matches_operator_form(seed):
     rho = random_density(dim, 50 + seed)
     kerr = fd.KerrTerm(1.3)
     gen = build_generator(ALL, kerr, dim - 1)
-    fast = _banded_rhs_np(np.array(rho.entries), gen.diag, gen.feeds, gen.deltas)
+    fast = _banded_rhs(np.array(rho.entries), gen.diag, gen.feeds, gen.deltas)
     ref = fd.lindblad_rhs(rho, ALL, kerr)
     assert np.max(np.abs(fast - ref)) < 1e-13
 
@@ -185,14 +185,3 @@ def test_spectrum_probe_dimension_guard():
     with pytest.raises(ValueError):
         fd.superoperator_spectrum_probe([linear_loss(1.0)], None, fd.FockCutoff(61))
 
-
-def test_backend_equivalence_dense():
-    cut = fd.FockCutoff(25)
-    rho0 = fd.coherent_density(2.0, cut, tail_tol=1e-8)
-    grid = np.linspace(0, 10, 21)
-    cfg = fd.IntegratorConfig(1e-12, 1e-10)
-    ch = [nonlinear_loss(1.0), two_photon_loss(0.05)]
-    s_active, _ = fd.evolve(rho0, ch, None, grid, cfg)
-    with fd.use_backend("numpy"):
-        s_numpy, _ = fd.evolve(rho0, ch, None, grid, cfg)
-    assert np.max(np.abs(s_active.populations - s_numpy.populations)) < 1e-12

@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg as sla
 
 from fockdamp.errors import StepSizeUnderflow, TraceDriftExceeded
-from fockdamp.integrate import IntegratorConfig, integrate
+from fockdamp.integrate import IntegratorConfig, cascade_window, integrate
 
 
 def test_scalar_exponential_decay():
@@ -85,23 +85,52 @@ def test_config_validation():
         IntegratorConfig(fixed_step=0.0)
 
 
-def test_post_accept_can_shrink_state():
-    # drop the (decoupled, dead) second component mid-run; the first must be unaffected
-    def rhs(y):
-        out = -y.copy()
-        return out
+def _cascade(weights):
+    # population cascade: level n decays at weights[n] and feeds level n - 1
+    return -np.diag(weights) + np.diag(weights[1:], 1)
 
-    def post_accept(y, f):
-        if y.size == 2 and abs(y[1]) < 1e-12:
-            return y[:1].copy(), (None if f is None else f[:1].copy())
-        return y, f
 
+def _run_window(gen, p0, t_grid):
+    h_cap, shrink = cascade_window(np.diag(gen), 1e-12)
+    sizes = []
+    y0, _ = shrink(p0, None)
     y = integrate(
-        rhs,
-        np.array([1.0, 0.0]),
-        np.array([0.0, 2.0]),
+        lambda y: gen[: y.size, : y.size] @ y,
+        y0,
+        t_grid,
         IntegratorConfig(1e-12, 1e-10),
-        post_accept=post_accept,
+        post_accept=shrink,
+        on_sample=lambda i, t, y: sizes.append(y.size),
+        h_cap_fn=h_cap,
     )
-    assert y.size == 1
-    assert abs(y[0] - math.exp(-2.0)) < 1e-9
+    return np.pad(y, (0, p0.size - y.size)), sizes
+
+
+def test_cascade_window_drops_drained_top_level():
+    # levels 4 and 5 drain at rates 16 and 25 and fall below the floor by t = 3
+    gen = _cascade(np.arange(6.0) ** 2)
+    p0 = np.full(6, 1 / 6)
+    y, sizes = _run_window(gen, p0, np.array([0.0, 0.5, 3.0]))
+    assert sizes[0] == 6 and sizes[-1] == 4
+    assert np.max(np.abs(y - sla.expm(3.0 * gen) @ p0)) < 1e-10
+
+
+def test_cascade_window_starts_fock_input_small():
+    gen = _cascade(np.arange(6.0) ** 2)
+    p0 = np.eye(6)[2]
+    y, sizes = _run_window(gen, p0, np.array([0.0, 3.0]))
+    assert sizes == [3, 3]
+    assert np.max(np.abs(y - sla.expm(3.0 * gen) @ p0)) < 1e-10
+
+
+def test_cascade_window_matrix_frontier_and_step_cap():
+    diag = -np.add.outer(np.arange(4.0), np.arange(4.0))
+    h_cap, shrink = cascade_window(diag, 1e-12)
+    y = np.zeros((4, 4))
+    y[0, 0], y[3, 0] = 1.0, 1e-20
+    small, _ = shrink(y, None)
+    assert small.shape == (2, 2)  # never below two levels
+    assert h_cap(small) == 2.5 / 2.0
+    y[0, 3] = 1e-6  # the frontier holds column 3 as well as row 3
+    assert shrink(y, None)[0].shape == (4, 4)
+    assert h_cap(y) == 2.5 / 6.0

@@ -1,6 +1,7 @@
 import json
 import math
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,9 @@ from fockdamp.scenario import (
     sweep_grid,
     validate_dict,
 )
+
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def write_json(path, obj):
@@ -177,7 +181,7 @@ def test_sweep_rows_and_ordering(tmp_path):
                integrator={"abs_tol": 1e-12, "rel_tol": 1e-10},
                sweep={"gamma_q": [0.0, 0.025, 0.05]})
     path = write_json(tmp_path / "sweep.json", obj)
-    assert cli.main(["sweep", path, "--out", str(tmp_path), "--workers", "2"]) == 0
+    assert cli.main(["sweep", path, "--out", str(tmp_path)]) == 0
     rows = (tmp_path / "sweep.csv").read_text().strip().split("\n")
     assert rows[0] == "gamma_q,t_star,sigma_star,p1_star,interior"
     assert len(rows) == 4
@@ -186,6 +190,19 @@ def test_sweep_rows_and_ordering(tmp_path):
     p1s = [float(r.split(",")[2 + 1]) for r in rows[1:]]
     assert all(b <= a + 1e-9 for a, b in zip(p1s, p1s[1:]))
 
+
+def test_sweep_stopping_time_takes_first_clear_minimum(tmp_path):
+    # with strong linear loss std_n dips at t ~ 1.775, then sinks lower still
+    # as the mode empties; the dip is the stopping time, the late floor is not
+    obj = dict(load_raw(str(SCENARIOS / "linear_loss_sweep.json")), sweep={"gamma_q": [0.0, 0.1]})
+    path = write_json(tmp_path / "sweep.json", obj)
+    assert cli.main(["sweep", path, "--out", str(tmp_path)]) == 0
+    rows = [r.split(",") for r in (tmp_path / "sweep.csv").read_text().strip().split("\n")[1:]]
+    plateau, dip = ({"t_star": float(r[1]), "p1_star": float(r[3]), "interior": r[4]} for r in rows)
+    assert plateau["interior"] == "0"  # pure plateau after t ~ 16.4: noise only
+    assert dip["interior"] == "1"
+    assert abs(dip["t_star"] - 1.775) <= 0.025  # one grid spacing
+    assert abs(dip["p1_star"] - 0.842) <= 1e-3
 
 def test_sweep_single_point_matches_run(tmp_path):
     base = dict(BASE, alpha=3.0, nmax=40, samples=401, t_max=20.0,

@@ -234,16 +234,6 @@ def test_seed_changes_output():
     assert not np.array_equal(a.mean_populations, b.mean_populations)
 
 
-def test_backend_equivalence():
-    psi = fd.coherent_state(2.0, fd.min_cutoff_for_coherent(2.0))
-    cfg = TrajectoryConfig(n_traj=300, master_seed=11, t_grid=np.linspace(0, 8, 9))
-    ch = [nonlinear_loss(1.0), linear_loss(0.05)]
-    a = run_ensemble(psi, ch, None, cfg)
-    with fd.use_backend("numpy"):
-        b = run_ensemble(psi, ch, None, cfg)
-    assert np.max(np.abs(a.mean_populations - b.mean_populations)) < 1e-12
-
-
 def test_kerr_does_not_move_populations():
     psi = fd.coherent_state(1.5, fd.min_cutoff_for_coherent(1.5))
     cfg = TrajectoryConfig(n_traj=300, master_seed=5, t_grid=np.linspace(0, 5, 6))
