@@ -1,6 +1,6 @@
 """Truncated-Fock-space simulation of multi-photon damping cascades.
 
-Dense Lindblad integration, a closed population fast path, quantum-jump
+Dense Lindblad evolution, a closed population fast path, quantum-jump
 trajectories and the unreduced two-mode exchange model, all describing one
 bosonic mode whose losses are lowering monomials; the nonlinear channel
 a^dag a a funnels classical input light into single-photon states.
@@ -24,7 +24,7 @@ from .channels import (
     three_photon_loss,
     two_photon_loss,
 )
-from .dynamics import evolve, lindblad_rhs, superoperator_spectrum_probe
+from .dynamics import evolve, lindblad_rhs
 from .errors import (
     CutoffTooSmall,
     DimensionMismatch,
@@ -34,7 +34,6 @@ from .errors import (
     NonpositiveGammaB,
     ParseError,
     SeedStreamExhausted,
-    StepSizeUnderflow,
     TraceDriftExceeded,
     ValidationError,
 )
@@ -53,13 +52,10 @@ from .fock import (
     number_matrix,
     poisson_tail,
 )
-from .integrate import IntegratorConfig
 from .pauli import (
     PopulationVector,
-    StripeTrajectory,
-    StripeVector,
     evolve_populations,
-    evolve_stripe,
+    population_generator,
     population_rates,
 )
 from .trajectories import EnsembleResult, TrajectoryConfig, run_ensemble

@@ -164,12 +164,17 @@ class SigmaMinimum:
         )
 
 
+def noise_floor(sigma) -> float:
+    """Differences of std_n below this are rounding noise: 1e-8 * max(1, max sigma)."""
+    return 1e-8 * max(1.0, float(np.max(sigma)))
+
+
 def find_sigma_min(series: TimeSeries, window: tuple[float, float]) -> SigmaMinimum:
     """Locate the first clear minimum of std_n on [t_lo, t_hi].
 
     The earliest grid local minimum (ties go to the smaller t) whose drop
     from the left window edge and whose rise after it (up to where std_n
-    next falls below it) both exceed integration noise. So a flat tail at
+    next falls below it) both exceed ``noise_floor``. So a flat tail at
     the steady floor is no minimum, while an early dip is one even if std_n
     sinks lower later, as when linear loss empties the mode. The grid
     minimum is refined by a quadratic fit through the three bracketing
@@ -182,12 +187,12 @@ def find_sigma_min(series: TimeSeries, window: tuple[float, float]) -> SigmaMini
     if idx.size < 3:
         raise NoInteriorMinimum(f"window [{t_lo}, {t_hi}] holds fewer than 3 samples")
     sig = series.std_n[idx]
-    noise_floor = 1e-8 * max(1.0, float(sig.max()))
+    floor = noise_floor(sig)
     for k in np.nonzero((sig[1:-1] < sig[:-2]) & (sig[1:-1] <= sig[2:]))[0] + 1:
         after = sig[k + 1 :]
         below = np.nonzero(after < sig[k])[0]
         rise = after[: below[0] if below.size else None].max() - sig[k]
-        if sig[0] - sig[k] > noise_floor and rise > noise_floor:
+        if sig[0] - sig[k] > floor and rise > floor:
             break
     else:
         raise NoInteriorMinimum(

@@ -20,12 +20,10 @@ from .errors import (
     FockdampError,
     NoInteriorMinimum,
     ParseError,
-    StepSizeUnderflow,
     TraceDriftExceeded,
     ValidationError,
 )
 from .fock import PureState, coherent_density, coherent_state
-from .integrate import IntegratorConfig
 from .scenario import (
     RATE_KEYS,
     Scenario,
@@ -56,12 +54,12 @@ def run_scenario(scn: Scenario) -> RunResult:
     extras = {}
     if scn.engine == "dense":
         rho0 = coherent_density(scn.alpha, scn.cutoff)
-        series, final = dynamics.evolve(rho0, scn.channels(), scn.kerr(), scn.t_grid, scn.integrator)
+        series, final = dynamics.evolve(rho0, scn.channels(), scn.kerr(), scn.t_grid)
         extras["final_state"] = final
     elif scn.engine == "pauli":
         rho0 = coherent_density(scn.alpha, scn.cutoff)
         series = pauli.evolve_populations(
-            pauli.PopulationVector.from_density(rho0), scn.channels(), scn.t_grid, scn.integrator
+            pauli.PopulationVector.from_density(rho0), scn.channels(), scn.t_grid
         )
     elif scn.engine == "trajectories":
         psi0 = coherent_state(scn.alpha, scn.cutoff)
@@ -72,10 +70,9 @@ def run_scenario(scn: Scenario) -> RunResult:
         rho_a = coherent_density(scn.alpha, scn.cutoff, tail_tol=1e-4)
         params = scn.twomode_params
         state0 = twomode.product_with_vacuum(rho_a, params.nmax_b)
-        result = twomode.two_mode_evolve(state0, params, scn.t_grid, scn.integrator)
+        result = twomode.two_mode_evolve(state0, params, scn.t_grid)
         series = result.series
         extras["b_occupation"] = result.b_occupation
-        extras["final_state"] = result.final_state
     else:  # pragma: no cover - schema forbids
         raise ValidationError([f"unknown engine {scn.engine!r}"])
     if series.min_eigenvalue is not None:
@@ -263,7 +260,8 @@ def _cmd_preset(args) -> int:
 
 def _sigma_row(result: RunResult) -> dict:
     """Stopping-time summary of one run: interior minimum if it exists,
-    otherwise the global grid minimum, flagged."""
+    otherwise, flagged, the first sample within the noise floor of the
+    grid minimum (on a flat tail the argmin itself is rounding noise)."""
     series = result.series
     try:
         sm = analysis.find_sigma_min(series, (float(series.t[0]), float(series.t[-1])))
@@ -274,7 +272,8 @@ def _sigma_row(result: RunResult) -> dict:
             "interior": 1,
         }
     except NoInteriorMinimum:
-        i = int(np.argmin(series.std_n))
+        sig = series.std_n
+        i = int(np.argmax(sig <= sig.min() + analysis.noise_floor(sig)))
         return {
             "t_star": float(series.t[i]),
             "sigma_star": float(series.std_n[i]),
@@ -338,7 +337,8 @@ def _add_common(p):
     p.add_argument("--engine", choices=("dense", "pauli", "trajectories", "twomode"))
     p.add_argument("--seed", type=int, help="override the trajectory master seed")
     p.add_argument("--fixed-step", type=float, dest="fixed_step", metavar="DT",
-                   help="disable adaptivity; integrate with this fixed step")
+                   help="accepted and recorded for manifest replay; propagation is "
+                        "exact, so it changes no result")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -385,7 +385,7 @@ def main(argv=None) -> int:
     except (ValidationError, ParseError, CutoffTooSmall) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (TraceDriftExceeded, StepSizeUnderflow) as exc:
+    except TraceDriftExceeded as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:

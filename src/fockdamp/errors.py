@@ -22,10 +22,6 @@ class DimensionMismatch(FockdampError):
     """Operands live in different truncated spaces."""
 
 
-class StepSizeUnderflow(FockdampError):
-    """Adaptive step fell below the resolvable time scale (stiffness guard)."""
-
-
 class TraceDriftExceeded(FockdampError):
     """Trace of the evolving state drifted beyond the monitored bound."""
 

@@ -1,164 +1,104 @@
-"""Adaptive embedded Runge-Kutta stepping shared by every engine.
+"""Exact propagation shared by every deterministic engine.
 
-Dormand-Prince 5(4) with PI step-size control. All systems integrated here
-are autonomous and linear, so the right-hand side takes the state only; the
-state may be a real or complex array of any shape and is treated opaquely.
-
-A ``post_accept`` hook runs after every accepted step. It may re-symmetrize
-the state and replace state and cached derivative with smaller arrays.
-``cascade_window`` builds the window-shrinking hook and the step cap that
-the cascade engines share (``dynamics.evolve``, ``pauli.evolve_populations``
-and ``pauli.evolve_stripe``): every channel only lowers the photon number,
-so a drained top level is never refilled and dropping it is exact up to the
-drop floor.
-
-``fixed_step`` mode disables adaptivity and subdivides each sampling
-interval into equal steps of at most the requested size, for bit-identical
-reruns.
+Every channel is a lowering monomial and the Kerr term commutes with the
+photon number, so each generator the engines evolve is linear and constant
+in time: the population cascade and every diagonal stripe of rho are
+upper-triangular, and the two-mode exchange pair is block-diagonal in
+N_ket - N_bra. One matrix exponential per sampling step is therefore exact.
+``propagate`` builds it once per distinct step and applies it to a state
+vector or to a stack of blocks; ``expm`` is Pade-13 scaling and squaring in
+NumPy (Higham, SIAM J. Matrix Anal. Appl. 26, 1179, 2005). On an
+upper-triangular input it resets the diagonal and the first superdiagonal
+to their exact values after every squaring (Al-Mohy & Higham, SIAM J.
+Matrix Anal. Appl. 31, 970, 2009, Code Fragment 2.1), which keeps the
+column sums of a probability-conserving cascade at rounding level.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import StepSizeUnderflow, TraceDriftExceeded
-
-
-@dataclass(frozen=True)
-class IntegratorConfig:
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-8
-    max_step: float | None = None
-    fixed_step: float | None = None
-
-    def __post_init__(self):
-        if not (self.abs_tol > 0 and math.isfinite(self.abs_tol)):
-            raise ValueError(f"abs_tol must be positive, got {self.abs_tol}")
-        if not (self.rel_tol > 0 and math.isfinite(self.rel_tol)):
-            raise ValueError(f"rel_tol must be positive, got {self.rel_tol}")
-        if self.max_step is not None and not self.max_step > 0:
-            raise ValueError(f"max_step must be positive, got {self.max_step}")
-        if self.fixed_step is not None and not self.fixed_step > 0:
-            raise ValueError(f"fixed_step must be positive, got {self.fixed_step}")
-
-
-# Dormand-Prince 5(4) tableau (FSAL)
-_A21 = 1 / 5
-_A31, _A32 = 3 / 40, 9 / 40
-_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
-_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
-_A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
-_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
-_E1, _E3, _E4, _E5, _E6, _E7 = (
-    71 / 57600,
-    -71 / 16695,
-    71 / 1920,
-    -17253 / 339200,
-    22 / 525,
-    -1 / 40,
+_PADE13 = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
+    129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0,
+    1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
 )
-
-_SAFETY = 0.9
-_MIN_FACTOR = 0.2
-_MAX_FACTOR = 10.0
-_EXP_ERR = 0.17  # PI controller, fifth-order error estimate
-_EXP_PREV = 0.04
-
-
-def _error_norm(err, y0, y1, atol, rtol):
-    scale = atol + rtol * np.maximum(np.abs(y0), np.abs(y1))
-    q = np.abs(err) / scale
-    return float(np.sqrt(np.mean(q * q)))
+_THETA13 = 5.371920351148152
+# a new step this close to the cached one reuses its propagator; np.linspace
+# steps jitter by about 1e-13 relative
+_STEP_RTOL = 1e-9
+# matrices per Pade evaluation: bounds the temporaries of a large stack
+_CHUNK = 8
 
 
-def _rms_scaled(v, ref, atol, rtol):
-    scale = atol + rtol * np.abs(ref)
-    q = np.abs(v) / scale
-    return float(np.sqrt(np.mean(q * q)))
+def _exp_divided_difference(l1, l2):
+    """(e^l2 - e^l1) / (l2 - l1), or e^l1 where l1 = l2.
 
-
-def _initial_step(rhs, y, f1, atol, rtol, t_span, hmax):
-    d0 = _rms_scaled(y, y, atol, rtol)
-    d1 = _rms_scaled(f1, y, atol, rtol)
-    if not (math.isfinite(d0) and math.isfinite(d1)):
-        raise StepSizeUnderflow("right-hand side is not finite at the initial state")
-    h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
-    h0 = min(h0, t_span)
-    f2 = rhs(y + h0 * f1)
-    d2 = _rms_scaled(f2 - f1, y, atol, rtol) / h0
-    if not math.isfinite(d2):
-        return min(h0, hmax)
-    if max(d1, d2) <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** 0.2
-    return min(100 * h0, h1, t_span, hmax)
-
-
-def cascade_window(diag, abs_tol: float):
-    """Step cap and window shrink of a lowering cascade.
-
-    ``diag`` is the generator diagonal over the state: one entry per level
-    for a vector state, one per element for a square matrix state. The
-    active window holds levels 0..m; its frontier is the set of elements
-    whose largest index is m. After each accepted step the window drops its
-    frontier while the frontier's l1 mass is below 1e-4 * abs_tol / levels,
-    never going below 2 levels. The step cap 2.5 / lam, lam the largest
-    |diag| inside the window, keeps explicit steps stable there, so drained
-    stiff levels decay instead of hovering at the error-control noise floor.
-
-    Returns ``(h_cap, shrink)`` to pass as ``h_cap_fn`` and ``post_accept``;
-    ``shrink(y0, None)`` also gives the smallest starting window.
+    Close arguments use e^((l1+l2)/2) sinh(x)/x with x = (l2 - l1)/2, which
+    does not cancel; distant ones use the quotient, which does not overflow.
     """
-    a = np.abs(np.asarray(diag))
-    floor = 1e-4 * abs_tol / a.shape[0]
-    if a.ndim == 1:
-        front_lam = a
-
-        def frontier_mass(y, m):
-            return abs(y[m])
-
-    else:
-        front_lam = np.maximum(np.tril(a).max(axis=1), np.triu(a).max(axis=0))
-
-        def frontier_mass(y, m):
-            return float(np.sum(np.abs(y[m, : m + 1])) + np.sum(np.abs(y[:m, m])))
-
-    block_lam = np.maximum.accumulate(front_lam)
-
-    def h_cap(y):
-        lam = block_lam[y.shape[0] - 1]
-        return 2.5 / lam if lam > 0.0 else math.inf
-
-    def shrink(y, f):
-        m1 = y.shape[0]
-        while m1 > 2 and frontier_mass(y, m1 - 1) < floor:
-            m1 -= 1
-        if m1 < y.shape[0]:
-            keep = (slice(m1),) * y.ndim
-            y = np.ascontiguousarray(y[keep])
-            if f is not None:
-                f = np.ascontiguousarray(f[keep])
-        return y, f
-
-    return h_cap, shrink
+    x = 0.5 * (l2 - l1)
+    near = np.abs(x) < 1.0
+    x_safe = np.where(near & (x != 0.0), x, 1.0)
+    sinh_ratio = np.where(x == 0.0, 1.0, np.sinh(x_safe) / x_safe)
+    quotient = (np.exp(l2) - np.exp(l1)) / np.where(near, 1.0, l2 - l1)
+    return np.where(near, np.exp(0.5 * (l1 + l2)) * sinh_ratio, quotient)
 
 
-def integrate(
-    rhs, y0, t_grid, cfg: IntegratorConfig, *, post_accept=None, on_sample=None, h_cap_fn=None
-):
-    """March the state through every point of ``t_grid``.
+def expm(a):
+    """Matrix exponential of a square matrix or of a stack of them."""
+    a = np.asarray(a)
+    if a.ndim < 3 or a.shape[0] <= _CHUNK:
+        return _pade13(a)
+    out = np.empty(a.shape, dtype=np.result_type(a, float))
+    for i in range(0, a.shape[0], _CHUNK):
+        out[i : i + _CHUNK] = _pade13(a[i : i + _CHUNK])
+    return out
 
-    ``on_sample(index, t, y)`` fires at each grid point including the first.
-    ``post_accept(y, f)`` may return a transformed ``(y, f)`` pair (same or
-    smaller shape) after every accepted step. ``h_cap_fn(y)`` may bound the
-    step from above; the cascade engines use it to keep steps inside the
-    explicit-stability region of the current active window, so that drained
-    stiff levels decay instead of hovering at the error-control noise floor.
-    Returns the final state array.
+
+def _pade13(a):
+    n = a.shape[-1]
+    diag = np.arange(n)
+    triangular = not np.any(np.tril(a, -1))
+    norm = float(np.abs(a).sum(axis=-2).max())
+    s = math.ceil(math.log2(norm / _THETA13)) if norm > _THETA13 else 0
+    a = a / 2.0**s
+    b = _PADE13
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2
+    u[..., diag, diag] += b[1]
+    u = a @ u
+    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2
+    del a2, a4, a6
+    v[..., diag, diag] += b[0]
+    x = np.linalg.solve(v - u, v + u)
+    del u, v
+    if triangular:
+        d = a[..., diag, diag]
+        t12 = a[..., diag[:-1], diag[1:]]
+    for j in range(s, -1, -1):
+        if j < s:
+            x = x @ x
+        if triangular:
+            scale = 2.0 ** (s - j)
+            x[..., diag, diag] = np.exp(scale * d)
+            l1, l2 = scale * d[..., :-1], scale * d[..., 1:]
+            x[..., diag[:-1], diag[1:]] = scale * t12 * _exp_divided_difference(l1, l2)
+    return x
+
+
+def propagate(gen, y0, t_grid, on_sample=None):
+    """Advance ``y' = gen y`` exactly through every point of ``t_grid``.
+
+    ``gen`` is one square matrix acting on the vector ``y0``, or a stack of
+    them acting blockwise on the rows of ``y0``. ``on_sample(index, t, y)``
+    fires at each grid point including the first. The propagator
+    ``expm(gen * h)`` is rebuilt only when the step h changes by more than
+    1e-9 relative. Returns the final state.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 1:
@@ -168,80 +108,12 @@ def integrate(
     y = np.array(y0)
     if on_sample is not None:
         on_sample(0, float(t_grid[0]), y)
-    if t_grid.size == 1:
-        return y
-    if cfg.fixed_step is not None:
-        return _run_fixed(rhs, y, t_grid, cfg.fixed_step, post_accept, on_sample)
-    return _run_adaptive(rhs, y, t_grid, cfg, post_accept, on_sample, h_cap_fn)
-
-
-def _dp5_stages(rhs, y, f1, h):
-    k2 = rhs(y + (h * _A21) * f1)
-    k3 = rhs(y + h * (_A31 * f1 + _A32 * k2))
-    k4 = rhs(y + h * (_A41 * f1 + _A42 * k2 + _A43 * k3))
-    k5 = rhs(y + h * (_A51 * f1 + _A52 * k2 + _A53 * k3 + _A54 * k4))
-    k6 = rhs(y + h * (_A61 * f1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5))
-    y_new = y + h * (_B1 * f1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
-    return y_new, k3, k4, k5, k6
-
-
-def _run_adaptive(rhs, y, t_grid, cfg, post_accept, on_sample, h_cap_fn):
-    atol, rtol = cfg.abs_tol, cfg.rel_tol
-    hmax = cfg.max_step if cfg.max_step is not None else math.inf
-    t = float(t_grid[0])
-    f1 = rhs(y)
-    h = _initial_step(rhs, y, f1, atol, rtol, float(t_grid[-1]) - t, hmax)
-    err_prev = 1e-4
+    h_built, prop = math.nan, None
     for i in range(1, t_grid.size):
-        t_target = float(t_grid[i])
-        while t_target - t > 1e-12 * max(1.0, abs(t_target)):
-            cap = hmax if h_cap_fn is None else min(hmax, h_cap_fn(y))
-            h_try = min(h, cap)
-            capped = h_try >= t_target - t
-            h_use = t_target - t if capped else h_try
-            if not (h_use >= 1e-14 * max(abs(t), 1.0)):  # nan-safe
-                raise StepSizeUnderflow(f"step size {h_use:.3e} underflowed at t={t:.6g}")
-            y_new, k3, k4, k5, k6 = _dp5_stages(rhs, y, f1, h_use)
-            k7 = rhs(y_new)
-            err_arr = h_use * (
-                _E1 * f1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7
-            )
-            err = _error_norm(err_arr, y, y_new, atol, rtol)
-            if err <= 1.0 and math.isfinite(err):
-                t = t_target if capped else t + h_use
-                y, f1 = y_new, k7
-                if post_accept is not None:
-                    y, f1 = post_accept(y, f1)
-                err = max(err, 1e-10)
-                factor = _SAFETY * err ** (-_EXP_ERR) * err_prev**_EXP_PREV
-                h = h_use * min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
-                h = min(h, hmax)
-                err_prev = err
-            else:
-                if not math.isfinite(err):
-                    h = h_use * _MIN_FACTOR
-                else:
-                    h = h_use * max(_MIN_FACTOR, _SAFETY * err**-0.2)
-        if on_sample is not None:
-            on_sample(i, t_target, y)
-    return y
-
-
-def _run_fixed(rhs, y, t_grid, dt, post_accept, on_sample):
-    for i in range(1, t_grid.size):
-        span = float(t_grid[i] - t_grid[i - 1])
-        n_sub = max(1, math.ceil(span / dt - 1e-9))
-        h = span / n_sub
-        for _ in range(n_sub):
-            f1 = rhs(y)
-            y, _, _, _, _ = _dp5_stages(rhs, y, f1, h)
-            if not np.all(np.isfinite(y)):
-                raise TraceDriftExceeded(
-                    f"state diverged (non-finite values) with fixed step {h:.3e}; "
-                    "the step exceeds the stability limit of this system"
-                )
-            if post_accept is not None:
-                y, _ = post_accept(y, None)
+        h = float(t_grid[i] - t_grid[i - 1])
+        if not abs(h - h_built) <= _STEP_RTOL * h_built:  # nan-safe: builds the first
+            h_built, prop = h, expm(gen * h)
+        y = np.matmul(prop, y[..., None])[..., 0]
         if on_sample is not None:
             on_sample(i, float(t_grid[i]), y)
     return y

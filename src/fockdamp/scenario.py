@@ -26,7 +26,6 @@ from .channels import (
 )
 from .errors import ParseError, ValidationError
 from .fock import FockCutoff, min_cutoff_for_coherent, poisson_tail
-from .integrate import IntegratorConfig
 from .trajectories import TrajectoryConfig
 from .twomode import TwoModeParams
 
@@ -67,6 +66,8 @@ SCENARIO_SCHEMA = {
         "t_max": _positive,
         "samples": {"type": "integer", "minimum": 2},
         "engine": {"enum": list(ENGINES)},
+        # accepted and echoed so that older manifests replay; propagation is
+        # exact, so none of these fields changes a result
         "integrator": {
             "type": "object",
             "additionalProperties": False,
@@ -135,7 +136,7 @@ class Scenario:
     t_max: float
     samples: int
     engine: str
-    integrator: IntegratorConfig
+    integrator: dict  # echoed verbatim for manifest replay; propagation is exact
     trajectory_n: int | None = None
     trajectory_seed: int | None = None
     trajectory_dt_max: float | None = None
@@ -179,15 +180,9 @@ class Scenario:
             "t_max": self.t_max,
             "samples": self.samples,
             "engine": self.engine,
-            "integrator": {
-                "abs_tol": self.integrator.abs_tol,
-                "rel_tol": self.integrator.rel_tol,
-            },
         }
-        if self.integrator.max_step is not None:
-            out["integrator"]["max_step"] = self.integrator.max_step
-        if self.integrator.fixed_step is not None:
-            out["integrator"]["fixed_step"] = self.integrator.fixed_step
+        if self.integrator:
+            out["integrator"] = dict(self.integrator)
         if self.engine == "trajectories":
             traj = {"n_traj": self.trajectory_n, "master_seed": self.trajectory_seed}
             if self.trajectory_dt_max is not None:
@@ -259,13 +254,6 @@ def parse_scenario(obj: dict) -> Scenario:
     if nmax is None:
         nmax = min_cutoff_for_coherent(alpha, tail_tol=tail_tol).nmax
     rates = {k: float(obj.get("rates", {}).get(k, 0.0)) for k in RATE_KEYS}
-    integ = obj.get("integrator", {})
-    cfg = IntegratorConfig(
-        abs_tol=float(integ.get("abs_tol", 1e-10)),
-        rel_tol=float(integ.get("rel_tol", 1e-8)),
-        max_step=integ.get("max_step"),
-        fixed_step=integ.get("fixed_step"),
-    )
     traj = obj.get("trajectory", {})
     tm = None
     if engine == "twomode":
@@ -286,7 +274,7 @@ def parse_scenario(obj: dict) -> Scenario:
         t_max=float(obj["t_max"]),
         samples=int(obj["samples"]),
         engine=engine,
-        integrator=cfg,
+        integrator=dict(obj.get("integrator", {})),
         trajectory_n=traj.get("n_traj"),
         trajectory_seed=traj.get("master_seed"),
         trajectory_dt_max=traj.get("dt_max"),
@@ -348,8 +336,6 @@ _FIG_BASE = {
     "u1": 0.0,
     "t_max": 100.0,
     "engine": "dense",
-    # presets are reproducibility anchors: run them tight
-    "integrator": {"abs_tol": 1e-12, "rel_tol": 1e-10},
 }
 
 

@@ -7,8 +7,14 @@ nonlinear channel with rate gamma_a |2 u4 / gamma_b|^2; this module runs the
 unreduced pair so that reduction can be checked; the reduced-population
 error falls off like 1/gamma_b^2 (relative order |u4|^2/gamma_b^2).
 
-Tensor-product basis |n_A> x |n_B|, index n_A * (nmax_b + 1) + n_B. The
-vectorized generator is a SciPy CSR matrix applied by its matrix-vector product.
+Tensor-product basis |n_A> x |n_B>, index n_A * (nmax_b + 1) + n_B.
+``_liouvillian`` builds the vectorized generator as a SciPy CSR matrix. It
+couples no two sectors of Delta N = N_ket - N_bra, and every output (the A
+populations, the B occupation and its top level) lies in the Delta N = 0
+sector, so ``two_mode_evolve`` propagates that sector alone. In the gauge
+rho'_jk = (i e^{-i arg u4})^(n_B(j) - n_B(k)) rho_jk the sector generator
+is real; B starts in vacuum, so the sector starts real and symmetric and
+stays so, and its entries with j <= k are propagated as one real vector.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from .analysis import TimeSeries, effective_rate, observables
 from .channels import nonlinear_loss
 from .errors import DimensionMismatch, TraceDriftExceeded
 from .fock import DensityMatrix, FockCutoff, _frozen_array, annihilation_matrix, coherent_density
-from .integrate import IntegratorConfig, integrate
+from .integrate import propagate
 
 _TRACE_DRIFT_LIMIT = 1e-8
 _B_TOP_MASS_LIMIT = 1e-10
@@ -154,26 +160,49 @@ class TwoModeResult:
     series: TimeSeries  # reduced mode-A observables
     b_occupation: np.ndarray
     b_top_level_mass: float
-    final_state: TwoModeState
 
     def __post_init__(self):
         object.__setattr__(self, "b_occupation", _frozen_array(np.asarray(self.b_occupation, float)))
 
 
-def two_mode_evolve(
-    rho0: TwoModeState,
-    params: TwoModeParams,
-    t_grid,
-    cfg: IntegratorConfig | None = None,
-) -> TwoModeResult:
-    """Integrate the exchange-plus-damping pair and sample reduced-A observables.
+def _sector_generator(params: TwoModeParams):
+    """Real generator of the packed Delta N = 0 sector and its index pairs.
 
-    Mode B must start in vacuum. The highest retained B level is expected to
-    stay essentially empty in the elimination regime; its peak occupation is
-    reported and a warning fires if it exceeds 1e-10, signalling that
-    ``nmax_b`` is doing real work.
+    Returns ``(gen, j, k, phase)``: packed entry p is the gauged rho'[j[p],
+    k[p]] with j[p] <= k[p], and phase[p] is its gauge factor. A column of
+    the sector with j > k folds onto its mirror, since the sector stays
+    symmetric.
     """
-    cfg = cfg or IntegratorConfig()
+    da, db = params.dims
+    d = da * db
+    n_b = np.arange(d) % db
+    n_tot = np.arange(d) // db + n_b
+    rows, cols = np.nonzero(n_tot[:, None] == n_tot[None, :])
+    phase = (1j * np.exp(-1j * np.angle(params.u4))) ** (n_b[rows] - n_b[cols])
+    flat = rows * d + cols
+    packed = rows <= cols
+    mirror = np.searchsorted(
+        flat[packed], np.minimum(rows, cols) * d + np.maximum(rows, cols)
+    )
+    lsup = _liouvillian(params.u4, params.gamma_b, da, db)
+    sector = lsup[flat][:, flat].tocoo()
+    keep = packed[sector.row]
+    r, c = sector.row[keep], sector.col[keep]
+    gen = np.zeros((int(packed.sum()),) * 2)
+    np.add.at(gen, (mirror[r], mirror[c]), (phase[r] * sector.data[keep] / phase[c]).real)
+    return gen, rows[packed], cols[packed], phase[packed]
+
+
+def two_mode_evolve(rho0: TwoModeState, params: TwoModeParams, t_grid) -> TwoModeResult:
+    """Propagate the exchange-plus-damping pair and sample reduced-A observables.
+
+    Mode B must start in vacuum. The positivity check runs on the Delta N = 0
+    block, a valid state in its own right: the U(1) twirl that removes the
+    other sectors commutes with the dynamics. The highest retained B level is
+    expected to stay essentially empty in the elimination regime; its peak
+    occupation is reported and a warning fires if it exceeds 1e-10,
+    signalling that ``nmax_b`` is doing real work.
+    """
     da, db = params.dims
     if rho0.dims != (da, db):
         raise DimensionMismatch(f"state dims {rho0.dims} do not match params {params.dims}")
@@ -181,15 +210,13 @@ def two_mode_evolve(
     if np.sum(diag0[:, 1:]) > 1e-9:
         raise ValueError("mode B must start in vacuum")
 
-    lsup = _liouvillian(params.u4, params.gamma_b, da, db)
-    d = da * db
+    gen, rows, cols, phase = _sector_generator(params)
+    on_diag = rows == cols
+    # the imaginary part of the gauged sector is antisymmetric and evolves on
+    # its own under the real generator; it never reaches a diagonal entry
+    y0 = (phase * rho0.entries[rows, cols]).real
     tr0 = float(np.trace(rho0.entries).real)
-
-    def rhs(y):
-        return (lsup @ y.reshape(-1)).reshape(d, d)
-
-    def post_accept(y, f):
-        return 0.5 * (y + y.conj().T), f
+    block = np.zeros((da * db, da * db))
 
     t_arr = np.asarray(t_grid, dtype=float)
     n_samples = t_arr.size
@@ -204,21 +231,20 @@ def two_mode_evolve(
     nb_levels = np.arange(db, dtype=float)
 
     def on_sample(i, t, y):
-        diag = np.diag(y).real.reshape(da, db)
+        diag = y[on_diag].reshape(da, db)
         pops[i] = diag.sum(axis=1)
         obs = observables(pops[i])
         mean[i], std[i], g2[i] = obs.mean_n, obs.std_n, obs.g2
-        drift = abs(float(np.trace(y).real) - tr0)
+        drift = abs(float(diag.sum()) - tr0)
         trace_err[i] = drift
         if not drift <= _TRACE_DRIFT_LIMIT:
             raise TraceDriftExceeded(f"trace drifted by {drift:.3e} at t={t:.6g}")
-        min_eig[i] = np.linalg.eigvalsh(y)[0].real
+        block[rows, cols] = y
+        min_eig[i] = np.linalg.eigvalsh(block, UPLO="U")[0]
         b_occ[i] = float(np.sum(diag * nb_levels[None, :]))
         b_top[i] = float(diag[:, -1].sum())
 
-    y_final = integrate(
-        rhs, np.array(rho0.entries), t_arr, cfg, post_accept=post_accept, on_sample=on_sample
-    )
+    propagate(gen, y0, t_arr, on_sample)
     top_mass = float(b_top.max())
     if top_mass > _B_TOP_MASS_LIMIT:
         warnings.warn(
@@ -226,10 +252,7 @@ def two_mode_evolve(
             "the elimination regime, consider raising nmax_b"
         )
     series = TimeSeries(t_arr, mean, std, g2, trace_err, pops, min_eigenvalue=min_eig)
-    final = TwoModeState(
-        y_final, (da, db), trace_tol=2 * _TRACE_DRIFT_LIMIT + abs(1.0 - tr0)
-    )
-    return TwoModeResult(series, b_occ, top_mass, final)
+    return TwoModeResult(series, b_occ, top_mass)
 
 
 @dataclass(frozen=True)
@@ -249,7 +272,6 @@ def elimination_comparison(
     nmax_b: int = 4,
     tau_max: float = 4.0,
     n_samples: int = 41,
-    cfg: IntegratorConfig | None = None,
 ) -> list[EliminationRecord]:
     """Convergence experiment for the adiabatic reduction.
 
@@ -264,7 +286,6 @@ def elimination_comparison(
     """
     from .dynamics import evolve
 
-    cfg = cfg or IntegratorConfig()
     cutoff_a = FockCutoff(nmax_a)
     # the product basis is deliberately small; allow the loose coherent tail
     rho_a0 = coherent_density(alpha, cutoff_a, tail_tol=1e-4)
@@ -276,8 +297,8 @@ def elimination_comparison(
         with warnings.catch_warnings():
             # judged below against the error it would distort, not an absolute limit
             warnings.filterwarnings("ignore", "top B level", UserWarning)
-            two = two_mode_evolve(product_with_vacuum(rho_a0, nmax_b), params, t_grid, cfg)
-        eff_series, _ = evolve(rho_a0, [nonlinear_loss(ge)], None, t_grid, cfg)
+            two = two_mode_evolve(product_with_vacuum(rho_a0, nmax_b), params, t_grid)
+        eff_series, _ = evolve(rho_a0, [nonlinear_loss(ge)], None, t_grid)
         err = float(np.max(np.abs(two.series.populations - eff_series.populations)))
         if not two.b_top_level_mass * _TOP_MASS_MARGIN <= err:
             warnings.warn(

@@ -4,21 +4,24 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from fockdamp.errors import StepSizeUnderflow, TraceDriftExceeded
-from fockdamp.integrate import IntegratorConfig, cascade_window, integrate
+import fockdamp as fd
+from fockdamp import integrate
+from fockdamp.channels import linear_loss, nonlinear_loss, two_photon_loss
+from fockdamp.dynamics import stripe_generators
+from fockdamp.integrate import expm, propagate
+from fockdamp.pauli import population_generator
 
 
 def test_scalar_exponential_decay():
     samples = {}
-    integrate(
-        lambda y: -y,
+    propagate(
+        np.array([[-1.0]]),
         np.array([1.0]),
         np.linspace(0, 4, 9),
-        IntegratorConfig(abs_tol=1e-12, rel_tol=1e-10),
-        on_sample=lambda i, t, y: samples.update({t: y[0]}),
+        lambda i, t, y: samples.update({t: y[0]}),
     )
     for t, v in samples.items():
-        assert abs(v - math.exp(-t)) < 1e-9
+        assert abs(v - math.exp(-t)) < 1e-14
 
 
 def test_linear_system_matches_expm():
@@ -27,110 +30,88 @@ def test_linear_system_matches_expm():
     a = r - 2.0 * np.linalg.norm(r) * np.eye(6)  # strongly stable
     y0 = rng.normal(size=6) + 1j * rng.normal(size=6)
     t_end = 0.8
-    y = integrate(
-        lambda y: a @ y, y0, np.array([0.0, t_end]), IntegratorConfig(1e-12, 1e-10)
-    )
+    y = propagate(a, y0, np.array([0.0, t_end]))
     exact = sla.expm(a * t_end) @ y0
-    assert np.max(np.abs(y - exact)) < 1e-8
+    assert np.max(np.abs(y - exact)) < 1e-13
 
 
-def test_nan_rhs_underflows_step():
-    def rhs(y):
-        return np.array([float("nan")])
-
-    with pytest.raises(StepSizeUnderflow):
-        integrate(rhs, np.array([1.0]), np.array([0.0, 1.0]), IntegratorConfig())
-
-
-def test_fixed_step_deterministic():
-    cfg = IntegratorConfig(fixed_step=0.01)
-    grid = np.linspace(0, 1, 5)
-    outs = []
-    for _ in range(2):
-        rows = []
-        integrate(
-            lambda y: -2.0 * y,
-            np.array([1.0, 0.5]),
-            grid,
-            cfg,
-            on_sample=lambda i, t, y: rows.append(y.copy()),
-        )
-        outs.append(np.array(rows))
-    assert np.array_equal(outs[0], outs[1])
-    assert np.max(np.abs(outs[0][-1] - np.array([1.0, 0.5]) * math.exp(-2.0))) < 1e-9
+@pytest.mark.parametrize("scale", [0.01, 1.0, 10.0, 100.0])
+def test_expm_on_random_complex_dense_matrix(scale):
+    rng = np.random.default_rng(int(scale * 100))
+    a = scale * (rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))) / math.sqrt(12)
+    exact = sla.expm(a)
+    assert np.max(np.abs(expm(a) - exact)) <= 1e-13 * max(1.0, np.max(np.abs(exact)))
 
 
-def test_fixed_step_detects_divergence():
-    # explicit step far beyond the stability limit of a stiff decay
-    with pytest.raises(TraceDriftExceeded):
-        integrate(
-            lambda y: -1e5 * y,
-            np.array([1.0]),
-            np.array([0.0, 10.0]),
-            IntegratorConfig(fixed_step=0.1),
-        )
+@pytest.mark.parametrize(
+    "a, b",
+    [(-1.0, -1.0), (-1.0, -1.0001), (-30.0, -0.5), (-0.1 + 20j, -0.3 - 5j), (-2.0 + 1j, -2.0 + 1j)],
+)
+def test_expm_triangular_two_by_two_closed_form(a, b):
+    # exp([[a, c], [0, b]]) has c (e^b - e^a)/(b - a) above the diagonal, c e^a when a = b
+    c = 1e6
+    x = expm(np.array([[a, c], [0.0, b]]))
+    upper = c * np.exp(a) * (1.0 if a == b else np.expm1(b - a) / (b - a))
+    assert abs(x[0, 1] - upper) <= 1e-15 * abs(upper)
+    assert x[0, 0] == np.exp(a) and x[1, 1] == np.exp(b) and x[1, 0] == 0.0
+
+
+@pytest.mark.parametrize("u1", [0.0, 5.0])
+def test_expm_matches_scipy_on_the_fig1_stripe_stack(u1):
+    # fig1: nmax 40, step 0.5; the stiffest stripe decays at 6e4 per unit time
+    stack = 0.5 * stripe_generators([nonlinear_loss(1.0)], fd.KerrTerm(u1), 40)
+    assert np.iscomplexobj(stack) == (u1 != 0.0)
+    assert np.abs(stack).sum(axis=-2).max() > 3e4
+    assert np.max(np.abs(expm(stack) - sla.expm(stack))) <= 1e-14
+
+
+def test_population_propagator_conserves_probability():
+    # each column of a probability-conserving generator sums to zero, so each
+    # column of its exponential sums to one; without the exact diagonal and
+    # superdiagonal after each squaring the sums drift by ~1e-12
+    channels = [nonlinear_loss(1.0), linear_loss(0.025), two_photon_loss(0.025)]
+    gen = population_generator(channels, 40)
+    assert np.max(np.abs(gen.sum(axis=0))) < 1e-9
+    for h in (0.05, 0.5, 5.0):
+        assert np.max(np.abs(expm(gen * h).sum(axis=0) - 1.0)) <= 1e-14
+
+
+def _count_builds(monkeypatch, t_grid):
+    calls = []
+
+    def counted(a):
+        calls.append(a)
+        return expm(a)
+
+    monkeypatch.setattr(integrate, "expm", counted)
+    gen = population_generator([nonlinear_loss(1.0)], 6)
+    p0 = np.eye(7)[6]
+    y = propagate(gen, p0, t_grid)
+    assert np.max(np.abs(y - sla.expm(gen * t_grid[-1]) @ p0)) < 1e-12
+    return len(calls)
+
+
+def test_propagate_builds_once_on_a_uniform_grid(monkeypatch):
+    # np.linspace steps differ in the last bits; they share one propagator
+    t_grid = np.linspace(0.0, 100.0, 2001)
+    assert np.ptp(np.diff(t_grid)) > 0.0
+    assert _count_builds(monkeypatch, t_grid) == 1
+
+
+def test_propagate_rebuilds_on_a_non_uniform_grid(monkeypatch):
+    # steps 0.1, 0.2, 0.1, 0.6: a new propagator whenever the step changes
+    assert _count_builds(monkeypatch, np.array([0.0, 0.1, 0.3, 0.4, 1.0])) == 4
+
+
+def test_propagate_acts_blockwise_on_a_stack():
+    rng = np.random.default_rng(3)
+    gens = rng.normal(size=(3, 4, 4)) - 4.0 * np.eye(4)
+    y0 = rng.normal(size=(3, 4))
+    y = propagate(gens, y0, np.array([0.0, 0.7]))
+    for b in range(3):
+        assert np.max(np.abs(y[b] - sla.expm(0.7 * gens[b]) @ y0[b])) < 1e-13
 
 
 def test_grid_validation():
     with pytest.raises(ValueError):
-        integrate(lambda y: -y, np.array([1.0]), np.array([0.0, 0.0]), IntegratorConfig())
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        IntegratorConfig(abs_tol=0.0)
-    with pytest.raises(ValueError):
-        IntegratorConfig(rel_tol=-1e-8)
-    with pytest.raises(ValueError):
-        IntegratorConfig(fixed_step=0.0)
-
-
-def _cascade(weights):
-    # population cascade: level n decays at weights[n] and feeds level n - 1
-    return -np.diag(weights) + np.diag(weights[1:], 1)
-
-
-def _run_window(gen, p0, t_grid):
-    h_cap, shrink = cascade_window(np.diag(gen), 1e-12)
-    sizes = []
-    y0, _ = shrink(p0, None)
-    y = integrate(
-        lambda y: gen[: y.size, : y.size] @ y,
-        y0,
-        t_grid,
-        IntegratorConfig(1e-12, 1e-10),
-        post_accept=shrink,
-        on_sample=lambda i, t, y: sizes.append(y.size),
-        h_cap_fn=h_cap,
-    )
-    return np.pad(y, (0, p0.size - y.size)), sizes
-
-
-def test_cascade_window_drops_drained_top_level():
-    # levels 4 and 5 drain at rates 16 and 25 and fall below the floor by t = 3
-    gen = _cascade(np.arange(6.0) ** 2)
-    p0 = np.full(6, 1 / 6)
-    y, sizes = _run_window(gen, p0, np.array([0.0, 0.5, 3.0]))
-    assert sizes[0] == 6 and sizes[-1] == 4
-    assert np.max(np.abs(y - sla.expm(3.0 * gen) @ p0)) < 1e-10
-
-
-def test_cascade_window_starts_fock_input_small():
-    gen = _cascade(np.arange(6.0) ** 2)
-    p0 = np.eye(6)[2]
-    y, sizes = _run_window(gen, p0, np.array([0.0, 3.0]))
-    assert sizes == [3, 3]
-    assert np.max(np.abs(y - sla.expm(3.0 * gen) @ p0)) < 1e-10
-
-
-def test_cascade_window_matrix_frontier_and_step_cap():
-    diag = -np.add.outer(np.arange(4.0), np.arange(4.0))
-    h_cap, shrink = cascade_window(diag, 1e-12)
-    y = np.zeros((4, 4))
-    y[0, 0], y[3, 0] = 1.0, 1e-20
-    small, _ = shrink(y, None)
-    assert small.shape == (2, 2)  # never below two levels
-    assert h_cap(small) == 2.5 / 2.0
-    y[0, 3] = 1e-6  # the frontier holds column 3 as well as row 3
-    assert shrink(y, None)[0].shape == (4, 4)
-    assert h_cap(y) == 2.5 / 6.0
+        propagate(np.array([[-1.0]]), np.array([1.0]), np.array([0.0, 0.0]))

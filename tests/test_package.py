@@ -17,3 +17,14 @@ def test_import_leaves_environment_alone():
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_cli_import_leaves_scipy_linalg_unloaded():
+    # expm is NumPy's own; scipy.linalg would add set-up time and resident memory
+    src = str(Path(fd.__file__).resolve().parent.parent)
+    code = "import sys, fockdamp.cli; print('scipy.linalg' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 import fockdamp as fd
 from fockdamp.channels import linear_loss, nonlinear_loss, three_photon_loss, two_photon_loss
-from fockdamp.pauli import PopulationVector, StripeVector, evolve_populations, evolve_stripe, population_rates
+from fockdamp.pauli import PopulationVector, evolve_populations, population_rates
 
 
 def poisson_vector(mean, nmax):
@@ -13,8 +14,6 @@ def poisson_vector(mean, nmax):
         [math.exp(-mean + n * math.log(mean) - math.lgamma(n + 1)) for n in range(nmax + 1)]
     )
 
-
-TIGHT = fd.IntegratorConfig(1e-12, 1e-10)
 
 
 def test_population_rates_nonlinear():
@@ -40,7 +39,7 @@ def test_two_level_cascade_closed_form():
     p0 = np.zeros(6)
     p0[2] = 1.0
     grid = np.linspace(0, 3, 13)
-    series = evolve_populations(p0, [nonlinear_loss(1.0)], grid, TIGHT)
+    series = evolve_populations(p0, [nonlinear_loss(1.0)], grid)
     for i, t in enumerate(grid):
         assert abs(series.populations[i, 2] - math.exp(-2 * t)) < 1e-9
         assert abs(series.populations[i, 1] - (1 - math.exp(-2 * t))) < 1e-9
@@ -48,20 +47,20 @@ def test_two_level_cascade_closed_form():
 
 def test_poisson_collapses_to_single_photon():
     p0 = poisson_vector(9.0, 40)
-    series = evolve_populations(p0, [nonlinear_loss(1.0)], np.linspace(0, 100, 11), TIGHT)
+    series = evolve_populations(p0, [nonlinear_loss(1.0)], np.linspace(0, 100, 11))
     assert abs(series.populations[-1, 1] - (1 - math.exp(-9))) < 1e-8
     assert abs(series.populations[-1, 0] - math.exp(-9)) < 1e-10
 
 
 def test_vacuum_weight_decoupled():
     p0 = poisson_vector(9.0, 40)
-    series = evolve_populations(p0, [nonlinear_loss(1.0)], np.linspace(0, 50, 26), TIGHT)
+    series = evolve_populations(p0, [nonlinear_loss(1.0)], np.linspace(0, 50, 26))
     assert np.max(np.abs(series.populations[:, 0] - p0[0])) < 1e-10
 
 
 def test_trapping_monotone():
     p0 = poisson_vector(9.0, 40)
-    series = evolve_populations(p0, [nonlinear_loss(1.0)], np.linspace(0, 20, 81), TIGHT)
+    series = evolve_populations(p0, [nonlinear_loss(1.0)], np.linspace(0, 20, 81))
     trapped = series.populations[:, 0] + series.populations[:, 1]
     assert np.all(np.diff(trapped) > -1e-10)
     # slowest cascade rate is 2 (level 2): residual above one photon bounded accordingly
@@ -72,13 +71,13 @@ def test_trapping_monotone():
 def test_three_photon_from_level_three():
     p0 = np.zeros(8)
     p0[3] = 1.0
-    series = evolve_populations(p0, [three_photon_loss(1.0)], np.linspace(0, 10, 6), TIGHT)
+    series = evolve_populations(p0, [three_photon_loss(1.0)], np.linspace(0, 10, 6))
     assert abs(series.populations[-1, 0] - 1.0) < 1e-9
 
 
 def test_parity_conservation():
     p0 = poisson_vector(9.0, 40)
-    series = evolve_populations(p0, [two_photon_loss(1.0)], np.linspace(0, 30, 31), TIGHT)
+    series = evolve_populations(p0, [two_photon_loss(1.0)], np.linspace(0, 30, 31))
     even0, odd0 = p0[0::2].sum(), p0[1::2].sum()
     for row in series.populations:
         assert abs(row[0::2].sum() - even0) < 1e-10
@@ -87,7 +86,7 @@ def test_parity_conservation():
 
 def test_mod3_conservation():
     p0 = poisson_vector(9.0, 40)
-    series = evolve_populations(p0, [three_photon_loss(1.0)], np.linspace(0, 30, 31), TIGHT)
+    series = evolve_populations(p0, [three_photon_loss(1.0)], np.linspace(0, 30, 31))
     classes0 = [p0[r::3].sum() for r in range(3)]
     for row in series.populations:
         for r in range(3):
@@ -97,7 +96,7 @@ def test_mod3_conservation():
 def test_probability_conserved():
     p0 = poisson_vector(4.0, 25)
     series = evolve_populations(
-        p0, [nonlinear_loss(1.0), linear_loss(0.1)], np.linspace(0, 10, 21), TIGHT
+        p0, [nonlinear_loss(1.0), linear_loss(0.1)], np.linspace(0, 10, 21)
     )
     assert series.trace_err.max() < 1e-10
 
@@ -107,8 +106,8 @@ def test_matches_dense_engine():
     rho0 = fd.coherent_density(1.5, cut, tail_tol=1e-9)
     grid = np.linspace(0, 5, 11)
     channels = [nonlinear_loss(1.0), linear_loss(0.05), two_photon_loss(0.03), three_photon_loss(0.01)]
-    dense, _ = fd.evolve(rho0, channels, None, grid, TIGHT)
-    pop = evolve_populations(PopulationVector.from_density(rho0), channels, grid, TIGHT)
+    dense, _ = fd.evolve(rho0, channels, None, grid)
+    pop = evolve_populations(PopulationVector.from_density(rho0), channels, grid)
     assert np.max(np.abs(dense.populations - pop.populations)) < 1e-8
 
 
@@ -117,52 +116,64 @@ def test_negative_population_rejected():
         PopulationVector(np.array([0.5, -1e-6]))
 
 
+def _superposition(levels, nmax):
+    v = np.zeros(nmax + 1, dtype=complex)
+    v[list(levels)] = 1.0 / math.sqrt(len(levels))
+    return fd.DensityMatrix(np.outer(v, v.conj()))
+
+
 def test_stripe_two_element_closed_form():
-    # stripe d=1 holding (rho_10, rho_21, rho_32): seed rho_32 = 1.
-    # By hand: v32' = -7 v32 (coefficients (12+2)/2), v21' = -v21 + sqrt(24) v32,
-    # so v21(t) = sqrt(24)/6 (e^-t - e^-7t).
-    s0 = StripeVector(1, np.array([0.0, 0.0, 1.0], dtype=complex))
-    grid = np.array([0.0, 0.3, 0.6])
-    traj = evolve_stripe(s0, 1.0, grid, TIGHT)
-    for i, t in enumerate(grid):
-        expected_21 = math.sqrt(24.0) / 6.0 * (math.exp(-t) - math.exp(-7 * t))
-        assert abs(traj.values[i, 1] - expected_21) < 1e-9
-        assert abs(traj.values[i, 2] - math.exp(-7 * t)) < 1e-9
+    # (|2> + |3>)/sqrt2 under the nonlinear channel: in stripe d = 1,
+    # rho_32' = -7 rho_32 (coefficients (12+2)/2) and rho_21' = -rho_21 +
+    # sqrt(24) rho_32, so rho_21(t) = sqrt(24)/12 (e^-t - e^-7t) by hand
+    rho0 = _superposition((2, 3), 5)
+    for t in (0.3, 0.6):
+        _, final = fd.evolve(rho0, [nonlinear_loss(1.0)], None, np.array([0.0, t]))
+        expected_21 = math.sqrt(24.0) / 12.0 * (math.exp(-t) - math.exp(-7 * t))
+        assert abs(final.entries[2, 1] - expected_21) < 1e-14
+        assert abs(final.entries[3, 2] - 0.5 * math.exp(-7 * t)) < 1e-14
+        assert abs(final.entries[1, 0]) == 0.0
 
 
 def test_stripe_bottom_element_undamped():
     # rho_10 has zero decay coefficient; alone it must stay put
-    s0 = StripeVector(1, np.array([1.0, 0.0, 0.0], dtype=complex))
-    traj = evolve_stripe(s0, 1.0, np.array([0.0, 2.0]), TIGHT)
-    assert abs(traj.values[-1, 0] - 1.0) < 1e-12
+    rho0 = _superposition((0, 1), 3)
+    _, final = fd.evolve(rho0, [nonlinear_loss(1.0)], None, np.array([0.0, 2.0]))
+    assert abs(final.entries[1, 0] - 0.5) < 1e-14
 
 
 def test_stripe_diagonal_equals_population_path():
-    p0 = poisson_vector(9.0, 40)
+    # stripe 0 of the dense engine is the population cascade
+    cut = fd.FockCutoff(40)
+    rho0 = fd.coherent_density(3.0, cut)
     grid = np.linspace(0, 8, 17)
-    s0 = StripeVector(0, p0.astype(complex))
-    traj = evolve_stripe(s0, 1.0, grid, TIGHT)
-    series = evolve_populations(p0, [nonlinear_loss(1.0)], grid, TIGHT)
-    assert np.max(np.abs(traj.values.real - series.populations)) < 1e-10
-    assert np.max(np.abs(traj.values.imag)) == 0.0
+    dense, final = fd.evolve(rho0, [nonlinear_loss(1.0)], None, grid)
+    series = evolve_populations(rho0.populations(), [nonlinear_loss(1.0)], grid)
+    assert np.max(np.abs(dense.populations - series.populations)) < 1e-10
+    assert np.max(np.abs(np.diag(final.entries).imag)) == 0.0
 
 
 def test_stripe_matches_dense_coherences():
+    # oracle: the stripe d = 2 generator written out by hand. Element
+    # (k, k+d) decays at (1/2)[k(k-1)^2 + l(l-1)^2] and is fed by (k+1, l+1)
+    # with coefficient k sqrt(k+1) * l sqrt(l+1)
     cut = fd.FockCutoff(14)
     rho0 = fd.coherent_density(1.5, cut, tail_tol=1e-7)
-    grid = np.linspace(0, 4, 9)
-    dense, _ = fd.evolve(rho0, [nonlinear_loss(1.0)], None, grid, TIGHT)
-    d = 2
-    s0 = StripeVector(d, np.array([rho0.entries[k, k + d] for k in range(cut.dim - d)]))
-    traj = evolve_stripe(s0, 1.0, grid, TIGHT)
-    # recover the same stripe from the dense run's final state
-    _, final = fd.evolve(rho0, [nonlinear_loss(1.0)], None, grid, TIGHT)
-    dense_stripe = np.array([final.entries[k, k + d] for k in range(cut.dim - d)])
-    assert np.max(np.abs(traj.values[-1] - dense_stripe)) < 1e-8
+    d, t_end = 2, 4.0
+    k = np.arange(cut.dim - d)
+    l = k + d
+    gen = np.diag(-0.5 * (k * (k - 1.0) ** 2 + l * (l - 1.0) ** 2))
+    gen += np.diag((k[:-1] * np.sqrt(k[:-1] + 1.0) * l[:-1] * np.sqrt(l[:-1] + 1.0)), 1)
+    oracle = sla.expm(gen * t_end) @ rho0.entries[k, l]
+    _, final = fd.evolve(rho0, [nonlinear_loss(1.0)], None, np.linspace(0, t_end, 9))
+    assert np.max(np.abs(final.entries[k, l] - oracle)) < 1e-12
 
 
 def test_stripe_validation():
+    # a dense state must be a DensityMatrix whose lower stripes mirror the upper
     with pytest.raises(ValueError):
-        StripeVector(0, np.array([0.5, 0.5j]))  # diagonal stripe must be real
-    with pytest.raises(ValueError):
-        StripeVector(-1, np.array([1.0 + 0j]))
+        fd.DensityMatrix(np.array([[0.5, 0.5j], [0.5j, 0.5]]))
+    with pytest.raises(fd.DimensionMismatch):
+        fd.evolve(np.eye(3) / 3.0, [nonlinear_loss(1.0)], None, np.array([0.0, 1.0]))
+    with pytest.raises(fd.DimensionMismatch):  # a^3 empties nothing below n = 3
+        fd.evolve(_superposition((0, 1), 2), [three_photon_loss(1.0)], None, np.array([0.0, 1.0]))

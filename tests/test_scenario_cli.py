@@ -114,7 +114,7 @@ def test_run_flag_mode_csv_value(tmp_path):
 
 
 def test_run_scenario_file_and_manifest_roundtrip(tmp_path):
-    # fixed step safely below the stability limit 2.8/(17*16^2) of this cutoff
+    # the integrator block sets nothing but must survive the manifest
     obj = dict(BASE, engine="dense", nmax=17, integrator={"fixed_step": 0.0005})
     path = write_json(tmp_path / "scn.json", obj)
     assert cli.main(["run", path, "--out", str(tmp_path / "a")]) == 0
@@ -123,6 +123,8 @@ def test_run_scenario_file_and_manifest_roundtrip(tmp_path):
     csv_a = (tmp_path / "a" / "t" / "timeseries.csv").read_bytes()
     csv_b = (tmp_path / "b" / "t" / "timeseries.csv").read_bytes()
     assert csv_a == csv_b
+    replayed = json.loads(manifest.read_text())["scenario"]
+    assert replayed["integrator"] == {"fixed_step": 0.0005}
 
 
 def test_run_rejects_sweep_file(tmp_path):
@@ -152,9 +154,12 @@ def test_out_collision_is_io_error(tmp_path):
     assert cli.main(["run", path, "--out", str(collide)]) == 4
 
 
-def test_numerical_failure_exit_code(tmp_path):
-    obj = dict(BASE, alpha=1.5, engine="dense", integrator={"fixed_step": 0.5})
-    path = write_json(tmp_path / "stiff.json", obj)
+def test_numerical_failure_exit_code(tmp_path, monkeypatch):
+    def drifting(*args):
+        raise fd.TraceDriftExceeded("trace drifted by 1e-6")
+
+    monkeypatch.setattr(cli.pauli, "evolve_populations", drifting)
+    path = write_json(tmp_path / "drift.json", BASE)
     assert cli.main(["run", path, "--out", str(tmp_path)]) == 3
 
 
@@ -203,6 +208,23 @@ def test_sweep_stopping_time_takes_first_clear_minimum(tmp_path):
     assert dip["interior"] == "1"
     assert abs(dip["t_star"] - 1.775) <= 0.025  # one grid spacing
     assert abs(dip["p1_star"] - 0.842) <= 1e-3
+
+def test_sigma_row_fallback_ignores_rounding_noise():
+    # a monotone fall onto a plateau whose 1e-16 jitter puts the argmin late:
+    # the fallback stopping time is where the plateau begins
+    t = np.linspace(0.0, 20.0, 401)
+    plateau = t >= t[140]  # from t = 7
+    sigma = np.where(plateau, 0.15, 0.5 - 0.05 * t)
+    sigma[plateau] += 1e-16 * np.random.default_rng(5).uniform(0.0, 1.0, plateau.sum())
+    sigma[-40] = 0.15 - 1e-16
+    assert np.argmin(sigma) == t.size - 40
+    pops = np.tile([0.1, 0.9], (t.size, 1))
+    series = fd.TimeSeries(t, np.zeros(t.size), sigma, np.zeros(t.size), np.zeros(t.size), pops)
+    row = cli._sigma_row(cli.RunResult(None, series, {}))
+    assert row["interior"] == 0
+    assert row["t_star"] == t[140]
+    assert abs(row["sigma_star"] - 0.15) < 1e-15
+
 
 def test_sweep_single_point_matches_run(tmp_path):
     base = dict(BASE, alpha=3.0, nmax=40, samples=401, t_max=20.0,

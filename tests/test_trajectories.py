@@ -8,8 +8,6 @@ from fockdamp import _rng, trajectories
 from fockdamp.channels import linear_loss, nonlinear_loss, two_photon_loss
 from fockdamp.trajectories import TrajectoryConfig, run_ensemble
 
-TIGHT = fd.IntegratorConfig(1e-12, 1e-10)
-
 
 # Reference: a per-trajectory scalar sampler on complex amplitudes, Kerr
 # phases included. The batched population sampler must match it.
@@ -210,7 +208,7 @@ def test_coherent_nonlinear_matches_master_equation():
     assert abs(p1 - (1 - math.exp(-9))) < 3 * se
 
     oracle = fd.evolve_populations(
-        fd.coherent_density(3.0, cut).populations(), [nonlinear_loss(1.0)], grid, TIGHT
+        fd.coherent_density(3.0, cut).populations(), [nonlinear_loss(1.0)], grid
     )
     diff = np.abs(res.mean_populations - oracle.populations)
     ok = diff <= 3 * res.stderr + 1e-12

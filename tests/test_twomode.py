@@ -19,8 +19,6 @@ from fockdamp.twomode import (
     two_mode_evolve,
 )
 
-TIGHT = fd.IntegratorConfig(1e-12, 1e-10)
-
 
 def random_density(dim, seed):
     rng = np.random.default_rng(seed)
@@ -65,7 +63,7 @@ def test_mode_b_occupation_basis_states():
 def test_one_photon_is_stationary():
     params = TwoModeParams(u4=1.0, gamma_b=30.0, nmax_a=3, nmax_b=2)
     state = product_with_vacuum(fd.fock_density(1, fd.FockCutoff(3)), 2)
-    res = two_mode_evolve(state, params, np.linspace(0, 3, 7), TIGHT)
+    res = two_mode_evolve(state, params, np.linspace(0, 3, 7))
     assert np.max(np.abs(res.series.populations[:, 1] - 1.0)) < 1e-12
     assert res.b_occupation.max() < 1e-12
 
@@ -89,7 +87,7 @@ def test_two_mode_matches_expm_oracle():
     t = 0.37
     exact = (sla.expm(lsup * t) @ state.entries.reshape(-1)).reshape(20, 20)
     pops_exact = np.diag(exact).real.reshape(5, 4).sum(axis=1)
-    res = two_mode_evolve(state, params, np.array([0.0, t]), TIGHT)
+    res = two_mode_evolve(state, params, np.array([0.0, t]))
     assert np.max(np.abs(res.series.populations[-1] - pops_exact)) < 1e-10
 
 
@@ -99,7 +97,7 @@ def test_two_photons_decay_at_effective_rate():
     assert abs(ge - 0.08) < 1e-15  # 50 * (2/50)^2
     state = product_with_vacuum(fd.fock_density(2, fd.FockCutoff(4)), 4)
     grid = np.linspace(0, 20, 11)
-    res = two_mode_evolve(state, params, grid, TIGHT)
+    res = two_mode_evolve(state, params, grid)
     # the pair level empties at ~ 2 gamma_e toward the one-photon dark state
     for i, t in enumerate(grid):
         assert abs(res.series.populations[i, 2] - math.exp(-2 * ge * t)) < 0.01
@@ -141,7 +139,7 @@ def test_requires_vacuum_partner():
     state = TwoModeState(m, (2, 3))
     params = TwoModeParams(u4=1.0, gamma_b=30.0, nmax_a=1, nmax_b=2)
     with pytest.raises(ValueError):
-        two_mode_evolve(state, params, np.array([0.0, 1.0]), TIGHT)
+        two_mode_evolve(state, params, np.array([0.0, 1.0]))
 
 
 def test_params_validation():
@@ -158,4 +156,4 @@ def test_dimension_mismatch():
     state = product_with_vacuum(fd.fock_density(0, fd.FockCutoff(2)), 2)
     params = TwoModeParams(u4=1.0, gamma_b=30.0, nmax_a=5, nmax_b=2)
     with pytest.raises(fd.DimensionMismatch):
-        two_mode_evolve(state, params, np.array([0.0, 1.0]), TIGHT)
+        two_mode_evolve(state, params, np.array([0.0, 1.0]))
