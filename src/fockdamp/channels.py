@@ -89,11 +89,6 @@ def lowering_amplitudes(channel: JumpChannel, nmax: int) -> np.ndarray:
     return np.sqrt([lowering_weight(channel, n) for n in range(nmax + 1)])
 
 
-def decay_weights(channel: JumpChannel, nmax: int) -> np.ndarray:
-    """weights[n] = <n| L^dag L |n> = |amp[n]|^2 (rate not included)."""
-    return np.array([lowering_weight(channel, n) for n in range(nmax + 1)])
-
-
 @dataclass(frozen=True)
 class KerrTerm:
     """Self-phase-modulation Hamiltonian term: strength * a^dag a^dag a a.

@@ -8,9 +8,10 @@ operator products and serves as the reference implementation.
 Because every jump operator is a lowering monomial, the generator couples
 element (k, l) only to (k + d, l + d): each diagonal stripe rho[k, k + d]
 evolves on its own under an upper-triangular generator, and the stripes
-below the diagonal are the conjugates of those above. ``evolve`` stacks
-the generators of the stripes d >= 0 (cross-checked against lindblad_rhs
-in the tests) and propagates them exactly with ``integrate.propagate``.
+below the diagonal are the conjugates of those above. ``stripe_rhs`` is
+the derivative of the stripes d >= 0 (cross-checked against lindblad_rhs
+in the tests), and ``evolve`` hands it to ``integrate.integrate``, which
+propagates the stack of stripe generators exactly.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .analysis import TimeSeries, observables
 from .channels import JumpChannel, KerrTerm, lowering_amplitudes
 from .errors import DimensionMismatch, TraceDriftExceeded
 from .fock import DensityMatrix, FockCutoff, anharmonicity_matrix, jump_matrix
-from .integrate import propagate
+from .integrate import EXACT, generator, integrate
 
 _TRACE_DRIFT_LIMIT = 1e-8
 
@@ -52,14 +53,14 @@ def _stripe_index(n1: int):
     return d, k, k + d
 
 
-def stripe_generators(channels, kerr, nmax) -> np.ndarray:
-    """Generators of the stripes d = 0..nmax, stacked as an (n, n, n) array.
+def stripe_rhs(channels, kerr, nmax):
+    """d/dt of the stripes d = 0..nmax, each on the last axis of a batch.
 
     Stripe d holds rho[k, k + d] for k < n - d, zero-padded to n = nmax + 1.
     Element (k, l) decays at half the summed loss weights of k and l, turns
     at the Kerr frequency u1 [k(k-1) - l(l-1)], and is fed by (k + c, l + c)
     for each channel lowering by c, so every stripe generator is
-    upper-triangular. The stack is real when u1 = 0.
+    upper-triangular. It is real when u1 = 0.
     """
     active = [c for c in channels if c.rate > 0.0]
     for c in active:
@@ -73,17 +74,32 @@ def stripe_generators(channels, kerr, nmax) -> np.ndarray:
     for c in active:
         s_tot += c.rate * lowering_amplitudes(c, nmax) ** 2
     u1 = kerr.strength if kerr is not None else 0.0
-    stack = np.zeros((n1, n1, n1), dtype=np.complex128 if u1 != 0.0 else float)
-    stack[d, k, k] = -0.5 * (s_tot[k] + s_tot[l])
+    decay = np.zeros((n1, n1), dtype=np.complex128 if u1 != 0.0 else float)
+    decay[d, k] = -0.5 * (s_tot[k] + s_tot[l])
     if u1 != 0.0:
         kappa = np.arange(n1) * (np.arange(n1) - 1.0)
-        stack[d, k, k] -= 1j * u1 * (kappa[k] - kappa[l])
+        decay[d, k] -= 1j * u1 * (kappa[k] - kappa[l])
+    feeds = []
     for c in active:
         amp = lowering_amplitudes(c, nmax)
         step = c.net_lowering
         fed = l + step < n1
-        stack[d[fed], k[fed], k[fed] + step] += c.rate * amp[k[fed] + step] * amp[l[fed] + step]
-    return stack
+        feed = np.zeros((n1, n1 - step))
+        feed[d[fed], k[fed]] = c.rate * amp[k[fed] + step] * amp[l[fed] + step]
+        feeds.append((step, feed))
+
+    def rhs(y):
+        out = decay * y
+        for step, feed in feeds:
+            out[..., : n1 - step] += feed * y[..., step:]
+        return out
+
+    return rhs
+
+
+def stripe_generators(channels, kerr, nmax) -> np.ndarray:
+    """Generators of the stripes d = 0..nmax, stacked as an (n, n, n) array."""
+    return generator(stripe_rhs(channels, kerr, nmax), (nmax + 1, nmax + 1))
 
 
 def evolve(
@@ -101,12 +117,12 @@ def evolve(
     if not isinstance(rho0, DensityMatrix):
         raise DimensionMismatch("rho0 must be a DensityMatrix")
     n1 = rho0.dim
-    stack = stripe_generators(channels, kerr, n1 - 1)
+    rhs = stripe_rhs(channels, kerr, n1 - 1)
     d, k, l = _stripe_index(n1)
     tr0 = rho0.trace()
 
     values = rho0.entries[k, l]
-    if not np.iscomplexobj(stack) and not np.any(values.imag):
+    if (kerr is None or kerr.strength == 0.0) and not np.any(values.imag):
         values = values.real
     y0 = np.zeros((n1, n1), dtype=values.dtype)
     y0[d, k] = values
@@ -121,20 +137,22 @@ def evolve(
     trace_err = np.zeros(n_samples)
     min_eig = np.zeros(n_samples)
 
-    def on_sample(i, t, y):
-        pops[i] = y[0].real
-        obs = observables(pops[i])
-        mean[i], std[i], g2[i] = obs.mean_n, obs.std_n, obs.g2
-        drift = abs(float(pops[i].sum()) - tr0)
-        trace_err[i] = drift
+    def check_trace(t, y):
+        drift = abs(float(y[0].real.sum()) - tr0)
         if not drift <= _TRACE_DRIFT_LIMIT:  # nan-safe comparison
             raise TraceDriftExceeded(
                 f"trace drifted by {drift:.3e} at t={t:.6g} (limit {_TRACE_DRIFT_LIMIT:.1e})"
             )
+
+    def on_sample(i, t, y):
+        pops[i] = y[0].real
+        obs = observables(pops[i])
+        mean[i], std[i], g2[i] = obs.mean_n, obs.std_n, obs.g2
+        trace_err[i] = abs(float(pops[i].sum()) - tr0)
         upper[k, l] = y[d, k]
         min_eig[i] = np.linalg.eigvalsh(upper, UPLO="U")[0]
 
-    y_final = propagate(stack, y0, t_arr, on_sample)
+    y_final = integrate(rhs, y0, t_arr, EXACT, on_sample=on_sample, post_accept=check_trace)
 
     series = TimeSeries(t_arr, mean, std, g2, trace_err, pops, min_eigenvalue=min_eig)
     upper[k, l] = y_final[d, k]
