@@ -8,10 +8,9 @@ operator products and serves as the reference implementation.
 Because every jump operator is a lowering monomial, the generator couples
 element (k, l) only to (k + d, l + d): each diagonal stripe rho[k, k + d]
 evolves on its own under an upper-triangular generator, and the stripes
-below the diagonal are the conjugates of those above. ``stripe_rhs`` is
-the derivative of the stripes d >= 0 (cross-checked against lindblad_rhs
-in the tests), and ``evolve`` hands it to ``integrate.integrate``, which
-propagates the stack of stripe generators exactly.
+below the diagonal are the conjugates of those above. ``evolve`` stacks
+the generators of the stripes d >= 0 (cross-checked against lindblad_rhs
+in the tests) and propagates them exactly with ``integrate.integrate``.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from .analysis import TimeSeries, observables
 from .channels import JumpChannel, KerrTerm, lowering_amplitudes
 from .errors import DimensionMismatch, TraceDriftExceeded
 from .fock import DensityMatrix, FockCutoff, anharmonicity_matrix, jump_matrix
-from .integrate import EXACT, generator, integrate
+from .integrate import EXACT, expm, integrate
 
 _TRACE_DRIFT_LIMIT = 1e-8
 
@@ -53,14 +52,14 @@ def _stripe_index(n1: int):
     return d, k, k + d
 
 
-def stripe_rhs(channels, kerr, nmax):
-    """d/dt of the stripes d = 0..nmax, each on the last axis of a batch.
+def stripe_generators(channels, kerr, nmax) -> np.ndarray:
+    """Generators of the stripes d = 0..nmax, stacked as an (n, n, n) array.
 
     Stripe d holds rho[k, k + d] for k < n - d, zero-padded to n = nmax + 1.
     Element (k, l) decays at half the summed loss weights of k and l, turns
     at the Kerr frequency u1 [k(k-1) - l(l-1)], and is fed by (k + c, l + c)
     for each channel lowering by c, so every stripe generator is
-    upper-triangular. It is real when u1 = 0.
+    upper-triangular. The stack is real when u1 = 0.
     """
     active = [c for c in channels if c.rate > 0.0]
     for c in active:
@@ -74,32 +73,17 @@ def stripe_rhs(channels, kerr, nmax):
     for c in active:
         s_tot += c.rate * lowering_amplitudes(c, nmax) ** 2
     u1 = kerr.strength if kerr is not None else 0.0
-    decay = np.zeros((n1, n1), dtype=np.complex128 if u1 != 0.0 else float)
-    decay[d, k] = -0.5 * (s_tot[k] + s_tot[l])
+    stack = np.zeros((n1, n1, n1), dtype=np.complex128 if u1 != 0.0 else float)
+    stack[d, k, k] = -0.5 * (s_tot[k] + s_tot[l])
     if u1 != 0.0:
         kappa = np.arange(n1) * (np.arange(n1) - 1.0)
-        decay[d, k] -= 1j * u1 * (kappa[k] - kappa[l])
-    feeds = []
+        stack[d, k, k] -= 1j * u1 * (kappa[k] - kappa[l])
     for c in active:
         amp = lowering_amplitudes(c, nmax)
         step = c.net_lowering
         fed = l + step < n1
-        feed = np.zeros((n1, n1 - step))
-        feed[d[fed], k[fed]] = c.rate * amp[k[fed] + step] * amp[l[fed] + step]
-        feeds.append((step, feed))
-
-    def rhs(y):
-        out = decay * y
-        for step, feed in feeds:
-            out[..., : n1 - step] += feed * y[..., step:]
-        return out
-
-    return rhs
-
-
-def stripe_generators(channels, kerr, nmax) -> np.ndarray:
-    """Generators of the stripes d = 0..nmax, stacked as an (n, n, n) array."""
-    return generator(stripe_rhs(channels, kerr, nmax), (nmax + 1, nmax + 1))
+        stack[d[fed], k[fed], k[fed] + step] += c.rate * amp[k[fed] + step] * amp[l[fed] + step]
+    return stack
 
 
 def evolve(
@@ -117,12 +101,12 @@ def evolve(
     if not isinstance(rho0, DensityMatrix):
         raise DimensionMismatch("rho0 must be a DensityMatrix")
     n1 = rho0.dim
-    rhs = stripe_rhs(channels, kerr, n1 - 1)
+    stack = stripe_generators(channels, kerr, n1 - 1)
     d, k, l = _stripe_index(n1)
     tr0 = rho0.trace()
 
     values = rho0.entries[k, l]
-    if (kerr is None or kerr.strength == 0.0) and not np.any(values.imag):
+    if not np.iscomplexobj(stack) and not np.any(values.imag):
         values = values.real
     y0 = np.zeros((n1, n1), dtype=values.dtype)
     y0[d, k] = values
@@ -152,7 +136,10 @@ def evolve(
         upper[k, l] = y[d, k]
         min_eig[i] = np.linalg.eigvalsh(upper, UPLO="U")[0]
 
-    y_final = integrate(rhs, y0, t_arr, EXACT, on_sample=on_sample, post_accept=check_trace)
+    y_final = integrate(
+        lambda h: expm(stack * h), y0, t_arr, EXACT,
+        on_sample=on_sample, post_accept=check_trace,
+    )
 
     series = TimeSeries(t_arr, mean, std, g2, trace_err, pops, min_eigenvalue=min_eig)
     upper[k, l] = y_final[d, k]

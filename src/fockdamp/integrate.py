@@ -5,23 +5,19 @@ photon number, so each generator the engines evolve is linear and constant
 in time: the population cascade and every diagonal stripe of rho are
 upper-triangular, and the two-mode exchange pair is block-diagonal in
 N_ket - N_bra. One matrix exponential per sampling step is therefore exact.
-``propagate`` builds it once per distinct step and applies it to a state
+``integrate`` builds it once per distinct step and applies it to a state
 vector or to a stack of blocks; ``expm`` is Pade-13 scaling and squaring in
 NumPy (Higham, SIAM J. Matrix Anal. Appl. 26, 1179, 2005). On an
 upper-triangular input it resets the diagonal and the first superdiagonal
 to their exact values after every squaring (Al-Mohy & Higham, SIAM J.
 Matrix Anal. Appl. 31, 970, 2009, Code Fragment 2.1), which keeps the
 column sums of a probability-conserving cascade at rounding level.
-
-The engines hand their systems to ``integrate`` as right-hand sides, the
-way one calls an ODE solver: ``generator`` reads the matrix off the rhs,
-the images of the unit vectors, and ``propagate`` advances it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -36,28 +32,8 @@ _THETA13 = 5.371920351148152
 _STEP_RTOL = 1e-9
 # matrices per Pade evaluation: bounds the temporaries of a large stack
 _CHUNK = 8
-# state elements per rhs call while a generator is read off: bounds the batch
-_UNIT_ELEMS = 1 << 16
-
-
-@dataclass(frozen=True)
-class Stepping:
-    """Step settings of ``integrate``.
-
-    Propagation is exact, so there is one mode, one cached propagator per
-    sampling interval, and no step is forced: ``fixed_step`` is None. The
-    field keeps the shape of an ODE solver's settings for the tools that
-    wrap ``integrate`` and read it, such as the perfbench tracer.
-    """
-
-    fixed_step: None = None
-
-    def __post_init__(self):
-        if self.fixed_step is not None:
-            raise ValueError("propagation is exact and takes no fixed step")
-
-
-EXACT = Stepping()
+# the settings argument of an ODE solver's call; exact propagation fixes no step
+EXACT = SimpleNamespace(fixed_step=None)
 
 
 def _exp_divided_difference(l1, l2):
@@ -118,86 +94,41 @@ def _pade13(a):
     return x
 
 
-def propagate(gen, y0, t_grid, on_sample=None):
-    """Advance ``y' = gen y`` exactly through every point of ``t_grid``.
+def integrate(propagator, y0, t_grid, cfg, on_sample=None, post_accept=None, restrict=None):
+    """Advance a linear, autonomous system exactly through every point of ``t_grid``.
 
-    ``gen`` is one square matrix acting on the vector ``y0``, or a stack of
-    them acting blockwise on the rows of ``y0``. ``on_sample(index, t, y)``
-    fires at each grid point including the first. The propagator
-    ``expm(gen * h)`` is rebuilt only when the step h changes by more than
-    1e-9 relative. Returns the final state.
+    ``propagator(h)`` returns the propagator of one step h, ``expm(gen * h)``
+    for a generator ``gen`` that is one square matrix acting on the state
+    vector or a stack of them acting blockwise on its rows. It is rebuilt
+    only when the step changes by more than 1e-9 relative. The propagated
+    state is ``y0``, or ``restrict(y0)`` when the generator acts on an
+    invariant part of it. ``post_accept(t, y)`` runs after every step, where
+    the engines check their invariants, then ``on_sample(index, t, y)``,
+    which also fires at the first grid point. Returns the final state.
+
+    The call keeps an ODE solver's shape, ``(f, y0, t_grid, cfg)`` and
+    callbacks, because the benchmark's tracer (``perfbench/tracing.py``)
+    wraps each engine's ``integrate`` with that signature: it counts the
+    calls of ``f``, here the propagator builds, and of ``post_accept``, the
+    steps. ``cfg`` is not read; the tracer reads ``cfg.fixed_step``, and
+    ``EXACT`` holds None there.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 1:
         raise ValueError("t_grid must be a non-empty 1-D array")
     if np.any(np.diff(t_grid) <= 0):
         raise ValueError("t_grid must be strictly ascending")
-    y = np.array(y0)
+    y = np.array(y0 if restrict is None else restrict(y0))
     if on_sample is not None:
         on_sample(0, float(t_grid[0]), y)
     h_built, prop = math.nan, None
     for i in range(1, t_grid.size):
-        h = float(t_grid[i] - t_grid[i - 1])
+        h = t_grid[i] - t_grid[i - 1]
         if not abs(h - h_built) <= _STEP_RTOL * h_built:  # nan-safe: builds the first
-            h_built, prop = h, expm(gen * h)
+            h_built, prop = h, propagator(h)
         y = np.matmul(prop, y[..., None])[..., 0]
+        if post_accept is not None:
+            post_accept(float(t_grid[i]), y)
         if on_sample is not None:
             on_sample(i, float(t_grid[i]), y)
     return y
-
-
-def generator(rhs, shape, coords=None):
-    """Matrix of the linear map ``rhs``, read off its images of the unit vectors.
-
-    ``rhs`` maps a read-only batch of states, stacked on a new leading
-    axis, to their derivatives. Without ``coords`` a state of ``shape`` is
-    a vector, or a stack of blocks on its last axis that rhs maps each on
-    its own, and the result holds one square block per leading index:
-    ``shape + shape[-1:]``. With ``coords = (embed, restrict)`` the matrix
-    acts on coordinates: ``embed`` maps a batch of them to states,
-    ``restrict`` maps states back, and the states that embed spans must be
-    closed under rhs.
-    """
-    shape = tuple(shape)
-    if coords is None:
-        m = shape[-1]
-        lead = (1,) * (len(shape) - 1)
-
-        def images(units):
-            return rhs(np.broadcast_to(units.reshape((-1,) + lead + (m,)), units.shape[:1] + shape))
-
-    else:
-        embed, restrict = coords
-        m = restrict(np.zeros((1,) + shape)).shape[-1]
-
-        def images(units):
-            return restrict(rhs(embed(units)))
-
-    eye = np.eye(m)
-    batch = max(1, _UNIT_ELEMS // math.prod(shape))
-    cols = np.concatenate([images(eye[j : j + batch]) for j in range(0, m, batch)])
-    return np.ascontiguousarray(np.moveaxis(cols, 0, -1))
-
-
-def integrate(rhs, y0, t_grid, cfg, on_sample=None, post_accept=None, coords=None):
-    """Solve the linear, autonomous system ``y' = rhs(y)`` exactly on ``t_grid``.
-
-    The generator comes from ``generator(rhs, y0.shape, coords)`` and is
-    advanced by ``propagate``; ``cfg`` is a ``Stepping``, whose one mode
-    has nothing to read. The propagated coordinates are the state itself,
-    or ``restrict(y)`` with ``coords``. ``post_accept(t, x)`` runs after
-    every step, where the engines check their invariants, then
-    ``on_sample(index, t, x)``, which also fires at the first grid point.
-    Returns the final coordinates.
-    """
-    y0 = np.asarray(y0)
-    gen = generator(rhs, y0.shape, coords)
-    x0 = y0 if coords is None else coords[1](y0[None])[0]
-
-    def sample(i, t, x):
-        if i and post_accept is not None:
-            post_accept(t, x)
-        if on_sample is not None:
-            on_sample(i, t, x)
-
-    return propagate(gen, x0, t_grid, sample)

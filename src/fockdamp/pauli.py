@@ -2,11 +2,11 @@
 
 Populations close on themselves: the diagonal obeys a birth-free cascade
 ODE built from the squared lowering matrix elements, in dimension nmax + 1
-instead of (nmax + 1)^2. ``population_rhs`` is that ODE; its generator is
-upper-triangular, since every gain comes from a higher level, and
-``integrate.integrate`` evolves it exactly. This is the default engine for
-population-only observables and the independent oracle for the dense
-engine, whose stripe 0 is the same cascade.
+instead of (nmax + 1)^2. Its generator is upper-triangular, since every
+gain comes from a higher level, and ``integrate.integrate`` evolves it
+exactly. This is the default engine for population-only observables and
+the independent oracle for the dense engine, whose stripe 0 is the same
+cascade.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .analysis import TimeSeries, observables
 from .channels import JumpChannel, lowering_amplitudes, lowering_weight
 from .errors import TraceDriftExceeded
 from .fock import DensityMatrix, _frozen_array
-from .integrate import EXACT, generator, integrate
+from .integrate import EXACT, expm, integrate
 
 _SUM_DRIFT_LIMIT = 1e-8
 
@@ -65,34 +65,21 @@ def population_rates(channel: JumpChannel, n: int) -> tuple[float, int, float]:
     return loss, n + d, gain
 
 
-def population_rhs(channels: list[JumpChannel], nmax: int):
-    """dp/dt of the cascade over levels 0..nmax, on the last axis of a batch.
-
-    Level n loses rate * |<n-d| L |n>|^2 and passes it to level n - d.
-    """
-    flows = [
-        (c.net_lowering, c.rate * lowering_amplitudes(c, nmax) ** 2)
-        for c in channels
-        if c.rate > 0.0
-    ]
-
-    def rhs(p):
-        out = np.zeros(np.shape(p))
-        for d, w in flows:
-            flow = w * p
-            out -= flow
-            out[..., : out.shape[-1] - d] += flow[..., d:]
-        return out
-
-    return rhs
-
-
 def population_generator(channels: list[JumpChannel], nmax: int) -> np.ndarray:
     """Upper-triangular generator M of dp/dt = M p over levels 0..nmax.
 
-    The eigenvalues of M are its diagonal, the loss rates.
+    Level n loses rate * |<n-d| L |n>|^2 and passes it to level n - d; the
+    eigenvalues of M are its diagonal, the loss rates.
     """
-    return generator(population_rhs(channels, nmax), (nmax + 1,))
+    levels = np.arange(nmax + 1)
+    gen = np.zeros((nmax + 1, nmax + 1))
+    for c in channels:
+        if c.rate > 0.0:
+            w = c.rate * lowering_amplitudes(c, nmax) ** 2
+            gen[levels, levels] -= w
+            src = levels[c.net_lowering :]
+            gen[src - c.net_lowering, src] += w[src]
+    return gen
 
 
 def evolve_populations(p0, channels: list[JumpChannel], t_grid) -> TimeSeries:
@@ -126,8 +113,9 @@ def evolve_populations(p0, channels: list[JumpChannel], t_grid) -> TimeSeries:
         mean[i], std[i], g2[i] = obs.mean_n, obs.std_n, obs.g2
         trace_err[i] = abs(float(y.sum()) - sum0)
 
+    gen = population_generator(channels, nmax)
     integrate(
-        population_rhs(channels, nmax), p_init.astype(float), t_arr, EXACT,
+        lambda h: expm(gen * h), p_init.astype(float), t_arr, EXACT,
         on_sample=on_sample, post_accept=check_sum,
     )
     return TimeSeries(t_arr, mean, std, g2, trace_err, pops)

@@ -8,15 +8,13 @@ unreduced pair so that reduction can be checked; the reduced-population
 error falls off like 1/gamma_b^2 (relative order |u4|^2/gamma_b^2).
 
 Tensor-product basis |n_A> x |n_B>, index n_A * (nmax_b + 1) + n_B.
-The generator couples no two sectors of Delta N = N_ket - N_bra, and every
-output (the A populations, the B occupation and its top level) lies in the
-Delta N = 0 sector, so ``two_mode_evolve`` propagates that sector alone. In
-the gauge rho'_jk = (i e^{-i arg u4})^(n_B(j) - n_B(k)) rho_jk the sector
-generator is real; B starts in vacuum, so the sector starts real and
-symmetric and stays so, and its entries with j <= k are propagated as one
-real vector. ``_liouvillian`` builds the vectorized generator as a SciPy
-CSR matrix, and ``integrate`` reads the sector's generator off it through
-the sector's coordinates.
+``_liouvillian`` builds the vectorized generator as a SciPy CSR matrix. It
+couples no two sectors of Delta N = N_ket - N_bra, and every output (the A
+populations, the B occupation and its top level) lies in the Delta N = 0
+sector, so ``two_mode_evolve`` propagates that sector alone. In the gauge
+rho'_jk = (i e^{-i arg u4})^(n_B(j) - n_B(k)) rho_jk the sector generator
+is real; B starts in vacuum, so the sector starts real and symmetric and
+stays so, and its entries with j <= k are propagated as one real vector.
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ from .analysis import TimeSeries, effective_rate, observables
 from .channels import nonlinear_loss
 from .errors import DimensionMismatch, TraceDriftExceeded
 from .fock import DensityMatrix, FockCutoff, _frozen_array, annihilation_matrix, coherent_density
-from .integrate import EXACT, integrate
+from .integrate import EXACT, expm, integrate
 
 _TRACE_DRIFT_LIMIT = 1e-8
 _B_TOP_MASS_LIMIT = 1e-10
@@ -167,36 +165,32 @@ class TwoModeResult:
         object.__setattr__(self, "b_occupation", _frozen_array(np.asarray(self.b_occupation, float)))
 
 
-def _sector_coords(params: TwoModeParams):
-    """Coordinates of the Delta N = 0 sector: its gauged entries with j <= k.
+def _sector_generator(params: TwoModeParams):
+    """Real generator of the packed Delta N = 0 sector and its index pairs.
 
-    Returns ``((embed, restrict), j, k, sector)``: coordinate p is the
-    gauged rho'[j[p], k[p]], and ``sector`` holds the flat indices of the
-    whole sector. ``embed`` writes a batch of coordinates into the sector
-    symmetrically and removes the gauge; ``restrict`` reads them back and
-    drops the imaginary part, which in this gauge is antisymmetric and never
-    reaches a diagonal entry.
+    Returns ``(gen, j, k, phase)``: packed entry p is the gauged rho'[j[p],
+    k[p]] with j[p] <= k[p], and phase[p] is its gauge factor. A column of
+    the sector with j > k folds onto its mirror, since the sector stays
+    symmetric.
     """
     da, db = params.dims
     d = da * db
     n_b = np.arange(d) % db
     n_tot = np.arange(d) // db + n_b
-    gauge = (1j * np.exp(-1j * np.angle(params.u4))) ** (n_b[:, None] - n_b[None, :])
-    same = n_tot[:, None] == n_tot[None, :]
-    rows, cols = np.nonzero(same & np.triu(np.ones((d, d), bool)))
-    ket, bra = gauge[rows, cols], gauge[cols, rows]
-    at_ket, at_bra = rows * d + cols, cols * d + rows
-
-    def embed(x):
-        r = np.zeros((x.shape[0], d * d), dtype=np.complex128)
-        r[:, at_ket] = x / ket
-        r[:, at_bra] = x / bra
-        return r.reshape(-1, d, d)
-
-    def restrict(r):
-        return (ket * r.reshape(len(r), -1)[:, at_ket]).real
-
-    return (embed, restrict), rows, cols, np.flatnonzero(same)
+    rows, cols = np.nonzero(n_tot[:, None] == n_tot[None, :])
+    phase = (1j * np.exp(-1j * np.angle(params.u4))) ** (n_b[rows] - n_b[cols])
+    flat = rows * d + cols
+    packed = rows <= cols
+    mirror = np.searchsorted(
+        flat[packed], np.minimum(rows, cols) * d + np.maximum(rows, cols)
+    )
+    lsup = _liouvillian(params.u4, params.gamma_b, da, db)
+    sector = lsup[flat][:, flat].tocoo()
+    keep = packed[sector.row]
+    r, c = sector.row[keep], sector.col[keep]
+    gen = np.zeros((int(packed.sum()),) * 2)
+    np.add.at(gen, (mirror[r], mirror[c]), (phase[r] * sector.data[keep] / phase[c]).real)
+    return gen, rows[packed], cols[packed], phase[packed]
 
 
 def two_mode_evolve(rho0: TwoModeState, params: TwoModeParams, t_grid) -> TwoModeResult:
@@ -216,7 +210,7 @@ def two_mode_evolve(rho0: TwoModeState, params: TwoModeParams, t_grid) -> TwoMod
     if np.sum(diag0[:, 1:]) > 1e-9:
         raise ValueError("mode B must start in vacuum")
 
-    coords, rows, cols, sector = _sector_coords(params)
+    gen, rows, cols, phase = _sector_generator(params)
     on_diag = rows == cols
     tr0 = float(np.trace(rho0.entries).real)
     block = np.zeros((da * db, da * db))
@@ -232,6 +226,11 @@ def two_mode_evolve(rho0: TwoModeState, params: TwoModeParams, t_grid) -> TwoMod
     b_occ = np.zeros(n_samples)
     b_top = np.zeros(n_samples)
     nb_levels = np.arange(db, dtype=float)
+
+    def packed(rho):
+        # the imaginary part of the gauged sector is antisymmetric and evolves
+        # on its own under the real generator; it never reaches a diagonal entry
+        return (phase * rho[rows, cols]).real
 
     def check_trace(t, y):
         drift = abs(float(y[on_diag].sum()) - tr0)
@@ -249,19 +248,9 @@ def two_mode_evolve(rho0: TwoModeState, params: TwoModeParams, t_grid) -> TwoMod
         b_occ[i] = float(np.sum(diag * nb_levels[None, :]))
         b_top[i] = float(diag[:, -1].sum())
 
-    in_sector = _liouvillian(params.u4, params.gamma_b, da, db)[sector][:, sector]
-
-    def rhs(r):
-        # d/dt of the sector's part of r, which is all embed writes; the
-        # generator keeps the sector, so no other entry moves
-        flat = r.reshape(len(r), -1)
-        out = np.zeros_like(flat)
-        out[:, sector] = (in_sector @ flat[:, sector].T).T
-        return out.reshape(r.shape)
-
     integrate(
-        rhs, rho0.entries, t_arr, EXACT,
-        on_sample=on_sample, post_accept=check_trace, coords=coords,
+        lambda h: expm(gen * h), rho0.entries, t_arr, EXACT,
+        on_sample=on_sample, post_accept=check_trace, restrict=packed,
     )
     top_mass = float(b_top.max())
     if top_mass > _B_TOP_MASS_LIMIT:

@@ -5,12 +5,14 @@ import pytest
 import scipy.linalg as sla
 
 import fockdamp as fd
-from fockdamp import integrate
-from fockdamp import dynamics, pauli, twomode
 from fockdamp.channels import linear_loss, nonlinear_loss, three_photon_loss, two_photon_loss
 from fockdamp.dynamics import stripe_generators
-from fockdamp.integrate import EXACT, Stepping, expm, generator, propagate
+from fockdamp.integrate import EXACT, expm, integrate
 from fockdamp.pauli import population_generator, population_rates
+
+
+def propagate(gen, y0, t_grid, on_sample=None):
+    return integrate(lambda h: expm(gen * h), y0, t_grid, EXACT, on_sample=on_sample)
 
 
 def test_scalar_exponential_decay():
@@ -77,34 +79,33 @@ def test_population_propagator_conserves_probability():
         assert np.max(np.abs(expm(gen * h).sum(axis=0) - 1.0)) <= 1e-14
 
 
-def _count_builds(monkeypatch, t_grid):
-    calls = []
+def _count_builds(t_grid):
+    steps = []
 
-    def counted(a):
-        calls.append(a)
-        return expm(a)
+    def propagator(h):
+        steps.append(h)
+        return expm(gen * h)
 
-    monkeypatch.setattr(integrate, "expm", counted)
     gen = population_generator([nonlinear_loss(1.0)], 6)
     p0 = np.eye(7)[6]
-    y = propagate(gen, p0, t_grid)
+    y = integrate(propagator, p0, t_grid, EXACT)
     assert np.max(np.abs(y - sla.expm(gen * t_grid[-1]) @ p0)) < 1e-12
-    return len(calls)
+    return len(steps)
 
 
-def test_propagate_builds_once_on_a_uniform_grid(monkeypatch):
+def test_integrate_builds_once_on_a_uniform_grid():
     # np.linspace steps differ in the last bits; they share one propagator
     t_grid = np.linspace(0.0, 100.0, 2001)
     assert np.ptp(np.diff(t_grid)) > 0.0
-    assert _count_builds(monkeypatch, t_grid) == 1
+    assert _count_builds(t_grid) == 1
 
 
-def test_propagate_rebuilds_on_a_non_uniform_grid(monkeypatch):
+def test_integrate_rebuilds_on_a_non_uniform_grid():
     # steps 0.1, 0.2, 0.1, 0.6: a new propagator whenever the step changes
-    assert _count_builds(monkeypatch, np.array([0.0, 0.1, 0.3, 0.4, 1.0])) == 4
+    assert _count_builds(np.array([0.0, 0.1, 0.3, 0.4, 1.0])) == 4
 
 
-def test_propagate_acts_blockwise_on_a_stack():
+def test_integrate_acts_blockwise_on_a_stack():
     rng = np.random.default_rng(3)
     gens = rng.normal(size=(3, 4, 4)) - 4.0 * np.eye(4)
     y0 = rng.normal(size=(3, 4))
@@ -116,28 +117,6 @@ def test_propagate_acts_blockwise_on_a_stack():
 def test_grid_validation():
     with pytest.raises(ValueError):
         propagate(np.array([[-1.0]]), np.array([1.0]), np.array([0.0, 0.0]))
-
-
-def test_generator_reads_a_matrix_off_its_rhs():
-    rng = np.random.default_rng(5)
-    a = rng.normal(size=(5, 5))
-    assert np.array_equal(generator(lambda y: y @ a.T, (5,)), a)
-    gens = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
-    stack = generator(lambda y: np.einsum("bij,...bj->...bi", gens, y), (3, 4))
-    assert np.array_equal(stack, gens)
-
-
-def test_generator_through_coordinates():
-    # the first two components span an invariant subspace of a
-    rng = np.random.default_rng(6)
-    a = rng.normal(size=(4, 4))
-    a[2:, :2] = 0.0
-
-    def embed(x):
-        return np.concatenate([x, np.zeros((len(x), 2))], axis=1)
-
-    gen = generator(lambda y: y @ a.T, (4,), coords=(embed, lambda y: y[:, :2]))
-    assert np.array_equal(gen, a[:2, :2])
 
 
 def test_population_generator_matches_the_level_rates():
@@ -158,8 +137,8 @@ def test_integrate_checks_after_every_step_and_samples_every_point():
     p0 = np.eye(7)[6]
     t_grid = np.array([0.0, 0.1, 0.3, 0.4, 1.0])
     events = []
-    y = integrate.integrate(
-        lambda p: p @ gen.T, p0, t_grid, EXACT,
+    y = integrate(
+        lambda h: expm(gen * h), p0, t_grid, EXACT,
         on_sample=lambda i, t, x: events.append(("sample", i, t)),
         post_accept=lambda t, x: events.append(("step", t)),
     )
@@ -169,27 +148,13 @@ def test_integrate_checks_after_every_step_and_samples_every_point():
     assert np.array_equal(y, propagate(gen, p0, t_grid))
 
 
-def test_stepping_takes_no_fixed_step():
-    with pytest.raises(ValueError):
-        Stepping(fixed_step=0.01)
-
-
-@pytest.mark.filterwarnings("ignore:top B level")
-def test_engines_solve_through_their_integrate_name(monkeypatch):
-    # each engine looks integrate up in its own module, where a tracer can wrap it
-    seen = []
-    for module in (dynamics, pauli, twomode):
-        def traced(rhs, y0, t_grid, cfg, *args, name=module.__name__, **kwargs):
-            seen.append((name, np.shape(y0)))
-            return integrate.integrate(rhs, y0, t_grid, cfg, *args, **kwargs)
-
-        monkeypatch.setattr(module, "integrate", traced)
-    t_grid = np.linspace(0.0, 0.5, 3)
-    rho0 = fd.coherent_density(1.0, fd.FockCutoff(6), tail_tol=1e-3)
-    dynamics.evolve(rho0, [nonlinear_loss(1.0)], None, t_grid)
-    pauli.evolve_populations(rho0.populations(), [nonlinear_loss(1.0)], t_grid)
-    params = twomode.TwoModeParams(u4=1.0, gamma_b=30.0, nmax_a=4, nmax_b=2)
-    rho_a = fd.coherent_density(1.0, fd.FockCutoff(4), tail_tol=1e-2)
-    twomode.two_mode_evolve(twomode.product_with_vacuum(rho_a, 2), params, t_grid)
-    # the two-mode engine hands over the whole state and propagates its sector
-    assert seen == [("fockdamp.dynamics", (7, 7)), ("fockdamp.pauli", (7,)), ("fockdamp.twomode", (15, 15))]
+def test_integrate_propagates_the_restricted_state():
+    # the first two components span an invariant subspace of a
+    rng = np.random.default_rng(6)
+    a = rng.normal(size=(4, 4)) - 3.0 * np.eye(4)
+    a[2:, :2] = 0.0
+    y0 = rng.normal(size=4)
+    y = integrate(
+        lambda h: expm(a[:2, :2] * h), y0, np.array([0.0, 0.4]), EXACT, restrict=lambda v: v[:2]
+    )
+    assert np.max(np.abs(y - (sla.expm(0.4 * a) @ np.r_[y0[:2], 0.0, 0.0])[:2])) < 1e-14
