@@ -248,6 +248,8 @@ def two_mode_evolve(rho0: TwoModeState, params: TwoModeParams, t_grid) -> TwoMod
         b_occ[i] = float(np.sum(diag * nb_levels[None, :]))
         b_top[i] = float(diag[:, -1].sum())
 
+    # the whole rho0 goes in, so a wrapper of integrate sees the state's size
+    # (perfbench's twomode.state_dim); restrict packs its sector
     integrate(
         lambda h: expm(gen * h), rho0.entries, t_arr, EXACT,
         on_sample=on_sample, post_accept=check_trace, restrict=packed,
