@@ -89,6 +89,46 @@ def observables(state) -> Observables:
     return Observables(mean, std, g2, p)
 
 
+def moments(populations) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``mean_n``, ``std_n`` and ``g2`` of every row of a (samples, levels) array.
+
+    The formulas of ``observables``, one array operation each: the variance
+    is clamped at 0 and g2 is 0 where the mean is not positive.
+    """
+    p = np.asarray(populations, dtype=float)
+    n = np.arange(p.shape[1], dtype=float)
+    mean = p @ n
+    std = np.sqrt(np.maximum(p @ (n * n) - mean * mean, 0.0))
+    g2 = np.divide(p @ (n * (n - 1.0)), mean * mean, out=np.zeros_like(mean), where=mean > 0.0)
+    return mean, std, g2
+
+
+# samples per stacked eigvalsh call: bounds the buffer, amortizes the call
+_EIG_CHUNK = 32
+
+
+class MinEigenvalues:
+    """Smallest eigenvalue of each sample's Hermitian matrix, in stacked calls.
+
+    ``add(i, index, values)`` writes sample i's upper triangle (``values`` at
+    ``index``) into a buffer of up to 32 matrices; when the buffer is full,
+    and at the last sample, one ``np.linalg.eigvalsh`` call runs on the
+    stack. LAPACK treats each matrix of the stack on its own, so ``out``
+    holds the same values as one call per sample. Samples must arrive in
+    order 0, 1, ..., n_samples - 1.
+    """
+
+    def __init__(self, n_samples: int, dim: int, dtype):
+        self.out = np.zeros(n_samples)
+        self._buf = np.zeros((min(_EIG_CHUNK, n_samples), dim, dim), dtype=dtype)
+
+    def add(self, i: int, index, values):
+        j = i % len(self._buf)
+        self._buf[j][index] = values
+        if j == len(self._buf) - 1 or i == self.out.size - 1:
+            self.out[i - j : i + 1] = np.linalg.eigvalsh(self._buf[: j + 1], UPLO="U")[:, 0]
+
+
 @dataclass(frozen=True)
 class SteadyPrediction:
     """Long-time populations pinned by a conservation law."""

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .analysis import TimeSeries, observables
+from .analysis import MinEigenvalues, TimeSeries, moments
 from .channels import JumpChannel, KerrTerm, lowering_amplitudes
 from .errors import DimensionMismatch, TraceDriftExceeded
 from .fock import DensityMatrix, FockCutoff, anharmonicity_matrix, jump_matrix
@@ -94,9 +94,11 @@ def evolve(
 ) -> tuple[TimeSeries, DensityMatrix]:
     """Propagate the master equation, sampling observables at every grid point.
 
-    Each sample refills the upper triangle of rho from its stripes for the
-    positivity check; the trace is never renormalized and its drift is a
-    monitored failure signal (TraceDriftExceeded above 1e-8).
+    Each sample's upper triangle of rho, refilled from its stripes, goes to a
+    stacked positivity check (``analysis.MinEigenvalues``); the moments of
+    all samples are computed once after propagation. The trace is never
+    renormalized and its drift is a monitored failure signal
+    (TraceDriftExceeded above 1e-8).
     """
     if not isinstance(rho0, DensityMatrix):
         raise DimensionMismatch("rho0 must be a DensityMatrix")
@@ -110,16 +112,10 @@ def evolve(
         values = values.real
     y0 = np.zeros((n1, n1), dtype=values.dtype)
     y0[d, k] = values
-    upper = np.zeros((n1, n1), dtype=values.dtype)
 
     t_arr = np.asarray(t_grid, dtype=float)
-    n_samples = t_arr.size
-    pops = np.zeros((n_samples, n1))
-    mean = np.zeros(n_samples)
-    std = np.zeros(n_samples)
-    g2 = np.zeros(n_samples)
-    trace_err = np.zeros(n_samples)
-    min_eig = np.zeros(n_samples)
+    pops = np.zeros((t_arr.size, n1))
+    min_eig = MinEigenvalues(t_arr.size, n1, values.dtype)
 
     def check_trace(t, y):
         drift = abs(float(y[0].real.sum()) - tr0)
@@ -130,18 +126,16 @@ def evolve(
 
     def on_sample(i, t, y):
         pops[i] = y[0].real
-        obs = observables(pops[i])
-        mean[i], std[i], g2[i] = obs.mean_n, obs.std_n, obs.g2
-        trace_err[i] = abs(float(pops[i].sum()) - tr0)
-        upper[k, l] = y[d, k]
-        min_eig[i] = np.linalg.eigvalsh(upper, UPLO="U")[0]
+        min_eig.add(i, (k, l), y[d, k])
 
     y_final = integrate(
         lambda h: expm(stack * h), y0, t_arr, EXACT,
         on_sample=on_sample, post_accept=check_trace,
     )
 
-    series = TimeSeries(t_arr, mean, std, g2, trace_err, pops, min_eigenvalue=min_eig)
+    trace_err = np.abs(pops.sum(axis=1) - tr0)
+    series = TimeSeries(t_arr, *moments(pops), trace_err, pops, min_eigenvalue=min_eig.out)
+    upper = np.zeros((n1, n1), dtype=values.dtype)
     upper[k, l] = y_final[d, k]
     full = upper + upper.conj().T
     np.fill_diagonal(full, y_final[0].real)

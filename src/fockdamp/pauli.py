@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import TimeSeries, observables
+from .analysis import TimeSeries, moments
 from .channels import JumpChannel, lowering_amplitudes, lowering_weight
 from .errors import TraceDriftExceeded
 from .fock import DensityMatrix, _frozen_array
@@ -95,10 +95,6 @@ def evolve_populations(p0, channels: list[JumpChannel], t_grid) -> TimeSeries:
 
     t_arr = np.asarray(t_grid, dtype=float)
     pops = np.zeros((t_arr.size, nmax + 1))
-    mean = np.zeros(t_arr.size)
-    std = np.zeros(t_arr.size)
-    g2 = np.zeros(t_arr.size)
-    trace_err = np.zeros(t_arr.size)
 
     def check_sum(t, y):
         drift = abs(float(y.sum()) - sum0)
@@ -109,13 +105,11 @@ def evolve_populations(p0, channels: list[JumpChannel], t_grid) -> TimeSeries:
 
     def on_sample(i, t, y):
         pops[i] = y
-        obs = observables(pops[i])
-        mean[i], std[i], g2[i] = obs.mean_n, obs.std_n, obs.g2
-        trace_err[i] = abs(float(y.sum()) - sum0)
 
     gen = population_generator(channels, nmax)
     integrate(
         lambda h: expm(gen * h), p_init.astype(float), t_arr, EXACT,
         on_sample=on_sample, post_accept=check_sum,
     )
-    return TimeSeries(t_arr, mean, std, g2, trace_err, pops)
+    trace_err = np.abs(pops.sum(axis=1) - sum0)
+    return TimeSeries(t_arr, *moments(pops), trace_err, pops)

@@ -60,8 +60,10 @@ class _Panel:
                    f'{self.y + self.h / 2:.1f})">{ylabel}</text>')
 
     def line(self, out, xs, ys, color, width=1.6):
-        pts = " ".join(f"{self.px(x):.2f},{self.py(min(max(y, self.ylim[0]), self.ylim[1])):.2f}"
-                       for x, y in zip(xs, ys))
+        xy = np.column_stack(
+            (self.px(np.asarray(xs, dtype=float)), self.py(np.clip(ys, *self.ylim)))
+        )
+        pts = " ".join(["%.2f,%.2f"] * len(xy)) % tuple(xy.ravel().tolist())
         out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                    f'stroke-width="{width}"/>')
 

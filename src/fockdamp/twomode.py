@@ -8,10 +8,10 @@ unreduced pair so that reduction can be checked; the reduced-population
 error falls off like 1/gamma_b^2 (relative order |u4|^2/gamma_b^2).
 
 Tensor-product basis |n_A> x |n_B>, index n_A * (nmax_b + 1) + n_B.
-``_liouvillian`` builds the vectorized generator as a SciPy CSR matrix. It
-couples no two sectors of Delta N = N_ket - N_bra, and every output (the A
-populations, the B occupation and its top level) lies in the Delta N = 0
-sector, so ``two_mode_evolve`` propagates that sector alone. In the gauge
+The Lindblad generator couples no two sectors of Delta N = N_ket - N_bra,
+and every output (the A populations, the B occupation and its top level)
+lies in the Delta N = 0 sector, so ``_sector_generator`` builds that
+sector's block alone and ``two_mode_evolve`` propagates it. In the gauge
 rho'_jk = (i e^{-i arg u4})^(n_B(j) - n_B(k)) rho_jk the sector generator
 is real; B starts in vacuum, so the sector starts real and symmetric and
 stays so, and its entries with j <= k are propagated as one real vector.
@@ -24,9 +24,8 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
-from .analysis import TimeSeries, effective_rate, observables
+from .analysis import MinEigenvalues, TimeSeries, effective_rate, moments
 from .channels import nonlinear_loss
 from .errors import DimensionMismatch, TraceDriftExceeded
 from .fock import DensityMatrix, FockCutoff, _frozen_array, annihilation_matrix, coherent_density
@@ -136,25 +135,6 @@ def mode_b_occupation(state: TwoModeState) -> float:
     return float(np.sum(diag * np.arange(db)[None, :]))
 
 
-def _liouvillian(u4: complex, gamma_b: float, dim_a: int, dim_b: int) -> sp.csr_matrix:
-    """Vectorized generator, row-major convention: X rho Y -> kron(X, Y^T)."""
-    a = annihilation_matrix(FockCutoff(dim_a - 1))
-    b = annihilation_matrix(FockCutoff(dim_b - 1))
-    exch = (a.conj().T @ a) @ a  # lowers A by one
-    h = u4 * np.kron(exch, b.conj().T) + np.conj(u4) * np.kron(exch.conj().T, b)
-    d = dim_a * dim_b
-    eye = sp.identity(d, dtype=np.complex128, format="csr")
-    h_s = sp.csr_matrix(h)
-    lsup = -1j * (sp.kron(h_s, eye) - sp.kron(eye, h_s.T))
-    if gamma_b > 0:
-        jump = sp.csr_matrix(math.sqrt(gamma_b) * np.kron(np.eye(dim_a), b))
-        jdj = (jump.conj().T @ jump).tocsr()
-        lsup = lsup + sp.kron(jump, jump.conj()) - 0.5 * (
-            sp.kron(jdj, eye) + sp.kron(eye, jdj.T)
-        )
-    return lsup.tocsr()
-
-
 @dataclass(frozen=True)
 class TwoModeResult:
     series: TimeSeries  # reduced mode-A observables
@@ -169,27 +149,38 @@ def _sector_generator(params: TwoModeParams):
     """Real generator of the packed Delta N = 0 sector and its index pairs.
 
     Returns ``(gen, j, k, phase)``: packed entry p is the gauged rho'[j[p],
-    k[p]] with j[p] <= k[p], and phase[p] is its gauge factor. A column of
-    the sector with j > k folds onto its mirror, since the sector stays
-    symmetric.
+    k[p]] with j[p] <= k[p], and phase[p] is its gauge factor. In the gauge
+    the pair evolves as d rho'/dt = A rho' + rho' A^T + J rho' J^T, with the
+    real A = |u4| (K - K^T) - J^T J / 2, K = (a^dag a a) x b^dag and
+    J = sqrt(gamma_b) 1 x b. So rho'[j', k'] feeds d rho'[j, k]/dt with
+    A[j, j'] delta_kk' + delta_jj' A[k, k'] + J[j, j'] J[k, k'], formed by
+    index arithmetic over the sector pairs. A column with j' > k' folds onto
+    its mirror, since the sector stays symmetric.
     """
     da, db = params.dims
     d = da * db
     n_b = np.arange(d) % db
     n_tot = np.arange(d) // db + n_b
     rows, cols = np.nonzero(n_tot[:, None] == n_tot[None, :])
-    phase = (1j * np.exp(-1j * np.angle(params.u4))) ** (n_b[rows] - n_b[cols])
-    flat = rows * d + cols
+    a = annihilation_matrix(FockCutoff(da - 1)).real
+    b = annihilation_matrix(FockCutoff(db - 1)).real
+    k_ex = np.kron((a.T @ a) @ a, b.T)  # lowers A by one, raises B by one
+    jump = math.sqrt(params.gamma_b) * np.kron(np.eye(da), b)
+    drift = abs(params.u4) * (k_ex - k_ex.T) - 0.5 * (jump.T @ jump)
     packed = rows <= cols
-    mirror = np.searchsorted(
-        flat[packed], np.minimum(rows, cols) * d + np.maximum(rows, cols)
+    # packed output pairs (j, k) down the rows, every input pair along the columns
+    j, k = rows[packed, None], cols[packed, None]
+    j_in, k_in = rows[None, :], cols[None, :]
+    sector = (
+        drift[j, j_in] * (k == k_in) + (j == j_in) * drift[k, k_in]
+        + jump[j, j_in] * jump[k, k_in]
     )
-    lsup = _liouvillian(params.u4, params.gamma_b, da, db)
-    sector = lsup[flat][:, flat].tocoo()
-    keep = packed[sector.row]
-    r, c = sector.row[keep], sector.col[keep]
+    mirror = np.searchsorted(
+        rows[packed] * d + cols[packed], np.minimum(rows, cols) * d + np.maximum(rows, cols)
+    )
     gen = np.zeros((int(packed.sum()),) * 2)
-    np.add.at(gen, (mirror[r], mirror[c]), (phase[r] * sector.data[keep] / phase[c]).real)
+    np.add.at(gen, (slice(None), mirror), sector)
+    phase = (1j * np.exp(-1j * np.angle(params.u4))) ** (n_b[rows] - n_b[cols])
     return gen, rows[packed], cols[packed], phase[packed]
 
 
@@ -213,19 +204,10 @@ def two_mode_evolve(rho0: TwoModeState, params: TwoModeParams, t_grid) -> TwoMod
     gen, rows, cols, phase = _sector_generator(params)
     on_diag = rows == cols
     tr0 = float(np.trace(rho0.entries).real)
-    block = np.zeros((da * db, da * db))
 
     t_arr = np.asarray(t_grid, dtype=float)
-    n_samples = t_arr.size
-    pops = np.zeros((n_samples, da))
-    mean = np.zeros(n_samples)
-    std = np.zeros(n_samples)
-    g2 = np.zeros(n_samples)
-    trace_err = np.zeros(n_samples)
-    min_eig = np.zeros(n_samples)
-    b_occ = np.zeros(n_samples)
-    b_top = np.zeros(n_samples)
-    nb_levels = np.arange(db, dtype=float)
+    diags = np.zeros((t_arr.size, da * db))
+    min_eig = MinEigenvalues(t_arr.size, da * db, float)
 
     def packed(rho):
         # the imaginary part of the gauged sector is antisymmetric and evolves
@@ -238,15 +220,8 @@ def two_mode_evolve(rho0: TwoModeState, params: TwoModeParams, t_grid) -> TwoMod
             raise TraceDriftExceeded(f"trace drifted by {drift:.3e} at t={t:.6g}")
 
     def on_sample(i, t, y):
-        diag = y[on_diag].reshape(da, db)
-        pops[i] = diag.sum(axis=1)
-        obs = observables(pops[i])
-        mean[i], std[i], g2[i] = obs.mean_n, obs.std_n, obs.g2
-        trace_err[i] = abs(float(diag.sum()) - tr0)
-        block[rows, cols] = y
-        min_eig[i] = np.linalg.eigvalsh(block, UPLO="U")[0]
-        b_occ[i] = float(np.sum(diag * nb_levels[None, :]))
-        b_top[i] = float(diag[:, -1].sum())
+        diags[i] = y[on_diag]
+        min_eig.add(i, (rows, cols), y)
 
     # the whole rho0 goes in, so a wrapper of integrate sees the state's size
     # (perfbench's twomode.state_dim); restrict packs its sector
@@ -254,13 +229,18 @@ def two_mode_evolve(rho0: TwoModeState, params: TwoModeParams, t_grid) -> TwoMod
         lambda h: expm(gen * h), rho0.entries, t_arr, EXACT,
         on_sample=on_sample, post_accept=check_trace, restrict=packed,
     )
+    by_level = diags.reshape(t_arr.size, da, db)
+    pops = by_level.sum(axis=2)
+    trace_err = np.abs(diags.sum(axis=1) - tr0)
+    b_occ = (by_level * np.arange(db, dtype=float)).reshape(t_arr.size, -1).sum(axis=1)
+    b_top = by_level[:, :, -1].sum(axis=1)
     top_mass = float(b_top.max())
     if top_mass > _B_TOP_MASS_LIMIT:
         warnings.warn(
             f"top B level reached {top_mass:.2e} > {_B_TOP_MASS_LIMIT:.0e}; outside "
             "the elimination regime, consider raising nmax_b"
         )
-    series = TimeSeries(t_arr, mean, std, g2, trace_err, pops, min_eigenvalue=min_eig)
+    series = TimeSeries(t_arr, *moments(pops), trace_err, pops, min_eigenvalue=min_eig.out)
     return TwoModeResult(series, b_occ, top_mass)
 
 

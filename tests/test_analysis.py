@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 import fockdamp as fd
-from fockdamp.analysis import TimeSeries, find_sigma_min, observables, steady_state_prediction
+from fockdamp.analysis import (
+    TimeSeries,
+    find_sigma_min,
+    moments,
+    observables,
+    steady_state_prediction,
+)
 from fockdamp.channels import linear_loss, nonlinear_loss, three_photon_loss, two_photon_loss
 
 
@@ -36,6 +42,24 @@ def test_observables_mixture():
 
 def test_observables_vacuum_g2_defined_zero():
     assert observables(np.array([1.0, 0.0])).g2 == 0.0
+
+
+def test_moments_match_observables_row_by_row():
+    rng = np.random.default_rng(11)
+    pops = rng.random((40, 9)) ** 3
+    pops /= pops.sum(axis=1, keepdims=True)
+    pops[0] = np.eye(9)[0]  # vacuum: zero mean, g2 defined as 0
+    pops[1] = np.eye(9)[1]  # one photon: zero variance
+    mean, std, g2 = moments(pops)
+    rows = [observables(p) for p in pops]
+    np.testing.assert_allclose(mean, [o.mean_n for o in rows], rtol=1e-15, atol=0)
+    np.testing.assert_allclose(g2, [o.g2 for o in rows], rtol=1e-15, atol=0)
+    # std_n = sqrt(<n^2> - mean^2) loses the digits the subtraction cancels,
+    # so the variances are compared, to 1e-15 of <n^2>
+    ref_std = np.array([o.std_n for o in rows])
+    second = pops @ np.arange(9.0) ** 2
+    assert np.all(np.abs(std**2 - ref_std**2) <= 1e-15 * second)
+    assert g2[0] == 0.0 and std[1] == 0.0
 
 
 def test_steady_pure_nonlinear():

@@ -5,8 +5,9 @@ import pytest
 import scipy.linalg as sla
 
 import fockdamp as fd
+from fockdamp import dynamics
 from fockdamp.channels import linear_loss, nonlinear_loss, three_photon_loss, two_photon_loss
-from fockdamp.dynamics import stripe_generators
+from fockdamp.dynamics import _stripe_index, stripe_generators
 
 ALL = [nonlinear_loss(0.7), linear_loss(0.3), two_photon_loss(0.2), three_photon_loss(0.1)]
 
@@ -166,3 +167,18 @@ def test_rhs_trace_free_at_step_start():
     rho = random_density(10, 77)
     out = fd.lindblad_rhs(rho, ALL, fd.KerrTerm(0.9))
     assert abs(np.trace(out)) < 1e-12 * np.linalg.norm(rho.entries)
+
+
+@pytest.mark.parametrize("n_samples", [1, 31, 32, 33, 65])
+def test_min_eigenvalue_equals_per_sample_eigvalsh(record_samples, n_samples):
+    # the stacked check works in chunks of 32 samples; these counts cover its edges
+    states = record_samples(dynamics)
+    series, _ = fd.evolve(random_density(6, 4), ALL, fd.KerrTerm(0.5), np.linspace(0, 2, n_samples))
+    d, k, l = _stripe_index(6)
+    expected = []
+    for y in states:
+        upper = np.zeros((6, 6), dtype=y.dtype)
+        upper[k, l] = y[d, k]
+        expected.append(np.linalg.eigvalsh(upper, UPLO="U")[0])
+    assert len(states) == n_samples
+    assert np.array_equal(series.min_eigenvalue, expected)

@@ -19,12 +19,22 @@ def test_import_leaves_environment_alone():
     assert out.stdout.strip() == "[]"
 
 
-def test_cli_import_leaves_scipy_linalg_unloaded():
-    # expm is NumPy's own; scipy.linalg would add set-up time and resident memory
+def _loaded_after_cli_import(module: str) -> bool:
     src = str(Path(fd.__file__).resolve().parent.parent)
-    code = "import sys, fockdamp.cli; print('scipy.linalg' in sys.modules)"
+    code = f"import sys, fockdamp.cli; print({module!r} in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
         capture_output=True, text=True, check=True,
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip() == "True"
+
+
+def test_cli_import_leaves_scipy_linalg_unloaded():
+    # expm is NumPy's own; scipy.linalg would add set-up time and resident memory
+    assert not _loaded_after_cli_import("scipy.linalg")
+
+
+def test_cli_import_leaves_scipy_sparse_unloaded():
+    # the two-mode sector generator is built dense; scipy.sparse would add
+    # set-up time and resident memory
+    assert not _loaded_after_cli_import("scipy.sparse")

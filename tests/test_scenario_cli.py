@@ -298,6 +298,20 @@ def test_manifest_load_unwraps_scenario(tmp_path):
 
 
 def test_csv_floats_roundtrip():
-    assert cli._g17(1 - math.exp(-9)) == format(1 - math.exp(-9), ".17g")
     v = 0.12345678901234567
-    assert float(cli._g17(v)) == v
+    line = cli._csv_rows([1 - math.exp(-9)], [v])
+    assert line == format(1 - math.exp(-9), ".17g") + "," + format(v, ".17g") + "\n"
+    assert float(line.split(",")[1]) == v
+
+
+@pytest.mark.parametrize("n_rows", [1, 128, 129])
+def test_series_csv_matches_per_value_format(n_rows):
+    # 7 specials over 8 columns, so every column meets every special value;
+    # 128 and 129 rows reach and cross the formatter's block edge
+    specials = [-0.0, 5e-324, 1e300, math.nan, math.inf, 2.0, -math.inf]
+    vals = np.resize(specials, (n_rows, 8))
+    series = fd.TimeSeries(*vals[:, :5].T, populations=vals[:, 5:])
+    expected = "t,mean_n,std_n,g2,trace_err,p0,p1,p2\n" + "".join(
+        ",".join(format(float(x), ".17g") for x in row) + "\n" for row in vals
+    )
+    assert cli.series_csv(series) == expected

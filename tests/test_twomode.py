@@ -4,13 +4,16 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 import fockdamp as fd
+from fockdamp import twomode
 from fockdamp.channels import nonlinear_loss
+from fockdamp.fock import FockCutoff, annihilation_matrix
 from fockdamp.twomode import (
     TwoModeParams,
     TwoModeState,
-    _liouvillian,
+    _sector_generator,
     elimination_comparison,
     mode_b_occupation,
     partial_trace_a,
@@ -18,6 +21,25 @@ from fockdamp.twomode import (
     product_with_vacuum,
     two_mode_evolve,
 )
+
+
+def _liouvillian(u4: complex, gamma_b: float, dim_a: int, dim_b: int) -> sp.csr_matrix:
+    """Vectorized generator of the whole pair, row-major: X rho Y -> kron(X, Y^T)."""
+    a = annihilation_matrix(FockCutoff(dim_a - 1))
+    b = annihilation_matrix(FockCutoff(dim_b - 1))
+    exch = (a.conj().T @ a) @ a  # lowers A by one
+    h = u4 * np.kron(exch, b.conj().T) + np.conj(u4) * np.kron(exch.conj().T, b)
+    d = dim_a * dim_b
+    eye = sp.identity(d, dtype=np.complex128, format="csr")
+    h_s = sp.csr_matrix(h)
+    lsup = -1j * (sp.kron(h_s, eye) - sp.kron(eye, h_s.T))
+    if gamma_b > 0:
+        jump = sp.csr_matrix(math.sqrt(gamma_b) * np.kron(np.eye(dim_a), b))
+        jdj = (jump.conj().T @ jump).tocsr()
+        lsup = lsup + sp.kron(jump, jump.conj()) - 0.5 * (
+            sp.kron(jdj, eye) + sp.kron(eye, jdj.T)
+        )
+    return lsup.tocsr()
 
 
 def random_density(dim, seed):
@@ -91,6 +113,21 @@ def test_two_mode_matches_expm_oracle():
     assert np.max(np.abs(res.series.populations[-1] - pops_exact)) < 1e-10
 
 
+def test_sector_generator_matches_liouvillian_sector():
+    # on a gauged symmetric Delta N = 0 state, the packed generator gives the
+    # packed, gauged time derivative of the whole-pair generator
+    params = TwoModeParams(u4=0.8 + 0.3j, gamma_b=12.0, nmax_a=4, nmax_b=3)
+    gen, rows, cols, phase = _sector_generator(params)
+    x = np.random.default_rng(7).normal(size=rows.size)
+    rho = np.zeros((20, 20), dtype=complex)
+    rho[rows, cols] = x / phase
+    rho[cols, rows] = x * phase
+    lsup = _liouvillian(params.u4, params.gamma_b, 5, 4).toarray()
+    drho = (lsup @ rho.reshape(-1)).reshape(20, 20)
+    assert np.max(np.abs(gen @ x - (phase * drho[rows, cols]).real)) < 1e-12
+    assert np.max(np.abs((phase * drho[rows, cols]).imag)) < 1e-12
+
+
 def test_two_photons_decay_at_effective_rate():
     params = TwoModeParams(u4=1.0, gamma_b=50.0, nmax_a=4, nmax_b=4)
     ge = params.gamma_e
@@ -157,3 +194,22 @@ def test_dimension_mismatch():
     params = TwoModeParams(u4=1.0, gamma_b=30.0, nmax_a=5, nmax_b=2)
     with pytest.raises(fd.DimensionMismatch):
         two_mode_evolve(state, params, np.array([0.0, 1.0]))
+
+
+@pytest.mark.parametrize("n_samples", [1, 31, 32, 33, 65])
+def test_min_eigenvalue_equals_per_sample_eigvalsh(record_samples, n_samples):
+    # the stacked check works in chunks of 32 samples; these counts cover its edges
+    states = record_samples(twomode)
+    params = TwoModeParams(u4=0.8 + 0.3j, gamma_b=12.0, nmax_a=4, nmax_b=3)
+    state = product_with_vacuum(fd.DensityMatrix(random_density(5, 3)), 3)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "top B level", UserWarning)
+        res = two_mode_evolve(state, params, np.linspace(0, 0.5, n_samples))
+    _, rows, cols, _ = _sector_generator(params)
+    expected = []
+    for y in states:
+        block = np.zeros((20, 20))
+        block[rows, cols] = y
+        expected.append(np.linalg.eigvalsh(block, UPLO="U")[0])
+    assert len(states) == n_samples
+    assert np.array_equal(res.series.min_eigenvalue, expected)
