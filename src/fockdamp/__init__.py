@@ -44,12 +44,10 @@ from .fock import (
     annihilation_matrix,
     coherent_density,
     coherent_state,
-    creation_matrix,
     fock_density,
     fock_state,
     jump_matrix,
     min_cutoff_for_coherent,
-    number_matrix,
     poisson_tail,
 )
 from .pauli import (
@@ -65,9 +63,6 @@ from .twomode import (
     TwoModeResult,
     TwoModeState,
     elimination_comparison,
-    mode_b_occupation,
-    partial_trace_a,
-    partial_trace_b,
     product_with_vacuum,
     two_mode_evolve,
 )

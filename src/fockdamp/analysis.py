@@ -9,7 +9,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .channels import JumpChannel
-from .errors import NoClosedForm, NoInteriorMinimum, NonpositiveGammaB
+from .errors import NoClosedForm, NoInteriorMinimum, NonpositiveGammaB, TraceDriftExceeded
 from .fock import DensityMatrix, PureState, _frozen_array
 
 
@@ -105,28 +105,69 @@ def moments(populations) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 # samples per stacked eigvalsh call: bounds the buffer, amortizes the call
 _EIG_CHUNK = 32
+# the largest drift of the trace from its initial value an exact run tolerates
+TRACE_DRIFT_LIMIT = 1e-8
 
 
-class MinEigenvalues:
-    """Smallest eigenvalue of each sample's Hermitian matrix, in stacked calls.
+class Samples:
+    """The sampled record of one exact run, filled by ``integrate``'s callbacks.
 
-    ``add(i, index, values)`` writes sample i's upper triangle (``values`` at
-    ``index``) into a buffer of up to 32 matrices; when the buffer is full,
-    and at the last sample, one ``np.linalg.eigvalsh`` call runs on the
-    stack. LAPACK treats each matrix of the stack on its own, so ``out``
-    holds the same values as one call per sample. Samples must arrive in
-    order 0, 1, ..., n_samples - 1.
+    ``diagonal`` indexes the diagonal within a state handed to the
+    callbacks (the populations; for the two-mode pair, the whole diagonal of
+    its sector block); its sum is the trace, ``trace0`` at the start.
+    ``check`` is the ``post_accept`` callback: it raises TraceDriftExceeded
+    once the trace drifts by more than 1e-8. ``add`` is the ``on_sample``
+    callback: it keeps the diagonal and, when ``upper = (rows, cols, src)``
+    is given, the raw state, whose flattened element ``src[p]`` is the
+    matrix entry ``(rows[p], cols[p])`` on or above the diagonal. Every 32
+    samples, and at the last one, the chunk's upper triangles are filled at
+    once and one ``np.linalg.eigvalsh`` call gives each sample's smallest
+    eigenvalue; LAPACK treats each matrix of the stack on its own, so these
+    are the values of one call per sample. Samples must arrive in order;
+    sizes and dtypes come from the first.
     """
 
-    def __init__(self, n_samples: int, dim: int, dtype):
-        self.out = np.zeros(n_samples)
-        self._buf = np.zeros((min(_EIG_CHUNK, n_samples), dim, dim), dtype=dtype)
+    def __init__(self, t_grid, trace0: float, diagonal, upper=None):
+        self.t = np.asarray(t_grid, dtype=float)
+        self.trace0 = trace0
+        self._diagonal = diagonal
+        self._upper = upper
+        self.min_eigenvalue = None if upper is None else np.zeros(self.t.size)
 
-    def add(self, i: int, index, values):
-        j = i % len(self._buf)
-        self._buf[j][index] = values
-        if j == len(self._buf) - 1 or i == self.out.size - 1:
-            self.out[i - j : i + 1] = np.linalg.eigvalsh(self._buf[: j + 1], UPLO="U")[:, 0]
+    def check(self, t: float, y):
+        # np.add.reduce is what .sum() calls, minus a Python wrapper paid every step
+        drift = abs(float(np.add.reduce(y[self._diagonal].real)) - self.trace0)
+        if not drift <= TRACE_DRIFT_LIMIT:  # nan-safe comparison
+            raise TraceDriftExceeded(
+                f"trace drifted by {drift:.3e} at t={t:.6g} (limit {TRACE_DRIFT_LIMIT:.1e})"
+            )
+
+    def add(self, i: int, t: float, y):
+        diag = y[self._diagonal].real
+        if i == 0:
+            self.diagonals = np.zeros((self.t.size, diag.size))
+            if self._upper is not None:
+                chunk, dim = min(_EIG_CHUNK, self.t.size), diag.size
+                self._raw = np.zeros((chunk, y.size), dtype=y.dtype)
+                self._tri = np.zeros((chunk, dim, dim), dtype=y.dtype)
+        self.diagonals[i] = diag
+        if self._upper is not None:
+            j = i % len(self._raw)
+            self._raw[j] = y.ravel()
+            if j == len(self._raw) - 1 or i == self.t.size - 1:
+                rows, cols, src = self._upper
+                tri = self._tri[: j + 1]
+                tri[:, rows, cols] = self._raw[: j + 1, src]
+                self.min_eigenvalue[i - j : i + 1] = np.linalg.eigvalsh(tri, UPLO="U")[:, 0]
+
+    def series(self, populations=None) -> TimeSeries:
+        """The TimeSeries of the recorded diagonals, or of ``populations``
+        derived from them; the trace error is always the diagonals'."""
+        pops = self.diagonals if populations is None else populations
+        trace_err = np.abs(self.diagonals.sum(axis=1) - self.trace0)
+        return TimeSeries(
+            self.t, *moments(pops), trace_err, pops, min_eigenvalue=self.min_eigenvalue
+        )
 
 
 @dataclass(frozen=True)

@@ -103,6 +103,3 @@ class KerrTerm:
     def __post_init__(self):
         if not math.isfinite(self.strength):
             raise ValueError("Kerr strength must be finite")
-
-
-NO_KERR = KerrTerm(0.0)

@@ -67,7 +67,7 @@ def run_scenario(scn: Scenario) -> RunResult:
         series = result.to_timeseries()
         extras["stderr"] = result.stderr
     elif scn.engine == "twomode":
-        rho_a = coherent_density(scn.alpha, scn.cutoff, tail_tol=1e-4)
+        rho_a = coherent_density(scn.alpha, scn.cutoff, tail_tol=scn.tail_tol)
         params = scn.twomode_params
         state0 = twomode.product_with_vacuum(rho_a, params.nmax_b)
         result = twomode.two_mode_evolve(state0, params, scn.t_grid)

@@ -17,13 +17,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .analysis import MinEigenvalues, TimeSeries, moments
+from .analysis import TRACE_DRIFT_LIMIT, Samples, TimeSeries
 from .channels import JumpChannel, KerrTerm, lowering_amplitudes
-from .errors import DimensionMismatch, TraceDriftExceeded
+from .errors import DimensionMismatch
 from .fock import DensityMatrix, FockCutoff, anharmonicity_matrix, jump_matrix
 from .integrate import EXACT, expm, integrate
-
-_TRACE_DRIFT_LIMIT = 1e-8
 
 
 def lindblad_rhs(rho, channels: list[JumpChannel], kerr: KerrTerm | None = None) -> np.ndarray:
@@ -94,18 +92,16 @@ def evolve(
 ) -> tuple[TimeSeries, DensityMatrix]:
     """Propagate the master equation, sampling observables at every grid point.
 
-    Each sample's upper triangle of rho, refilled from its stripes, goes to a
-    stacked positivity check (``analysis.MinEigenvalues``); the moments of
-    all samples are computed once after propagation. The trace is never
-    renormalized and its drift is a monitored failure signal
-    (TraceDriftExceeded above 1e-8).
+    ``analysis.Samples`` records the run: each sample's populations, and its
+    upper triangle of rho, refilled from the stripes, for the stacked
+    positivity check. The trace is never renormalized and its drift is a
+    monitored failure signal (TraceDriftExceeded above 1e-8).
     """
     if not isinstance(rho0, DensityMatrix):
         raise DimensionMismatch("rho0 must be a DensityMatrix")
     n1 = rho0.dim
     stack = stripe_generators(channels, kerr, n1 - 1)
     d, k, l = _stripe_index(n1)
-    tr0 = rho0.trace()
 
     values = rho0.entries[k, l]
     if not np.iscomplexobj(stack) and not np.any(values.imag):
@@ -113,33 +109,16 @@ def evolve(
     y0 = np.zeros((n1, n1), dtype=values.dtype)
     y0[d, k] = values
 
-    t_arr = np.asarray(t_grid, dtype=float)
-    pops = np.zeros((t_arr.size, n1))
-    min_eig = MinEigenvalues(t_arr.size, n1, values.dtype)
-
-    def check_trace(t, y):
-        drift = abs(float(y[0].real.sum()) - tr0)
-        if not drift <= _TRACE_DRIFT_LIMIT:  # nan-safe comparison
-            raise TraceDriftExceeded(
-                f"trace drifted by {drift:.3e} at t={t:.6g} (limit {_TRACE_DRIFT_LIMIT:.1e})"
-            )
-
-    def on_sample(i, t, y):
-        pops[i] = y[0].real
-        min_eig.add(i, (k, l), y[d, k])
-
+    samples = Samples(t_grid, rho0.trace(), 0, upper=(k, l, d * n1 + k))
     y_final = integrate(
-        lambda h: expm(stack * h), y0, t_arr, EXACT,
-        on_sample=on_sample, post_accept=check_trace,
+        lambda h: expm(stack * h), y0, samples.t, EXACT,
+        on_sample=samples.add, post_accept=samples.check,
     )
-
-    trace_err = np.abs(pops.sum(axis=1) - tr0)
-    series = TimeSeries(t_arr, *moments(pops), trace_err, pops, min_eigenvalue=min_eig.out)
     upper = np.zeros((n1, n1), dtype=values.dtype)
     upper[k, l] = y_final[d, k]
     full = upper + upper.conj().T
     np.fill_diagonal(full, y_final[0].real)
     final = DensityMatrix(
-        full, trace_deficit=rho0.trace_deficit, trace_tol=_TRACE_DRIFT_LIMIT * 2
+        full, trace_deficit=rho0.trace_deficit, trace_tol=TRACE_DRIFT_LIMIT * 2
     )
-    return series, final
+    return samples.series(), final

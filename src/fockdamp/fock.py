@@ -117,14 +117,6 @@ def annihilation_matrix(cutoff: FockCutoff) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, cutoff.dim)), 1).astype(np.complex128)
 
 
-def creation_matrix(cutoff: FockCutoff) -> np.ndarray:
-    return annihilation_matrix(cutoff).conj().T
-
-
-def number_matrix(cutoff: FockCutoff) -> np.ndarray:
-    return np.diag(np.arange(cutoff.dim).astype(np.complex128))
-
-
 def anharmonicity_matrix(cutoff: FockCutoff) -> np.ndarray:
     """a^dag a^dag a a = diag(n(n-1)); the Kerr Hamiltonian up to its strength."""
     n = np.arange(cutoff.dim)

@@ -15,13 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import TimeSeries, moments
+from .analysis import Samples, TimeSeries
 from .channels import JumpChannel, lowering_amplitudes, lowering_weight
-from .errors import TraceDriftExceeded
 from .fock import DensityMatrix, _frozen_array
 from .integrate import EXACT, expm, integrate
-
-_SUM_DRIFT_LIMIT = 1e-8
 
 
 @dataclass(frozen=True)
@@ -90,26 +87,10 @@ def evolve_populations(p0, channels: list[JumpChannel], t_grid) -> TimeSeries:
     makes fine parameter sweeps cheap.
     """
     p_init = p0.p if isinstance(p0, PopulationVector) else PopulationVector(np.asarray(p0)).p
-    nmax = p_init.size - 1
-    sum0 = float(p_init.sum())
-
-    t_arr = np.asarray(t_grid, dtype=float)
-    pops = np.zeros((t_arr.size, nmax + 1))
-
-    def check_sum(t, y):
-        drift = abs(float(y.sum()) - sum0)
-        if not drift <= _SUM_DRIFT_LIMIT:
-            raise TraceDriftExceeded(
-                f"population sum drifted by {drift:.3e} at t={t:.6g}"
-            )
-
-    def on_sample(i, t, y):
-        pops[i] = y
-
-    gen = population_generator(channels, nmax)
+    samples = Samples(t_grid, float(p_init.sum()), slice(None))
+    gen = population_generator(channels, p_init.size - 1)
     integrate(
-        lambda h: expm(gen * h), p_init.astype(float), t_arr, EXACT,
-        on_sample=on_sample, post_accept=check_sum,
+        lambda h: expm(gen * h), p_init.astype(float), samples.t, EXACT,
+        on_sample=samples.add, post_accept=samples.check,
     )
-    trace_err = np.abs(pops.sum(axis=1) - sum0)
-    return TimeSeries(t_arr, *moments(pops), trace_err, pops)
+    return samples.series()

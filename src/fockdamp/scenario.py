@@ -27,7 +27,7 @@ from .channels import (
 from .errors import ParseError, ValidationError
 from .fock import FockCutoff, min_cutoff_for_coherent, poisson_tail
 from .trajectories import TrajectoryConfig
-from .twomode import TwoModeParams
+from .twomode import TAIL_TOL, TwoModeParams
 
 ENGINES = ("dense", "pauli", "trajectories", "twomode")
 RATE_KEYS = ("gamma_e", "gamma_q", "gamma_s", "gamma_t")
@@ -120,6 +120,11 @@ def _as_complex(value) -> complex:
     return complex(value)
 
 
+def _tail_tol(engine: str) -> float:
+    """Allowed coherent tail beyond nmax: loose for the small two-mode basis."""
+    return TAIL_TOL if engine == "twomode" else 1e-12
+
+
 def _json_complex(z: complex):
     return float(z.real) if z.imag == 0.0 else [float(z.real), float(z.imag)]
 
@@ -145,6 +150,10 @@ class Scenario:
     @property
     def cutoff(self) -> FockCutoff:
         return FockCutoff(self.nmax)
+
+    @property
+    def tail_tol(self) -> float:
+        return _tail_tol(self.engine)
 
     @property
     def t_grid(self) -> np.ndarray:
@@ -219,7 +228,7 @@ def _semantic_violations(obj: dict) -> list[str]:
     alpha = _as_complex(obj.get("alpha", 0.0))
     nmax = obj.get("nmax")
     if nmax is not None:
-        tail_tol = 1e-4 if engine == "twomode" else 1e-12
+        tail_tol = _tail_tol(engine)
         tail = poisson_tail(abs(alpha) ** 2, int(nmax))
         if tail >= tail_tol:
             errors.append(
@@ -249,7 +258,7 @@ def parse_scenario(obj: dict) -> Scenario:
         raise ValidationError(violations)
     alpha = _as_complex(obj["alpha"])
     engine = obj["engine"]
-    tail_tol = 1e-4 if engine == "twomode" else 1e-12
+    tail_tol = _tail_tol(engine)
     nmax = obj.get("nmax")
     if nmax is None:
         nmax = min_cutoff_for_coherent(alpha, tail_tol=tail_tol).nmax

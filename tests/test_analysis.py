@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -60,6 +61,32 @@ def test_moments_match_observables_row_by_row():
     second = pops @ np.arange(9.0) ** 2
     assert np.all(np.abs(std**2 - ref_std**2) <= 1e-15 * second)
     assert g2[0] == 0.0 and std[1] == 0.0
+
+
+# each exact engine run on a small state for the drift test below
+_DRIFT_RUNS = {
+    "pauli": lambda grid: fd.evolve_populations(
+        fd.PopulationVector.from_density(fd.fock_density(3, fd.FockCutoff(4))),
+        [nonlinear_loss(1.0)], grid,
+    ),
+    "dynamics": lambda grid: fd.evolve(
+        fd.fock_density(3, fd.FockCutoff(4)), [nonlinear_loss(1.0)], None, grid
+    ),
+    "twomode": lambda grid: fd.two_mode_evolve(
+        fd.product_with_vacuum(fd.fock_density(2, fd.FockCutoff(3)), 2),
+        fd.TwoModeParams(u4=1.0, gamma_b=30.0, nmax_a=3, nmax_b=2), grid,
+    ),
+}
+
+
+@pytest.mark.parametrize("engine", sorted(_DRIFT_RUNS))
+def test_trace_drift_raises_at_the_first_step(monkeypatch, engine):
+    # a propagator inflated by 1e-6 moves the trace 100 times past the 1e-8 limit
+    module = importlib.import_module(f"fockdamp.{engine}")
+    exact = module.expm
+    monkeypatch.setattr(module, "expm", lambda a: exact(a) * (1.0 + 1e-6))
+    with pytest.raises(fd.TraceDriftExceeded, match=r"trace drifted by 1\.000e-06 at t=0\.25 "):
+        _DRIFT_RUNS[engine](np.linspace(0.0, 1.0, 5))
 
 
 def test_steady_pure_nonlinear():

@@ -163,6 +163,14 @@ def test_numerical_failure_exit_code(tmp_path, monkeypatch):
     assert cli.main(["run", path, "--out", str(tmp_path)]) == 3
 
 
+def test_numerical_failure_exit_code_from_a_real_engine(tmp_path, monkeypatch):
+    # the Pauli propagator inflated by 1e-6 drifts the trace past its limit
+    exact = cli.pauli.expm
+    monkeypatch.setattr(cli.pauli, "expm", lambda a: exact(a) * (1.0 + 1e-6))
+    path = write_json(tmp_path / "drift.json", BASE)
+    assert cli.main(["run", path, "--out", str(tmp_path)]) == 3
+
+
 def test_json_format_output(tmp_path):
     path = write_json(tmp_path / "scn.json", BASE)
     assert cli.main(["run", path, "--out", str(tmp_path), "--format", "json"]) == 0
