@@ -33,6 +33,7 @@ from .errors import (
     NoInteriorMinimum,
     NonpositiveGammaB,
     ParseError,
+    PositivityViolated,
     SeedStreamExhausted,
     TraceDriftExceeded,
     ValidationError,
@@ -61,9 +62,7 @@ from .twomode import (
     EliminationRecord,
     TwoModeParams,
     TwoModeResult,
-    TwoModeState,
     elimination_comparison,
-    product_with_vacuum,
     two_mode_evolve,
 )
 

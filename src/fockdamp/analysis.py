@@ -9,7 +9,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .channels import JumpChannel
-from .errors import NoClosedForm, NoInteriorMinimum, NonpositiveGammaB, TraceDriftExceeded
+from .errors import (
+    NoClosedForm,
+    NoInteriorMinimum,
+    NonpositiveGammaB,
+    PositivityViolated,
+    TraceDriftExceeded,
+)
 from .fock import DensityMatrix, PureState, _frozen_array
 
 
@@ -107,6 +113,8 @@ def moments(populations) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 _EIG_CHUNK = 32
 # the largest drift of the trace from its initial value an exact run tolerates
 TRACE_DRIFT_LIMIT = 1e-8
+# the most negative eigenvalue a sampled state may have
+POSITIVITY_LIMIT = -1e-8
 
 
 class Samples:
@@ -123,8 +131,9 @@ class Samples:
     samples, and at the last one, the chunk's upper triangles are filled at
     once and one ``np.linalg.eigvalsh`` call gives each sample's smallest
     eigenvalue; LAPACK treats each matrix of the stack on its own, so these
-    are the values of one call per sample. Samples must arrive in order;
-    sizes and dtypes come from the first.
+    are the values of one call per sample. A value below -1e-8 raises
+    PositivityViolated there, at the first such sample. Samples must arrive
+    in order; sizes and dtypes come from the first.
     """
 
     def __init__(self, t_grid, trace0: float, diagonal, upper=None):
@@ -158,7 +167,14 @@ class Samples:
                 rows, cols, src = self._upper
                 tri = self._tri[: j + 1]
                 tri[:, rows, cols] = self._raw[: j + 1, src]
-                self.min_eigenvalue[i - j : i + 1] = np.linalg.eigvalsh(tri, UPLO="U")[:, 0]
+                lowest = np.linalg.eigvalsh(tri, UPLO="U")[:, 0]
+                self.min_eigenvalue[i - j : i + 1] = lowest
+                bad = np.flatnonzero(~(lowest >= POSITIVITY_LIMIT))  # nan-safe
+                if bad.size:
+                    raise PositivityViolated(
+                        f"min eigenvalue {lowest[bad[0]]:.3e} at t={self.t[i - j + bad[0]]:.6g} "
+                        f"(limit {POSITIVITY_LIMIT:.0e})"
+                    )
 
     def series(self, populations=None) -> TimeSeries:
         """The TimeSeries of the recorded diagonals, or of ``populations``

@@ -26,6 +26,10 @@ class TraceDriftExceeded(FockdampError):
     """Trace of the evolving state drifted beyond the monitored bound."""
 
 
+class PositivityViolated(FockdampError):
+    """A sampled state has an eigenvalue below the monitored bound."""
+
+
 class NoClosedForm(FockdampError):
     """No conservation law pins the long-time state for this channel mix."""
 

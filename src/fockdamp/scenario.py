@@ -30,7 +30,14 @@ from .trajectories import TrajectoryConfig
 from .twomode import TAIL_TOL, TwoModeParams
 
 ENGINES = ("dense", "pauli", "trajectories", "twomode")
-RATE_KEYS = ("gamma_e", "gamma_q", "gamma_s", "gamma_t")
+# each rate key and its channel, in the order of Scenario.channels
+_CHANNELS = {
+    "gamma_e": nonlinear_loss,
+    "gamma_q": linear_loss,
+    "gamma_s": two_photon_loss,
+    "gamma_t": three_photon_loss,
+}
+RATE_KEYS = tuple(_CHANNELS)
 SWEEPABLE = ("alpha",) + RATE_KEYS
 
 _number_or_pair = {
@@ -160,12 +167,7 @@ class Scenario:
         return np.linspace(0.0, self.t_max, self.samples)
 
     def channels(self) -> list[JumpChannel]:
-        return [
-            nonlinear_loss(self.rates["gamma_e"]),
-            linear_loss(self.rates["gamma_q"]),
-            two_photon_loss(self.rates["gamma_s"]),
-            three_photon_loss(self.rates["gamma_t"]),
-        ]
+        return [_CHANNELS[k](self.rates[k]) for k in RATE_KEYS]
 
     def kerr(self) -> KerrTerm:
         return KerrTerm(self.u1)
@@ -234,6 +236,11 @@ def _semantic_violations(obj: dict) -> list[str]:
             errors.append(
                 f"coherent tail beyond nmax={nmax} is {tail:.3e} (allowed {tail_tol:.0e})"
             )
+        # a resolved cutoff is at least 3, so only a given one can be too small
+        for key, rate in rates.items():
+            k = _CHANNELS[key](rate).annihilation_power
+            if rate > 0 and k > int(nmax):
+                errors.append(f"{key} > 0 needs nmax >= {k}: a^{k} annihilates every level")
     return errors
 
 
@@ -271,7 +278,6 @@ def parse_scenario(obj: dict) -> Scenario:
             u4=_as_complex(raw["u4"]),
             gamma_b=float(raw["gamma_b"]),
             gamma_a_formula=raw.get("gamma_a_formula"),
-            nmax_a=int(nmax),
             nmax_b=int(raw.get("nmax_b", 4)),
         )
     return Scenario(

@@ -13,21 +13,20 @@ and every output (the A populations, the B occupation and its top level)
 lies in the Delta N = 0 sector, so ``_sector_generator`` builds that
 sector's block alone and ``two_mode_evolve`` propagates it. In the gauge
 rho'_jk = (i e^{-i arg u4})^(n_B(j) - n_B(k)) rho_jk the sector generator
-is real; B starts in vacuum, so the sector starts real and symmetric and
-stays so, and its entries with j <= k are propagated as one real vector.
+is real; B starts in vacuum, so the sector starts diagonal, stays real and
+symmetric, and its entries with j <= k are propagated as one real vector.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .analysis import Samples, TimeSeries, effective_rate
 from .channels import nonlinear_loss
-from .errors import DimensionMismatch
 from .fock import DensityMatrix, FockCutoff, _frozen_array, annihilation_matrix, coherent_density
 from .integrate import EXACT, expm, integrate
 
@@ -40,7 +39,7 @@ _TOP_MASS_MARGIN = 1e4
 
 @dataclass(frozen=True)
 class TwoModeParams:
-    """Exchange strength, partner damping, and basis sizes.
+    """Exchange strength, partner damping, and B's cutoff (A's is its state's).
 
     ``gamma_a_formula`` is the flat-reservoir rate entering the effective
     rate; by default it equals ``gamma_b`` (the partner's reservoir spectrum
@@ -51,14 +50,13 @@ class TwoModeParams:
     u4: complex
     gamma_b: float
     gamma_a_formula: float | None = None
-    nmax_a: int = 12
     nmax_b: int = 4
 
     def __post_init__(self):
         if not (self.gamma_b > 0 and math.isfinite(self.gamma_b)):
             raise ValueError(f"gamma_b must be positive, got {self.gamma_b}")
-        if self.nmax_a < 1 or self.nmax_b < 1:
-            raise ValueError("both cutoffs must be >= 1")
+        if self.nmax_b < 1:
+            raise ValueError("nmax_b must be >= 1")
         if abs(self.u4) > 0 and self.gamma_b / abs(self.u4) < 10:
             warnings.warn(
                 f"gamma_b/|u4| = {self.gamma_b / abs(self.u4):.2f} < 10: outside the "
@@ -73,42 +71,6 @@ class TwoModeParams:
     def gamma_e(self) -> float:
         return effective_rate(self.u4, self.gamma_b, self.gamma_a)
 
-    @property
-    def dims(self) -> tuple[int, int]:
-        return (self.nmax_a + 1, self.nmax_b + 1)
-
-
-@dataclass(frozen=True)
-class TwoModeState:
-    """Hermitian unit-trace matrix over the product basis."""
-
-    entries: np.ndarray
-    dims: tuple[int, int]
-    trace_tol: float = field(default=1e-12, repr=False, compare=False)
-
-    def __post_init__(self):
-        m = np.asarray(self.entries, dtype=np.complex128)
-        da, db = self.dims
-        if m.shape != (da * db, da * db):
-            raise DimensionMismatch(f"state shape {m.shape} does not match dims {self.dims}")
-        asym = np.max(np.abs(m - m.conj().T))
-        if asym >= 1e-12:
-            raise ValueError(f"state is not Hermitian: max asymmetry {asym:.3e}")
-        err = abs(np.trace(m).real - 1.0)
-        if not err <= self.trace_tol:
-            raise ValueError(f"trace deviates from 1 by {err:.3e}")
-        object.__setattr__(self, "entries", _frozen_array(m))
-
-
-def product_with_vacuum(rho_a: DensityMatrix, nmax_b: int) -> TwoModeState:
-    """rho_A x |0><0|_B, keeping rho_A's truncation deficit untouched."""
-    db = nmax_b + 1
-    rho_b = np.zeros((db, db), dtype=np.complex128)
-    rho_b[0, 0] = 1.0
-    m = np.kron(rho_a.entries, rho_b)
-    tol = max(1e-12, 2.0 * abs(rho_a.trace_deficit))
-    return TwoModeState(m, (rho_a.dim, db), trace_tol=tol)
-
 
 @dataclass(frozen=True)
 class TwoModeResult:
@@ -120,19 +82,19 @@ class TwoModeResult:
         object.__setattr__(self, "b_occupation", _frozen_array(np.asarray(self.b_occupation, float)))
 
 
-def _sector_generator(params: TwoModeParams):
-    """Real generator of the packed Delta N = 0 sector and its index pairs.
+def _sector_generator(params: TwoModeParams, da: int):
+    """Real generator of the packed Delta N = 0 sector, A of dimension ``da``.
 
-    Returns ``(gen, j, k, phase)``: packed entry p is the gauged rho'[j[p],
-    k[p]] with j[p] <= k[p], and phase[p] is its gauge factor. In the gauge
-    the pair evolves as d rho'/dt = A rho' + rho' A^T + J rho' J^T, with the
+    Returns ``(gen, j, k)``: packed entry p is the gauged rho'[j[p], k[p]]
+    with j[p] <= k[p] (the gauge of the module docstring). In the gauge the
+    pair evolves as d rho'/dt = A rho' + rho' A^T + J rho' J^T, with the
     real A = |u4| (K - K^T) - J^T J / 2, K = (a^dag a a) x b^dag and
     J = sqrt(gamma_b) 1 x b. So rho'[j', k'] feeds d rho'[j, k]/dt with
     A[j, j'] delta_kk' + delta_jj' A[k, k'] + J[j, j'] J[k, k'], formed by
     index arithmetic over the sector pairs. A column with j' > k' folds onto
     its mirror, since the sector stays symmetric.
     """
-    da, db = params.dims
+    db = params.nmax_b + 1
     d = da * db
     n_b = np.arange(d) % db
     n_tot = np.arange(d) // db + n_b
@@ -155,44 +117,37 @@ def _sector_generator(params: TwoModeParams):
     )
     gen = np.zeros((int(packed.sum()),) * 2)
     np.add.at(gen, (slice(None), mirror), sector)
-    phase = (1j * np.exp(-1j * np.angle(params.u4))) ** (n_b[rows] - n_b[cols])
-    return gen, rows[packed], cols[packed], phase[packed]
+    return gen, rows[packed], cols[packed]
 
 
-def two_mode_evolve(rho0: TwoModeState, params: TwoModeParams, t_grid) -> TwoModeResult:
-    """Propagate the exchange-plus-damping pair and sample reduced-A observables.
+def two_mode_evolve(rho_a: DensityMatrix, params: TwoModeParams, t_grid) -> TwoModeResult:
+    """Propagate the pair from rho_a x |0><0|_B and sample reduced-A observables.
 
-    Mode B must start in vacuum. ``analysis.Samples`` checks positivity on the
-    Delta N = 0 block, a valid state in its own right: the U(1) twirl that
-    removes the other sectors commutes with the dynamics. The B occupation
-    and the mass of the highest retained B level come from its recorded
-    diagonals; that level is expected to stay essentially empty in the
-    elimination regime, and a warning fires if its peak exceeds 1e-10,
-    signalling that ``nmax_b`` is doing real work.
+    The Delta N = 0 sector of that product holds only rho_a's populations,
+    since its entries vanish unless B is empty on both sides, where equal N
+    means equal n_A: two rho_a with the same diagonal give the same run, and
+    the gauge, the identity on diagonal entries, never touches the start.
+    ``analysis.Samples`` checks positivity on the sector block, a valid state
+    in its own right: the U(1) twirl that removes the other sectors commutes
+    with the dynamics. The B occupation and the mass of the highest retained
+    B level come from its recorded diagonals; that level is expected to stay
+    essentially empty in the elimination regime, and a warning fires if its
+    peak exceeds 1e-10, signalling that ``nmax_b`` is doing real work.
     """
-    da, db = params.dims
-    if rho0.dims != (da, db):
-        raise DimensionMismatch(f"state dims {rho0.dims} do not match params {params.dims}")
-    diag0 = np.diag(rho0.entries).real.reshape(da, db)
-    if np.sum(diag0[:, 1:]) > 1e-9:
-        raise ValueError("mode B must start in vacuum")
-
-    gen, rows, cols, phase = _sector_generator(params)
+    da, db = rho_a.dim, params.nmax_b + 1
+    vacuum_b = np.diag(np.eye(db)[0])
+    gen, rows, cols = _sector_generator(params, da)
     samples = Samples(
-        t_grid, float(np.trace(rho0.entries).real), rows == cols,
+        t_grid, rho_a.trace(), rows == cols,
         upper=(rows, cols, np.arange(rows.size)),
     )
 
-    def packed(rho):
-        # the imaginary part of the gauged sector is antisymmetric and evolves
-        # on its own under the real generator; it never reaches a diagonal entry
-        return (phase * rho[rows, cols]).real
-
-    # the whole rho0 goes in, so a wrapper of integrate sees the state's size
-    # (perfbench's twomode.state_dim); restrict packs its sector
+    # the whole pair goes in, so a wrapper of integrate sees the state's size
+    # (perfbench's twomode.state_dim); restrict packs its real, diagonal sector
     integrate(
-        lambda h: expm(gen * h), rho0.entries, samples.t, EXACT,
-        on_sample=samples.add, post_accept=samples.check, restrict=packed,
+        lambda h: expm(gen * h), np.kron(rho_a.entries, vacuum_b), samples.t, EXACT,
+        on_sample=samples.add, post_accept=samples.check,
+        restrict=lambda rho: rho[rows, cols].real,
     )
     by_level = samples.diagonals.reshape(samples.t.size, da, db)
     b_occ = (by_level * np.arange(db, dtype=float)).reshape(samples.t.size, -1).sum(axis=1)
@@ -237,17 +192,16 @@ def elimination_comparison(
     """
     from .dynamics import evolve
 
-    cutoff_a = FockCutoff(nmax_a)
-    rho_a0 = coherent_density(alpha, cutoff_a, tail_tol=TAIL_TOL)
+    rho_a0 = coherent_density(alpha, FockCutoff(nmax_a), tail_tol=TAIL_TOL)
     records = []
     for gb in gamma_bs:
-        params = TwoModeParams(u4=u4, gamma_b=gb, nmax_a=nmax_a, nmax_b=nmax_b)
+        params = TwoModeParams(u4=u4, gamma_b=gb, nmax_b=nmax_b)
         ge = params.gamma_e
         t_grid = np.linspace(0.0, tau_max / ge, n_samples)
         with warnings.catch_warnings():
             # judged below against the error it would distort, not an absolute limit
             warnings.filterwarnings("ignore", "top B level", UserWarning)
-            two = two_mode_evolve(product_with_vacuum(rho_a0, nmax_b), params, t_grid)
+            two = two_mode_evolve(rho_a0, params, t_grid)
         eff_series, _ = evolve(rho_a0, [nonlinear_loss(ge)], None, t_grid)
         err = float(np.max(np.abs(two.series.populations - eff_series.populations)))
         if not two.b_top_level_mass * _TOP_MASS_MARGIN <= err:

@@ -16,6 +16,7 @@ bound that follows from the physics rather than a rounded literal:
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from fockdamp import cli
 from fockdamp.channels import nonlinear_loss
 from fockdamp.scenario import parse_scenario, preset_scenarios
 from fockdamp.trajectories import TrajectoryConfig, run_ensemble
-from fockdamp.twomode import elimination_comparison
+from fockdamp.twomode import TAIL_TOL, elimination_comparison
 
 MC_GRID = np.linspace(0.0, 100.0, 21)
 MC_TRAJ = 10000
@@ -248,6 +249,25 @@ def test_criterion_6_elimination_ratio(elim_records):
         f"error ratios {r01:.2f}, {r12:.2f} in the second-order band [2.8, 5.2]: {ratio_ok}; "
         f"top B level mass {[f'{r.b_top_level_mass:.2e}' for r in elim_records]} at least "
         f"1e4 below the errors: {trunc_ok}",
+    )
+
+
+def test_criterion_6_elimination_ratio_at_paper_scale():
+    # alpha = 3, the presets' amplitude, with mode A cut where TAIL_TOL allows
+    # and mode B at nmax_b = 6, where the errors have converged in nmax_b
+    assert fd.min_cutoff_for_coherent(3.0, TAIL_TOL).nmax == 24
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)
+        records = elimination_comparison(
+            u4=1.0, alpha=3.0, gamma_bs=(50.0, 100.0, 200.0), nmax_a=24, nmax_b=6
+        )
+    ratios = [a.sup_error / b.sup_error for a, b in zip(records, records[1:])]
+    ok = all(3.8 <= r <= 4.2 for r in ratios)
+    assert report(
+        6,
+        ok,
+        f"paper-scale error ratios {', '.join(f'{r:.3f}' for r in ratios)} "
+        f"in the band 4.0 +- 5%: {ok}",
     )
 
 

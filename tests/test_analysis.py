@@ -73,8 +73,8 @@ _DRIFT_RUNS = {
         fd.fock_density(3, fd.FockCutoff(4)), [nonlinear_loss(1.0)], None, grid
     ),
     "twomode": lambda grid: fd.two_mode_evolve(
-        fd.product_with_vacuum(fd.fock_density(2, fd.FockCutoff(3)), 2),
-        fd.TwoModeParams(u4=1.0, gamma_b=30.0, nmax_a=3, nmax_b=2), grid,
+        fd.fock_density(2, fd.FockCutoff(3)), fd.TwoModeParams(u4=1.0, gamma_b=30.0, nmax_b=2),
+        grid,
     ),
 }
 
@@ -87,6 +87,21 @@ def test_trace_drift_raises_at_the_first_step(monkeypatch, engine):
     monkeypatch.setattr(module, "expm", lambda a: exact(a) * (1.0 + 1e-6))
     with pytest.raises(fd.TraceDriftExceeded, match=r"trace drifted by 1\.000e-06 at t=0\.25 "):
         _DRIFT_RUNS[engine](np.linspace(0.0, 1.0, 5))
+
+
+# a Hermitian unit-trace state whose vacuum population is -1e-6
+_NEGATIVE = np.diag([-1e-6, 1.0 + 1e-6, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("engine", ["dynamics", "twomode"])
+def test_positivity_violation_raises_at_the_first_sample(engine):
+    rho = fd.DensityMatrix(_NEGATIVE)
+    grid = np.linspace(0.0, 1.0, 5)
+    with pytest.raises(fd.PositivityViolated, match=r"min eigenvalue -1\.000e-06 at t=0 "):
+        if engine == "dynamics":
+            fd.evolve(rho, [nonlinear_loss(1.0)], None, grid)
+        else:
+            fd.two_mode_evolve(rho, fd.TwoModeParams(u4=1.0, gamma_b=30.0, nmax_b=2), grid)
 
 
 def test_steady_pure_nonlinear():

@@ -171,6 +171,30 @@ def test_numerical_failure_exit_code_from_a_real_engine(tmp_path, monkeypatch):
     assert cli.main(["run", path, "--out", str(tmp_path)]) == 3
 
 
+def test_positivity_failure_exit_code(tmp_path, monkeypatch, capsys):
+    def negative(alpha, cutoff, **kwargs):
+        p = np.zeros(cutoff.dim)
+        p[:2] = -1e-6, 1.0 + 1e-6
+        return fd.DensityMatrix(np.diag(p))
+
+    monkeypatch.setattr(cli, "coherent_density", negative)
+    path = write_json(tmp_path / "neg.json", dict(BASE, engine="dense"))
+    assert cli.main(["run", path, "--out", str(tmp_path)]) == 3
+    assert "numerical failure: min eigenvalue -1.000e-06 at t=0 " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("engine", ["dense", "pauli", "trajectories"])
+def test_channel_that_empties_the_space_is_a_validation_error(tmp_path, engine):
+    # a^3 annihilates every level of a cutoff at nmax = 2
+    obj = dict(BASE, alpha=0.001, nmax=2, rates={"gamma_t": 1.0}, engine=engine)
+    if engine == "trajectories":
+        obj["trajectory"] = {"n_traj": 10, "master_seed": 1}
+    path = write_json(tmp_path / "t3.json", obj)
+    assert cli.main(["validate", path]) == 2
+    assert cli.main(["run", path, "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "t").exists()
+
+
 def test_json_format_output(tmp_path):
     path = write_json(tmp_path / "scn.json", BASE)
     assert cli.main(["run", path, "--out", str(tmp_path), "--format", "json"]) == 0

@@ -12,10 +12,8 @@ from fockdamp.channels import nonlinear_loss
 from fockdamp.fock import FockCutoff, annihilation_matrix
 from fockdamp.twomode import (
     TwoModeParams,
-    TwoModeState,
     _sector_generator,
     elimination_comparison,
-    product_with_vacuum,
     two_mode_evolve,
 )
 
@@ -48,9 +46,8 @@ def random_density(dim, seed):
 
 
 def test_one_photon_is_stationary():
-    params = TwoModeParams(u4=1.0, gamma_b=30.0, nmax_a=3, nmax_b=2)
-    state = product_with_vacuum(fd.fock_density(1, fd.FockCutoff(3)), 2)
-    res = two_mode_evolve(state, params, np.linspace(0, 3, 7))
+    params = TwoModeParams(u4=1.0, gamma_b=30.0, nmax_b=2)
+    res = two_mode_evolve(fd.fock_density(1, fd.FockCutoff(3)), params, np.linspace(0, 3, 7))
     assert np.max(np.abs(res.series.populations[:, 1] - 1.0)) < 1e-12
     assert res.b_occupation.max() < 1e-12
 
@@ -68,22 +65,24 @@ def test_exchange_transfers_one_for_one():
 
 def test_two_mode_matches_expm_oracle():
     rho_a = fd.DensityMatrix(random_density(5, 3))
-    params = TwoModeParams(u4=0.8 + 0.3j, gamma_b=12.0, nmax_a=4, nmax_b=3)
-    state = product_with_vacuum(rho_a, 3)
+    params = TwoModeParams(u4=0.8 + 0.3j, gamma_b=12.0, nmax_b=3)
+    vacuum_b = np.diag([1.0, 0.0, 0.0, 0.0])
     lsup = _liouvillian(params.u4, params.gamma_b, 5, 4).toarray()
     t = 0.37
-    exact = (sla.expm(lsup * t) @ state.entries.reshape(-1)).reshape(20, 20)
+    exact = (sla.expm(lsup * t) @ np.kron(rho_a.entries, vacuum_b).reshape(-1)).reshape(20, 20)
     pops_exact = np.diag(exact).real.reshape(5, 4).sum(axis=1)
     with pytest.warns(UserWarning, match="top B level reached 2.96e-05"):
-        res = two_mode_evolve(state, params, np.array([0.0, t]))
+        res = two_mode_evolve(rho_a, params, np.array([0.0, t]))
     assert np.max(np.abs(res.series.populations[-1] - pops_exact)) < 1e-10
 
 
 def test_sector_generator_matches_liouvillian_sector():
     # on a gauged symmetric Delta N = 0 state, the packed generator gives the
     # packed, gauged time derivative of the whole-pair generator
-    params = TwoModeParams(u4=0.8 + 0.3j, gamma_b=12.0, nmax_a=4, nmax_b=3)
-    gen, rows, cols, phase = _sector_generator(params)
+    params = TwoModeParams(u4=0.8 + 0.3j, gamma_b=12.0, nmax_b=3)
+    gen, rows, cols = _sector_generator(params, 5)
+    n_b = np.arange(20) % 4
+    phase = (1j * np.exp(-1j * np.angle(params.u4))) ** (n_b[rows] - n_b[cols])
     x = np.random.default_rng(7).normal(size=rows.size)
     rho = np.zeros((20, 20), dtype=complex)
     rho[rows, cols] = x / phase
@@ -95,12 +94,11 @@ def test_sector_generator_matches_liouvillian_sector():
 
 
 def test_two_photons_decay_at_effective_rate():
-    params = TwoModeParams(u4=1.0, gamma_b=50.0, nmax_a=4, nmax_b=4)
+    params = TwoModeParams(u4=1.0, gamma_b=50.0, nmax_b=4)
     ge = params.gamma_e
     assert abs(ge - 0.08) < 1e-15  # 50 * (2/50)^2
-    state = product_with_vacuum(fd.fock_density(2, fd.FockCutoff(4)), 4)
     grid = np.linspace(0, 20, 11)
-    res = two_mode_evolve(state, params, grid)
+    res = two_mode_evolve(fd.fock_density(2, fd.FockCutoff(4)), params, grid)
     # the pair level empties at ~ 2 gamma_e toward the one-photon dark state
     for i, t in enumerate(grid):
         assert abs(res.series.populations[i, 2] - math.exp(-2 * ge * t)) < 0.01
@@ -136,13 +134,22 @@ def test_elimination_warns_when_truncation_rivals_the_error():
     assert len(caught) == 1 and "below the error" in str(caught[0].message)
 
 
-def test_requires_vacuum_partner():
-    m = np.zeros((6, 6), dtype=complex)
-    m[1, 1] = 1.0  # B starts excited
-    state = TwoModeState(m, (2, 3))
-    params = TwoModeParams(u4=1.0, gamma_b=30.0, nmax_a=1, nmax_b=2)
-    with pytest.raises(ValueError):
-        two_mode_evolve(state, params, np.array([0.0, 1.0]))
+def test_coherences_of_mode_a_never_reach_the_run():
+    # the Delta N = 0 sector of rho_A x |0><0|_B holds only rho_A's populations
+    params = TwoModeParams(u4=0.8 + 0.3j, gamma_b=12.0, nmax_b=3)
+    rho = random_density(5, 3)
+    grid = np.linspace(0, 0.5, 9)
+    runs = []
+    for m in (rho, rho.conj(), np.diag(np.diag(rho))):
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "top B level", UserWarning)
+            runs.append(two_mode_evolve(fd.DensityMatrix(m), params, grid))
+    first = runs[0]
+    for res in runs[1:]:
+        for name in ("mean_n", "std_n", "g2", "trace_err", "populations", "min_eigenvalue"):
+            assert np.array_equal(getattr(res.series, name), getattr(first.series, name)), name
+        assert np.array_equal(res.b_occupation, first.b_occupation)
+        assert res.b_top_level_mass == first.b_top_level_mass
 
 
 def test_params_validation():
@@ -155,23 +162,16 @@ def test_params_validation():
     assert abs(p.gamma_e - 30.0 * (2.0 / 100.0) ** 2) < 1e-15
 
 
-def test_dimension_mismatch():
-    state = product_with_vacuum(fd.fock_density(0, fd.FockCutoff(2)), 2)
-    params = TwoModeParams(u4=1.0, gamma_b=30.0, nmax_a=5, nmax_b=2)
-    with pytest.raises(fd.DimensionMismatch):
-        two_mode_evolve(state, params, np.array([0.0, 1.0]))
-
-
 @pytest.mark.parametrize("n_samples", [1, 31, 32, 33, 65])
 def test_min_eigenvalue_equals_per_sample_eigvalsh(record_samples, n_samples):
     # the stacked check works in chunks of 32 samples; these counts cover its edges
     states = record_samples(twomode)
-    params = TwoModeParams(u4=0.8 + 0.3j, gamma_b=12.0, nmax_a=4, nmax_b=3)
-    state = product_with_vacuum(fd.DensityMatrix(random_density(5, 3)), 3)
+    params = TwoModeParams(u4=0.8 + 0.3j, gamma_b=12.0, nmax_b=3)
+    rho_a = fd.DensityMatrix(random_density(5, 3))
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "top B level", UserWarning)
-        res = two_mode_evolve(state, params, np.linspace(0, 0.5, n_samples))
-    _, rows, cols, _ = _sector_generator(params)
+        res = two_mode_evolve(rho_a, params, np.linspace(0, 0.5, n_samples))
+    _, rows, cols = _sector_generator(params, 5)
     expected = []
     for y in states:
         block = np.zeros((20, 20))
