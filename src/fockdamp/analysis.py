@@ -86,20 +86,15 @@ def observables(state) -> Observables:
     Accepts a DensityMatrix, PureState, PopulationVector or plain array.
     """
     p = _extract_populations(state)
-    n = np.arange(p.size, dtype=float)
-    mean = float(n @ p)
-    second = float((n * n) @ p)
-    std = float(np.sqrt(max(second - mean * mean, 0.0)))
-    pair = float((n * (n - 1.0)) @ p)
-    g2 = pair / (mean * mean) if mean > 0.0 else 0.0
-    return Observables(mean, std, g2, p)
+    mean, std, g2 = moments(p[None])
+    return Observables(float(mean[0]), float(std[0]), float(g2[0]), p)
 
 
 def moments(populations) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``mean_n``, ``std_n`` and ``g2`` of every row of a (samples, levels) array.
 
-    The formulas of ``observables``, one array operation each: the variance
-    is clamped at 0 and g2 is 0 where the mean is not positive.
+    One array operation each: the variance is clamped at 0 and g2 is 0 where
+    the mean is not positive. ``observables`` is its one-row case.
     """
     p = np.asarray(populations, dtype=float)
     n = np.arange(p.shape[1], dtype=float)
@@ -109,8 +104,6 @@ def moments(populations) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return mean, std, g2
 
 
-# samples per stacked eigvalsh call: bounds the buffer, amortizes the call
-_EIG_CHUNK = 32
 # the largest drift of the trace from its initial value an exact run tolerates
 TRACE_DRIFT_LIMIT = 1e-8
 # the most negative eigenvalue a sampled state may have
@@ -118,22 +111,21 @@ POSITIVITY_LIMIT = -1e-8
 
 
 class Samples:
-    """The sampled record of one exact run, filled by ``integrate``'s callbacks.
+    """The sampled record of one exact run; ``add`` is ``integrate``'s callback.
 
-    ``diagonal`` indexes the diagonal within a state handed to the
-    callbacks (the populations; for the two-mode pair, the whole diagonal of
-    its sector block); its sum is the trace, ``trace0`` at the start.
-    ``check`` is the ``post_accept`` callback: it raises TraceDriftExceeded
-    once the trace drifts by more than 1e-8. ``add`` is the ``on_sample``
-    callback: it keeps the diagonal and, when ``upper = (rows, cols, src)``
-    is given, the raw state, whose flattened element ``src[p]`` is the
-    matrix entry ``(rows[p], cols[p])`` on or above the diagonal. Every 32
-    samples, and at the last one, the chunk's upper triangles are filled at
-    once and one ``np.linalg.eigvalsh`` call gives each sample's smallest
-    eigenvalue; LAPACK treats each matrix of the stack on its own, so these
-    are the values of one call per sample. A value below -1e-8 raises
-    PositivityViolated there, at the first such sample. Samples must arrive
-    in order; sizes and dtypes come from the first.
+    ``add(start, ys)`` takes a block of consecutive samples, ``ys[j]`` the
+    state at ``t[start + j]``, in order. ``diagonal`` indexes the diagonal
+    within one state (the populations; for the two-mode pair, the whole
+    diagonal of its sector block); ``add`` keeps it for every sample, and
+    its sum is the trace, ``trace0`` at the start. At the block's first
+    sample whose trace has drifted by more than 1e-8, ``add`` raises
+    TraceDriftExceeded. When ``upper = (rows, cols, src)`` is given, the
+    flattened state's element ``src[p]`` is the matrix entry
+    ``(rows[p], cols[p])`` on or above the diagonal: the block's upper
+    triangles are then filled at once and one ``np.linalg.eigvalsh`` call
+    gives each sample's smallest eigenvalue. LAPACK treats each matrix of
+    the stack on its own, so these are the values of one call per sample. A
+    value below -1e-8 raises PositivityViolated, at the first such sample.
     """
 
     def __init__(self, t_grid, trace0: float, diagonal, upper=None):
@@ -143,38 +135,31 @@ class Samples:
         self._upper = upper
         self.min_eigenvalue = None if upper is None else np.zeros(self.t.size)
 
-    def check(self, t: float, y):
-        # np.add.reduce is what .sum() calls, minus a Python wrapper paid every step
-        drift = abs(float(np.add.reduce(y[self._diagonal].real)) - self.trace0)
-        if not drift <= TRACE_DRIFT_LIMIT:  # nan-safe comparison
+    def add(self, start: int, ys):
+        stop = start + len(ys)
+        diag = ys[:, self._diagonal].real
+        if start == 0:
+            self.diagonals = np.zeros((self.t.size, diag.shape[1]))
+        self.diagonals[start:stop] = diag
+        drift = np.abs(diag.sum(axis=1) - self.trace0)
+        bad = np.flatnonzero(~(drift <= TRACE_DRIFT_LIMIT))  # nan-safe
+        if bad.size:
             raise TraceDriftExceeded(
-                f"trace drifted by {drift:.3e} at t={t:.6g} (limit {TRACE_DRIFT_LIMIT:.1e})"
+                f"trace drifted by {drift[bad[0]]:.3e} at t={self.t[start + bad[0]]:.6g} "
+                f"(limit {TRACE_DRIFT_LIMIT:.1e})"
             )
-
-    def add(self, i: int, t: float, y):
-        diag = y[self._diagonal].real
-        if i == 0:
-            self.diagonals = np.zeros((self.t.size, diag.size))
-            if self._upper is not None:
-                chunk, dim = min(_EIG_CHUNK, self.t.size), diag.size
-                self._raw = np.zeros((chunk, y.size), dtype=y.dtype)
-                self._tri = np.zeros((chunk, dim, dim), dtype=y.dtype)
-        self.diagonals[i] = diag
         if self._upper is not None:
-            j = i % len(self._raw)
-            self._raw[j] = y.ravel()
-            if j == len(self._raw) - 1 or i == self.t.size - 1:
-                rows, cols, src = self._upper
-                tri = self._tri[: j + 1]
-                tri[:, rows, cols] = self._raw[: j + 1, src]
-                lowest = np.linalg.eigvalsh(tri, UPLO="U")[:, 0]
-                self.min_eigenvalue[i - j : i + 1] = lowest
-                bad = np.flatnonzero(~(lowest >= POSITIVITY_LIMIT))  # nan-safe
-                if bad.size:
-                    raise PositivityViolated(
-                        f"min eigenvalue {lowest[bad[0]]:.3e} at t={self.t[i - j + bad[0]]:.6g} "
-                        f"(limit {POSITIVITY_LIMIT:.0e})"
-                    )
+            rows, cols, src = self._upper
+            tri = np.zeros((len(ys), diag.shape[1], diag.shape[1]), dtype=ys.dtype)
+            tri[:, rows, cols] = ys.reshape(len(ys), -1)[:, src]
+            lowest = np.linalg.eigvalsh(tri, UPLO="U")[:, 0]
+            self.min_eigenvalue[start:stop] = lowest
+            bad = np.flatnonzero(~(lowest >= POSITIVITY_LIMIT))  # nan-safe
+            if bad.size:
+                raise PositivityViolated(
+                    f"min eigenvalue {lowest[bad[0]]:.3e} at t={self.t[start + bad[0]]:.6g} "
+                    f"(limit {POSITIVITY_LIMIT:.0e})"
+                )
 
     def series(self, populations=None) -> TimeSeries:
         """The TimeSeries of the recorded diagonals, or of ``populations``

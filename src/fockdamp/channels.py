@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DimensionMismatch
+
 
 @dataclass(frozen=True)
 class JumpChannel:
@@ -85,7 +87,15 @@ def lowering_weight(channel: JumpChannel, n: int) -> float:
 
 
 def lowering_amplitudes(channel: JumpChannel, nmax: int) -> np.ndarray:
-    """amp[n] = <n - d| L |n> over the truncated basis (nonnegative reals)."""
+    """amp[n] = <n - d| L |n> over the truncated basis (nonnegative reals).
+
+    Raises DimensionMismatch when L annihilates every level up to ``nmax``:
+    such a channel with a positive rate would leave the state untouched.
+    """
+    if channel.annihilation_power > nmax:
+        raise DimensionMismatch(
+            f"a^{channel.annihilation_power} annihilates the whole space at nmax={nmax}"
+        )
     return np.sqrt([lowering_weight(channel, n) for n in range(nmax + 1)])
 
 

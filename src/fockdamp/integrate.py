@@ -12,6 +12,10 @@ upper-triangular input it resets the diagonal and the first superdiagonal
 to their exact values after every squaring (Al-Mohy & Higham, SIAM J.
 Matrix Anal. Appl. 31, 970, 2009, Code Fragment 2.1), which keeps the
 column sums of a probability-conserving cascade at rounding level.
+
+Every step lands on a sample, so ``integrate`` has one callback: it hands
+the sampled states up in blocks of 32, which is also the stack size of the
+recorder's positivity check (``analysis.Samples``).
 """
 
 from __future__ import annotations
@@ -32,6 +36,8 @@ _THETA13 = 5.371920351148152
 _STEP_RTOL = 1e-9
 # matrices per Pade evaluation: bounds the temporaries of a large stack
 _CHUNK = 8
+# samples per post_accept call: bounds the buffer, amortizes the callback
+_BLOCK = 32
 # the settings argument of an ODE solver's call; exact propagation fixes no step
 EXACT = SimpleNamespace(fixed_step=None)
 
@@ -94,7 +100,7 @@ def _pade13(a):
     return x
 
 
-def integrate(propagator, y0, t_grid, cfg, on_sample=None, post_accept=None, restrict=None):
+def integrate(propagator, y0, t_grid, cfg, post_accept=None, restrict=None):
     """Advance a linear, autonomous system exactly through every point of ``t_grid``.
 
     ``propagator(h)`` returns the propagator of one step h, ``expm(gen * h)``
@@ -102,33 +108,40 @@ def integrate(propagator, y0, t_grid, cfg, on_sample=None, post_accept=None, res
     vector or a stack of them acting blockwise on its rows. It is rebuilt
     only when the step changes by more than 1e-9 relative. The propagated
     state is ``y0``, or ``restrict(y0)`` when the generator acts on an
-    invariant part of it. ``post_accept(t, y)`` runs after every step, where
-    the engines check their invariants, then ``on_sample(index, t, y)``,
-    which also fires at the first grid point. Returns the final state.
+    invariant part of it. The states at the grid points, the first one
+    included, are written into one buffer of 32 consecutive samples, and
+    each block (the last may be shorter) is passed once, in order, to
+    ``post_accept(start, ys)``, where ``ys[j]`` is the state at
+    ``t_grid[start + j]``; the engines record their samples and check their
+    invariants there. The next block overwrites ``ys``, so the callback
+    copies what it keeps. Returns the final state.
 
-    The call keeps an ODE solver's shape, ``(f, y0, t_grid, cfg)`` and
-    callbacks, because the benchmark's tracer (``perfbench/tracing.py``)
-    wraps each engine's ``integrate`` with that signature: it counts the
-    calls of ``f``, here the propagator builds, and of ``post_accept``, the
-    steps. ``cfg`` is not read; the tracer reads ``cfg.fixed_step``, and
-    ``EXACT`` holds None there.
+    The call keeps an ODE solver's shape, ``(f, y0, t_grid, cfg)`` and the
+    ``post_accept`` keyword, because the benchmark's tracer
+    (``perfbench/tracing.py``) wraps each engine's ``integrate`` with that
+    signature: it counts the calls of ``f``, here the propagator builds, and
+    of ``post_accept``, here the blocks. ``cfg`` is not read; the tracer
+    reads ``cfg.fixed_step``, and ``EXACT`` holds None there.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 1:
         raise ValueError("t_grid must be a non-empty 1-D array")
     if np.any(np.diff(t_grid) <= 0):
         raise ValueError("t_grid must be strictly ascending")
-    y = np.array(y0 if restrict is None else restrict(y0))
-    if on_sample is not None:
-        on_sample(0, float(t_grid[0]), y)
+    y = np.asarray(y0 if restrict is None else restrict(y0))
+    ys = np.empty((min(_BLOCK, t_grid.size),) + y.shape, dtype=y.dtype)
     h_built, prop = math.nan, None
-    for i in range(1, t_grid.size):
-        h = t_grid[i] - t_grid[i - 1]
-        if not abs(h - h_built) <= _STEP_RTOL * h_built:  # nan-safe: builds the first
-            h_built, prop = h, propagator(h)
-        y = np.matmul(prop, y[..., None])[..., 0]
+    for start in range(0, t_grid.size, _BLOCK):
+        size = min(_BLOCK, t_grid.size - start)
+        for i in range(start, start + size):
+            if i:
+                h = t_grid[i] - t_grid[i - 1]
+                if not abs(h - h_built) <= _STEP_RTOL * h_built:  # nan-safe: builds the first
+                    h_built, prop = h, propagator(h)
+                y = np.matmul(prop, y[..., None])[..., 0]
+                if y.dtype != ys.dtype:  # a complex propagator widens a real start
+                    ys = ys.astype(y.dtype)
+            ys[i - start] = y
         if post_accept is not None:
-            post_accept(float(t_grid[i]), y)
-        if on_sample is not None:
-            on_sample(i, float(t_grid[i]), y)
+            post_accept(start, ys[:size])
     return y

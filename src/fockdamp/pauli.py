@@ -90,7 +90,6 @@ def evolve_populations(p0, channels: list[JumpChannel], t_grid) -> TimeSeries:
     samples = Samples(t_grid, float(p_init.sum()), slice(None))
     gen = population_generator(channels, p_init.size - 1)
     integrate(
-        lambda h: expm(gen * h), p_init.astype(float), samples.t, EXACT,
-        on_sample=samples.add, post_accept=samples.check,
+        lambda h: expm(gen * h), p_init.astype(float), samples.t, EXACT, post_accept=samples.add
     )
     return samples.series()

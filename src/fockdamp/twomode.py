@@ -146,8 +146,7 @@ def two_mode_evolve(rho_a: DensityMatrix, params: TwoModeParams, t_grid) -> TwoM
     # (perfbench's twomode.state_dim); restrict packs its real, diagonal sector
     integrate(
         lambda h: expm(gen * h), np.kron(rho_a.entries, vacuum_b), samples.t, EXACT,
-        on_sample=samples.add, post_accept=samples.check,
-        restrict=lambda rho: rho[rows, cols].real,
+        post_accept=samples.add, restrict=lambda rho: rho[rows, cols].real,
     )
     by_level = samples.diagonals.reshape(samples.t.size, da, db)
     b_occ = (by_level * np.arange(db, dtype=float)).reshape(samples.t.size, -1).sum(axis=1)

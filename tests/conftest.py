@@ -10,12 +10,13 @@ def record_samples(monkeypatch):
         states = []
         original = module.integrate
 
-        def integrate(propagator, y0, t_grid, cfg, on_sample=None, **kwargs):
-            def record(i, t, y):
-                states.append(y.copy())
-                on_sample(i, t, y)
+        def integrate(propagator, y0, t_grid, cfg, post_accept, **kwargs):
+            def record(start, ys):
+                assert start == len(states)
+                states.extend(ys.copy())
+                post_accept(start, ys)
 
-            return original(propagator, y0, t_grid, cfg, on_sample=record, **kwargs)
+            return original(propagator, y0, t_grid, cfg, post_accept=record, **kwargs)
 
         monkeypatch.setattr(module, "integrate", integrate)
         return states

@@ -52,15 +52,22 @@ def test_moments_match_observables_row_by_row():
     pops[0] = np.eye(9)[0]  # vacuum: zero mean, g2 defined as 0
     pops[1] = np.eye(9)[1]  # one photon: zero variance
     mean, std, g2 = moments(pops)
-    rows = [observables(p) for p in pops]
-    np.testing.assert_allclose(mean, [o.mean_n for o in rows], rtol=1e-15, atol=0)
-    np.testing.assert_allclose(g2, [o.g2 for o in rows], rtol=1e-15, atol=0)
+    # reference: the formulas written out for one row at a time
+    n = np.arange(9.0)
+    ref_mean = np.array([float(n @ p) for p in pops])
+    ref_second = np.array([float((n * n) @ p) for p in pops])
+    ref_std = np.sqrt(np.maximum(ref_second - ref_mean**2, 0.0))
+    ref_g2 = [float((n * (n - 1.0)) @ p) / m**2 if m > 0 else 0.0 for p, m in zip(pops, ref_mean)]
+    np.testing.assert_allclose(mean, ref_mean, rtol=1e-15, atol=0)
+    np.testing.assert_allclose(g2, ref_g2, rtol=1e-15, atol=0)
     # std_n = sqrt(<n^2> - mean^2) loses the digits the subtraction cancels,
     # so the variances are compared, to 1e-15 of <n^2>
-    ref_std = np.array([o.std_n for o in rows])
-    second = pops @ np.arange(9.0) ** 2
-    assert np.all(np.abs(std**2 - ref_std**2) <= 1e-15 * second)
+    assert np.all(np.abs(std**2 - ref_std**2) <= 1e-15 * ref_second)
     assert g2[0] == 0.0 and std[1] == 0.0
+    obs = observables(pops[5])  # the one-row case
+    np.testing.assert_allclose(
+        [obs.mean_n, obs.std_n, obs.g2], [mean[5], std[5], g2[5]], rtol=1e-15
+    )
 
 
 # each exact engine run on a small state for the drift test below
@@ -87,6 +94,21 @@ def test_trace_drift_raises_at_the_first_step(monkeypatch, engine):
     monkeypatch.setattr(module, "expm", lambda a: exact(a) * (1.0 + 1e-6))
     with pytest.raises(fd.TraceDriftExceeded, match=r"trace drifted by 1\.000e-06 at t=0\.25 "):
         _DRIFT_RUNS[engine](np.linspace(0.0, 1.0, 5))
+
+
+@pytest.mark.parametrize("engine", sorted(_DRIFT_RUNS))
+def test_trace_drift_raises_at_the_first_sample_past_the_limit_in_a_later_block(
+    monkeypatch, engine
+):
+    # inflated by 1.5e-10, the trace drifts by 9.90e-09 at sample 66 and by
+    # 1.005e-08 at sample 67, the fourth sample of the third block of 32
+    module = importlib.import_module(f"fockdamp.{engine}")
+    exact = module.expm
+    monkeypatch.setattr(module, "expm", lambda a: exact(a) * (1.0 + 1.5e-10))
+    grid = np.linspace(0.0, 1.0, 101)
+    message = rf"trace drifted by 1\.00\de-08 at t={grid[67]:.6g} "
+    with pytest.raises(fd.TraceDriftExceeded, match=message):
+        _DRIFT_RUNS[engine](grid)
 
 
 # a Hermitian unit-trace state whose vacuum population is -1e-6

@@ -171,7 +171,7 @@ def test_rhs_trace_free_at_step_start():
 
 @pytest.mark.parametrize("n_samples", [1, 31, 32, 33, 65])
 def test_min_eigenvalue_equals_per_sample_eigvalsh(record_samples, n_samples):
-    # the stacked check works in chunks of 32 samples; these counts cover its edges
+    # samples arrive in blocks of 32, each checked as one stack; these counts cover its edges
     states = record_samples(dynamics)
     series, _ = fd.evolve(random_density(6, 4), ALL, fd.KerrTerm(0.5), np.linspace(0, 2, n_samples))
     d, k, l = _stripe_index(6)

@@ -11,20 +11,23 @@ from fockdamp.integrate import EXACT, expm, integrate
 from fockdamp.pauli import population_generator, population_rates
 
 
-def propagate(gen, y0, t_grid, on_sample=None):
-    return integrate(lambda h: expm(gen * h), y0, t_grid, EXACT, on_sample=on_sample)
+def propagate(gen, y0, t_grid):
+    """The final state and every sampled state, gathered from the blocks."""
+    blocks = []
+
+    def post_accept(start, ys):
+        assert start == sum(len(b) for b in blocks)
+        blocks.append(ys.copy())
+
+    y = integrate(lambda h: expm(gen * h), y0, t_grid, EXACT, post_accept=post_accept)
+    return y, np.concatenate(blocks)
 
 
 def test_scalar_exponential_decay():
-    samples = {}
-    propagate(
-        np.array([[-1.0]]),
-        np.array([1.0]),
-        np.linspace(0, 4, 9),
-        lambda i, t, y: samples.update({t: y[0]}),
-    )
-    for t, v in samples.items():
-        assert abs(v - math.exp(-t)) < 1e-14
+    t_grid = np.linspace(0, 4, 9)
+    _, samples = propagate(np.array([[-1.0]]), np.array([1.0]), t_grid)
+    assert samples.shape == (9, 1)
+    assert np.max(np.abs(samples[:, 0] - np.exp(-t_grid))) < 1e-14
 
 
 def test_linear_system_matches_expm():
@@ -33,7 +36,7 @@ def test_linear_system_matches_expm():
     a = r - 2.0 * np.linalg.norm(r) * np.eye(6)  # strongly stable
     y0 = rng.normal(size=6) + 1j * rng.normal(size=6)
     t_end = 0.8
-    y = propagate(a, y0, np.array([0.0, t_end]))
+    y, _ = propagate(a, y0, np.array([0.0, t_end]))
     exact = sla.expm(a * t_end) @ y0
     assert np.max(np.abs(y - exact)) < 1e-13
 
@@ -109,7 +112,7 @@ def test_integrate_acts_blockwise_on_a_stack():
     rng = np.random.default_rng(3)
     gens = rng.normal(size=(3, 4, 4)) - 4.0 * np.eye(4)
     y0 = rng.normal(size=(3, 4))
-    y = propagate(gens, y0, np.array([0.0, 0.7]))
+    y, _ = propagate(gens, y0, np.array([0.0, 0.7]))
     for b in range(3):
         assert np.max(np.abs(y[b] - sla.expm(0.7 * gens[b]) @ y0[b])) < 1e-13
 
@@ -132,20 +135,31 @@ def test_population_generator_matches_the_level_rates():
     np.testing.assert_allclose(population_generator(channels, nmax), expected, rtol=1e-14, atol=0.0)
 
 
-def test_integrate_checks_after_every_step_and_samples_every_point():
+@pytest.mark.parametrize("complex_gen", [False, True])
+@pytest.mark.parametrize("n_samples", [1, 31, 32, 33, 65])
+def test_integrate_hands_every_sample_once_in_blocks_of_at_most_32(n_samples, complex_gen):
+    # a real start under a complex generator: the block widens without losing sample 0
     gen = population_generator([nonlinear_loss(1.0)], 6)
+    if complex_gen:
+        gen = gen - 0.3j * np.diag(np.arange(7.0))
     p0 = np.eye(7)[6]
-    t_grid = np.array([0.0, 0.1, 0.3, 0.4, 1.0])
-    events = []
+    t_grid = 0.05 * np.arange(n_samples)
+    blocks = []
     y = integrate(
         lambda h: expm(gen * h), p0, t_grid, EXACT,
-        on_sample=lambda i, t, x: events.append(("sample", i, t)),
-        post_accept=lambda t, x: events.append(("step", t)),
+        post_accept=lambda start, ys: blocks.append((start, ys.copy())),
     )
-    assert events == [("sample", 0, 0.0)] + [
-        e for i, t in enumerate(t_grid[1:], 1) for e in (("step", t), ("sample", i, t))
-    ]
-    assert np.array_equal(y, propagate(gen, p0, t_grid))
+    assert [start for start, _ in blocks] == list(range(0, n_samples, 32))
+    sizes = [min(32, n_samples - start) for start in range(0, n_samples, 32)]
+    assert [len(ys) for _, ys in blocks] == sizes
+    prop = expm(gen * t_grid[1]) if n_samples > 1 else None
+    stepwise = [p0]
+    for _ in range(1, n_samples):
+        stepwise.append(np.matmul(prop, stepwise[-1][:, None])[:, 0])
+    samples = np.concatenate([ys for _, ys in blocks])
+    assert samples.dtype == (np.complex128 if complex_gen and n_samples > 1 else np.float64)
+    assert np.array_equal(samples, stepwise)
+    assert np.array_equal(y, stepwise[-1])
 
 
 def test_integrate_propagates_the_restricted_state():

@@ -175,5 +175,25 @@ def test_stripe_validation():
         fd.DensityMatrix(np.array([[0.5, 0.5j], [0.5j, 0.5]]))
     with pytest.raises(fd.DimensionMismatch):
         fd.evolve(np.eye(3) / 3.0, [nonlinear_loss(1.0)], None, np.array([0.0, 1.0]))
-    with pytest.raises(fd.DimensionMismatch):  # a^3 empties nothing below n = 3
-        fd.evolve(_superposition((0, 1), 2), [three_photon_loss(1.0)], None, np.array([0.0, 1.0]))
+
+
+# each engine run from (|0> + |1>)/sqrt2 at nmax = 2 under the given channels
+_ENGINE_RUNS = {
+    "dense": lambda channels, grid: fd.evolve(_superposition((0, 1), 2), channels, None, grid),
+    "pauli": lambda channels, grid: evolve_populations(
+        _superposition((0, 1), 2).populations(), channels, grid
+    ),
+    "trajectories": lambda channels, grid: fd.run_ensemble(
+        fd.PureState(np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0)), channels, None,
+        fd.TrajectoryConfig(n_traj=4, master_seed=1, t_grid=grid),
+    ),
+}
+
+
+@pytest.mark.parametrize("engine", sorted(_ENGINE_RUNS))
+def test_channel_that_empties_the_cutoff_raises(engine):
+    # a^3 annihilates every level up to n = 2, on every engine alike
+    grid = np.array([0.0, 1.0])
+    with pytest.raises(fd.DimensionMismatch, match=r"a\^3 annihilates the whole space at nmax=2"):
+        _ENGINE_RUNS[engine]([three_photon_loss(1.0)], grid)
+    _ENGINE_RUNS[engine]([three_photon_loss(0.0), linear_loss(1.0)], grid)  # a zero rate is inert

@@ -164,7 +164,7 @@ def test_params_validation():
 
 @pytest.mark.parametrize("n_samples", [1, 31, 32, 33, 65])
 def test_min_eigenvalue_equals_per_sample_eigvalsh(record_samples, n_samples):
-    # the stacked check works in chunks of 32 samples; these counts cover its edges
+    # samples arrive in blocks of 32, each checked as one stack; these counts cover its edges
     states = record_samples(twomode)
     params = TwoModeParams(u4=0.8 + 0.3j, gamma_b=12.0, nmax_b=3)
     rho_a = fd.DensityMatrix(random_density(5, 3))
