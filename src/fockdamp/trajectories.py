@@ -4,9 +4,10 @@ Independent stochastic oracle for the deterministic integrators. Between
 jumps the non-Hermitian flow is diagonal in the Fock basis (every L^dag L
 and the Kerr term are number-diagonal), so the no-jump evolution is an
 exact elementwise exponential and waiting times solve
-norm^2(tau) = u for a uniform draw u, found by bracketing and bisection.
-A trajectory whose dark-level weight exceeds the pending draw never jumps
-again.
+norm^2(tau) = u for a uniform draw u. The log of that norm^2 is convex and
+decreasing in tau, so Newton's method started at tau = 0 climbs to the
+root without a bracket. A trajectory whose dark-level weight is at least
+the pending draw never jumps again.
 
 Trajectories own counter-based random substreams keyed on
 (master_seed, trajectory index); identical configuration gives bit-identical
@@ -28,7 +29,9 @@ from .channels import JumpChannel, KerrTerm, lowering_amplitudes
 from .errors import SeedStreamExhausted
 from .fock import PureState, _frozen_array
 
-_BISECT_TOL = 1e-10
+_BISECT_TOL = 1e-10  # bracket width of the scalar bisection reference in the tests
+_NEWTON_RTOL = 1e-13
+_NEWTON_CAP = 100
 _MAX_DRAWS = np.int64(2**53)
 _U1 = np.uint64(1)
 _RECORD_BLOCK = 1 << 15
@@ -36,6 +39,12 @@ _RECORD_BLOCK = 1 << 15
 
 @dataclass(frozen=True)
 class TrajectoryConfig:
+    """Ensemble size, master seed and sample grid of a trajectory run.
+
+    ``dt_max`` is accepted and validated for older scenarios, but it sets
+    nothing: the waiting-time search needs no initial step.
+    """
+
     n_traj: int
     master_seed: int
     t_grid: np.ndarray
@@ -81,9 +90,36 @@ class EnsembleResult:
         return TimeSeries(self.t, mean, std, g2, trace_err, self.mean_populations)
 
 
-def _qnorm(w, s, tau):
-    """Norm^2 of each row's no-jump flow after its own time ``tau``."""
-    return (w * np.exp(-s * tau[:, None])).sum(axis=1)
+def _waiting_times(w, s, u):
+    """Each row's waiting time: the tau where q(tau) = sum_n w_n exp(-s_n tau)
+    falls to u, or inf where the row never jumps.
+
+    Newton runs on f = ln q - ln u from tau = 0, where f = -ln u > 0. f is
+    convex and decreasing, so every tangent root lies at or left of the root
+    and the iterates climb to it. A row stops when its step falls below
+    ``_NEWTON_RTOL * max(tau, 1)`` or is not positive (rounding at
+    convergence). A row with u at or below its dark weight, a non-finite
+    tau, or one still moving after ``_NEWTON_CAP`` steps (u - dark below
+    resolution) never jumps.
+    """
+    tau = np.full(u.size, np.inf)
+    idx = np.flatnonzero(u > w[:, s == 0.0].sum(axis=1))
+    tau[idx] = 0.0
+    log_u = np.log(u[idx])
+    with np.errstate(divide="ignore", invalid="ignore"):  # underflowed rows end non-finite
+        for _ in range(_NEWTON_CAP):
+            if not idx.size:
+                break
+            e = w[idx] * np.exp(-s * tau[idx, None])
+            q = e.sum(axis=1)
+            step = (np.log(q) - log_u) * q / (e * s).sum(axis=1)  # e @ s would map ~0.1 MB of gemv code
+            t = tau[idx] + np.maximum(step, 0.0)
+            tau[idx] = t
+            more = step > _NEWTON_RTOL * np.maximum(t, 1.0)
+            idx, log_u = idx[more], log_u[more]
+    tau[idx] = np.inf
+    tau[np.isnan(tau)] = np.inf
+    return tau
 
 
 def _record(w, s, t_grid, t, first, stop, shift, out_p, out_p2):
@@ -111,19 +147,18 @@ def _record(w, s, t_grid, t, first, stop, shift, out_p, out_p2):
         out_p2 += np.bincount(flat, (v * v).ravel(), out_p.size).reshape(out_p.shape)
 
 
-def _run_chunk(w0, s, m2_all, rates, deltas, t_grid, dt_max, keys, shift, out_p, out_p2):
+def _run_chunk(w0, s, m2_all, rates, deltas, t_grid, keys, shift, out_p, out_p2):
     """Advance the trajectories of one chunk together; return their draw counts.
 
     Row r holds |psi_n|^2 of the trajectory keyed ``keys[r]``. Every jump
     shifts the number basis with a real amplitude and the no-jump flow is
     number-diagonal, so phases (and the Kerr term) never reach the output.
-    Each step is the scalar algorithm under masks: the dark test, bracket
-    doubling from ``dt_max``, bisection, then the channel draw.
+    Each step is the scalar algorithm under masks: the waiting times, then
+    the channel draw.
     """
     n_samples = t_grid.size
     n1 = w0.size
     n_ch = rates.size
-    dark_levels = s == 0.0
     n_draws = np.empty(keys.size, dtype=np.int64)
     live = np.arange(keys.size)
     w = np.tile(w0, (keys.size, 1))
@@ -135,28 +170,8 @@ def _run_chunk(w0, s, m2_all, rates, deltas, t_grid, dt_max, keys, shift, out_p,
     u = _rng.uniform(keys, draw)
     draw += _U1
     while True:
-        jump = u > w[:, dark_levels].sum(axis=1)
-        lo = np.zeros(live.size)
-        hi = np.full(live.size, dt_max)
-        idx = np.flatnonzero(jump)
-        for _ in range(201):
-            idx = idx[_qnorm(w[idx], s, hi[idx]) > u[idx]]
-            if not idx.size:
-                break
-            lo[idx] = hi[idx]
-            hi[idx] *= 2.0
-        jump[idx] = False  # still above u after 200 doublings: u - dark below resolution
-        idx = np.flatnonzero(jump)
-        while True:
-            idx = idx[hi[idx] - lo[idx] > _BISECT_TOL]
-            if not idx.size:
-                break
-            mid = 0.5 * (lo[idx] + hi[idx])
-            above = _qnorm(w[idx], s, mid) > u[idx]
-            lo[idx[above]] = mid[above]
-            hi[idx[~above]] = mid[~above]
-        tau = 0.5 * (lo + hi)
-        stop = np.where(jump, np.searchsorted(t_grid, t + tau, side="right"), n_samples)
+        tau = _waiting_times(w, s, u)
+        stop = np.searchsorted(t_grid, t + tau, side="right")
         _record(w, s, t_grid, t, i_s, stop, shift, out_p, out_p2)
         done = stop >= n_samples
         n_draws[live[done]] = draw[done]
@@ -188,7 +203,8 @@ def _run_chunk(w0, s, m2_all, rates, deltas, t_grid, dt_max, keys, shift, out_p,
 
 def _jump_tables(psi0: PureState, channels: list[JumpChannel], cfg: TrajectoryConfig):
     """Normalized psi0, total decay rates s_n, per-channel amplitudes, rates
-    and net lowerings, the sample grid and ``dt_max``."""
+    and net lowerings, the sample grid and ``dt_max`` (which the scalar
+    reference in the tests brackets from; the sampler itself needs none)."""
     active = [c for c in channels if c.rate > 0.0]
     psi = np.array(psi0.amplitudes, dtype=np.complex128)
     psi /= np.linalg.norm(psi)
@@ -250,11 +266,12 @@ def run_ensemble(
     """Average normalized level populations over ``cfg.n_traj`` trajectories.
 
     Returns per-bin means with standard errors. Channel selection at a jump
-    is proportional to rate * |L psi|^2; jump times come from bisection on
-    the squared norm of the no-jump evolution against a uniform draw.
-    ``kerr`` is number-diagonal, so it moves no population and is unused.
+    is proportional to rate * |L psi|^2; jump times come from Newton's method
+    on the log of the squared norm of the no-jump evolution against a uniform
+    draw. ``kerr`` is number-diagonal, so it moves no population and is
+    unused, and ``cfg.dt_max`` steers nothing.
     """
-    psi, s_tot, m_all, rates, deltas, t_grid, dt_max = _jump_tables(psi0, channels, cfg)
+    psi, s_tot, m_all, rates, deltas, t_grid, _ = _jump_tables(psi0, channels, cfg)
     m2_all = m_all**2
     n_chunks = -(-cfg.n_traj // cfg.chunk_size)
     out_p = np.zeros((n_chunks, t_grid.size, psi.size))
@@ -268,6 +285,6 @@ def run_ensemble(
         hi = min(cfg.n_traj, lo + cfg.chunk_size)
         keys = _rng.stream_key(cfg.master_seed, np.arange(lo, hi, dtype=np.uint64))
         draws[lo:hi] = _run_chunk(
-            w0, s_tot, m2_all, rates, deltas, t_grid, dt_max, keys, shift, out_p[ci], out_p2[ci]
+            w0, s_tot, m2_all, rates, deltas, t_grid, keys, shift, out_p[ci], out_p2[ci]
         )
     return _summarize(t_grid, shift, out_p, out_p2, draws)

@@ -151,6 +151,42 @@ def test_batched_sampler_matches_scalar_reference(psi0, channels, kerr, cfg):
     assert_matches_reference(psi0, channels, kerr, cfg)
 
 
+# the four cases of test_batched_sampler_matches_scalar_reference
+REFERENCE_CASES = test_batched_sampler_matches_scalar_reference.pytestmark[0].args[1]
+
+
+@pytest.mark.parametrize("psi0, channels, kerr, cfg", REFERENCE_CASES)
+def test_draw_counts_match_scalar_reference(psi0, channels, kerr, cfg):
+    # one draw per waiting time and one per channel pick, as the reference takes them
+    psi, s, m_all, rates, deltas, t_grid, dt_max = trajectories._jump_tables(psi0, channels, cfg)
+    n = np.arange(psi.size, dtype=float)
+    theta = (kerr.strength if kerr is not None else 0.0) * n * (n - 1.0)
+    w0 = np.abs(psi) ** 2
+    shift = trajectories._no_jump_populations(w0, s, t_grid)
+    sums = np.zeros((2, t_grid.size, psi.size))
+    keys = [_rng.stream_key(cfg.master_seed, tr) for tr in range(cfg.n_traj)]
+    got = trajectories._run_chunk(
+        w0, s, m_all**2, rates, deltas, t_grid, np.array(keys, dtype=np.uint64), shift, *sums
+    )
+    want = [
+        _traj_np(psi, s, theta, m_all, rates, deltas, t_grid, dt_max, k, shift, *sums) for k in keys
+    ]
+    assert got.tolist() == want
+
+
+@pytest.mark.parametrize("gamma", [1e-3, 1.0, 1e3])
+def test_waiting_times_closed_form(gamma):
+    # a level decaying at gamma beside a dark level of weight d:
+    # d + (1 - d) exp(-gamma tau) = u at tau = -ln((u - d) / (1 - d)) / gamma
+    d, u = (a.ravel() for a in np.meshgrid([0.0, 0.3, 0.9], [0.95, 0.5, 1e-3, 1e-9, 0.2]))
+    w = np.stack([d, 1.0 - d], axis=1)
+    tau = trajectories._waiting_times(w, np.array([0.0, gamma]), u)
+    jumps = u > d
+    assert np.all(np.isinf(tau[~jumps]))
+    exact = -np.log((u[jumps] - d[jumps]) / (1.0 - d[jumps])) / gamma
+    assert np.max(np.abs(tau[jumps] / exact - 1.0)) <= 1e-13
+
+
 @pytest.mark.parametrize("block", [1, 300])
 def test_recording_in_small_blocks_matches_reference(monkeypatch, block):
     # long grids are recorded a block of rows at a time; force many blocks

@@ -1,5 +1,6 @@
-"""Property test: the batched sampler against the scalar reference loop of
-``test_trajectories`` on random channel mixes. Needs ``hypothesis``."""
+"""Property tests: the batched sampler against the scalar reference loop of
+``test_trajectories`` on random channel mixes, and its waiting times on
+random weights and rates. Needs ``hypothesis``."""
 
 import math
 
@@ -8,11 +9,12 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from test_trajectories import assert_matches_reference  # noqa: E402
 
 import fockdamp as fd  # noqa: E402
+from fockdamp import trajectories  # noqa: E402
 from fockdamp.channels import (  # noqa: E402
     linear_loss,
     nonlinear_loss,
@@ -48,3 +50,30 @@ def ensembles(draw):
 def test_batched_sampler_matches_reference_on_random_mixes(case):
     got = assert_matches_reference(*case)
     assert np.max(np.abs(got.mean_populations.sum(axis=1) - 1.0)) <= 1e-12
+
+
+RATES = st.just(0.0) | st.floats(1e-3, 1e3)
+WEIGHTS = st.just(0.0) | st.floats(1e-3, 1.0)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.data())
+def test_waiting_times_solve_the_norm_equation(data):
+    n = data.draw(st.integers(1, 8))
+    s = np.array(data.draw(st.lists(RATES, min_size=n, max_size=n)))
+    rows = data.draw(st.integers(1, 6))
+    row = st.lists(WEIGHTS, min_size=n, max_size=n)
+    w = np.array(data.draw(st.lists(row, min_size=rows, max_size=rows)))
+    assume(np.all(w[:, s > 0].sum(axis=1) > 0))
+    w /= w.sum(axis=1, keepdims=True)
+    dark = w[:, s == 0].sum(axis=1)
+    fraction = st.floats(1e-6, 1.0, exclude_max=True)
+    v = np.array(data.draw(st.lists(fraction, min_size=rows, max_size=rows)))
+    below = np.array(data.draw(st.lists(st.booleans(), min_size=rows, max_size=rows)))
+    u = np.where(below & (dark > 0), dark * v, dark + (1.0 - dark) * v)
+
+    tau = trajectories._waiting_times(w, s, u)
+    jumps = u > dark
+    assert np.array_equal(np.isinf(tau), ~jumps)
+    q = (w[jumps] * np.exp(-s * tau[jumps, None])).sum(axis=1)
+    assert np.max(np.abs(np.log(q) - np.log(u[jumps])), initial=0.0) <= 1e-12
