@@ -151,12 +151,13 @@ def write_outputs(result: RunResult, out_dir: Path, fmt: str, want_svg: bool) ->
 
 def _apply_overrides(raw: dict, args) -> dict:
     raw = dict(raw)
-    if getattr(args, "engine", None):
+    if args.engine:
         raw["engine"] = args.engine
-    if getattr(args, "seed", None) is not None:
-        raw.setdefault("trajectory", {})
-        raw["trajectory"] = dict(raw["trajectory"], master_seed=args.seed)
-    if getattr(args, "fixed_step", None) is not None:
+    if args.seed is not None:
+        if raw.get("engine") != "trajectories":
+            raise ValidationError(["--seed needs engine 'trajectories'"])
+        raw["trajectory"] = dict(raw.get("trajectory", {}), master_seed=args.seed)
+    if args.fixed_step is not None:
         raw["integrator"] = dict(raw.get("integrator", {}), fixed_step=args.fixed_step)
     return raw
 
@@ -280,8 +281,7 @@ def _sigma_row(result: RunResult) -> dict:
 
 
 def _cmd_sweep(args) -> int:
-    raw = load_raw(args.scenario)
-    fields, grid = sweep_grid(raw)
+    fields, grid = sweep_grid(_apply_overrides(load_raw(args.scenario), args))
     rows = [_sigma_row(run_scenario(parse_scenario(g))) for g in grid]
 
     out_path = Path(args.out)

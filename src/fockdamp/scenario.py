@@ -149,9 +149,7 @@ class Scenario:
     samples: int
     engine: str
     integrator: dict  # echoed verbatim for manifest replay; propagation is exact
-    trajectory_n: int | None = None
-    trajectory_seed: int | None = None
-    trajectory_dt_max: float | None = None
+    trajectory: dict  # echoed verbatim, or {}; its dt_max is validated but sets nothing
     twomode_params: TwoModeParams | None = None
 
     @property
@@ -174,10 +172,9 @@ class Scenario:
 
     def trajectory_config(self) -> TrajectoryConfig:
         return TrajectoryConfig(
-            n_traj=self.trajectory_n,
-            master_seed=self.trajectory_seed,
+            n_traj=self.trajectory["n_traj"],
+            master_seed=self.trajectory["master_seed"],
             t_grid=self.t_grid,
-            dt_max=self.trajectory_dt_max,
         )
 
     def to_dict(self) -> dict:
@@ -194,11 +191,8 @@ class Scenario:
         }
         if self.integrator:
             out["integrator"] = dict(self.integrator)
-        if self.engine == "trajectories":
-            traj = {"n_traj": self.trajectory_n, "master_seed": self.trajectory_seed}
-            if self.trajectory_dt_max is not None:
-                traj["dt_max"] = self.trajectory_dt_max
-            out["trajectory"] = traj
+        if self.trajectory:
+            out["trajectory"] = dict(self.trajectory)
         if self.engine == "twomode":
             tm = self.twomode_params
             out["twomode"] = {
@@ -270,7 +264,6 @@ def parse_scenario(obj: dict) -> Scenario:
     if nmax is None:
         nmax = min_cutoff_for_coherent(alpha, tail_tol=tail_tol).nmax
     rates = {k: float(obj.get("rates", {}).get(k, 0.0)) for k in RATE_KEYS}
-    traj = obj.get("trajectory", {})
     tm = None
     if engine == "twomode":
         raw = obj["twomode"]
@@ -290,9 +283,7 @@ def parse_scenario(obj: dict) -> Scenario:
         samples=int(obj["samples"]),
         engine=engine,
         integrator=dict(obj.get("integrator", {})),
-        trajectory_n=traj.get("n_traj"),
-        trajectory_seed=traj.get("master_seed"),
-        trajectory_dt_max=traj.get("dt_max"),
+        trajectory=dict(obj.get("trajectory", {})),
         twomode_params=tm,
     )
 

@@ -19,7 +19,7 @@ level populations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,27 +29,24 @@ from .channels import JumpChannel, KerrTerm, lowering_amplitudes
 from .errors import SeedStreamExhausted
 from .fock import PureState, _frozen_array
 
-_BISECT_TOL = 1e-10  # bracket width of the scalar bisection reference in the tests
 _NEWTON_RTOL = 1e-13
 _NEWTON_CAP = 100
 _MAX_DRAWS = np.int64(2**53)
 _U1 = np.uint64(1)
 _RECORD_BLOCK = 1 << 15
+_CHUNK = 256  # trajectories per chunk; the sums of a chunk are one reduction leaf
 
 
 @dataclass(frozen=True)
 class TrajectoryConfig:
     """Ensemble size, master seed and sample grid of a trajectory run.
 
-    ``dt_max`` is accepted and validated for older scenarios, but it sets
-    nothing: the waiting-time search needs no initial step.
+    ``t_grid`` is frozen as a float array, so the engine reads it as is.
     """
 
     n_traj: int
     master_seed: int
     t_grid: np.ndarray
-    dt_max: float | None = None
-    chunk_size: int = field(default=256, repr=False)
 
     def __post_init__(self):
         if self.n_traj < 1:
@@ -59,10 +56,6 @@ class TrajectoryConfig:
         t = np.asarray(self.t_grid, dtype=float)
         if t.ndim != 1 or t.size < 1 or np.any(np.diff(t) <= 0):
             raise ValueError("t_grid must be non-empty and strictly ascending")
-        if self.dt_max is not None and not self.dt_max > 0:
-            raise ValueError("dt_max must be positive")
-        if self.chunk_size < 1:
-            raise ValueError("chunk_size must be >= 1")
         object.__setattr__(self, "t_grid", _frozen_array(t))
 
 
@@ -163,9 +156,7 @@ def _run_chunk(w0, s, m2_all, rates, deltas, t_grid, keys, shift, out_p, out_p2)
     live = np.arange(keys.size)
     w = np.tile(w0, (keys.size, 1))
     t = np.full(keys.size, t_grid[0])
-    i_s = np.zeros(keys.size, dtype=np.int64)
-    _record(w, s, t_grid, t, i_s, i_s + 1, shift, out_p, out_p2)
-    i_s += 1
+    i_s = np.zeros(keys.size, dtype=np.int64)  # the first round records sample 0 too
     draw = np.zeros(keys.size, dtype=np.uint64)
     u = _rng.uniform(keys, draw)
     draw += _U1
@@ -201,16 +192,14 @@ def _run_chunk(w0, s, m2_all, rates, deltas, t_grid, keys, shift, out_p, out_p2)
     return n_draws
 
 
-def _jump_tables(psi0: PureState, channels: list[JumpChannel], cfg: TrajectoryConfig):
-    """Normalized psi0, total decay rates s_n, per-channel amplitudes, rates
-    and net lowerings, the sample grid and ``dt_max`` (which the scalar
-    reference in the tests brackets from; the sampler itself needs none)."""
+def _jump_tables(psi0: PureState, channels: list[JumpChannel]):
+    """Normalized psi0, total decay rates s_n, and the per-channel
+    amplitudes, rates and net lowerings of the channels with a positive rate."""
     active = [c for c in channels if c.rate > 0.0]
     psi = np.array(psi0.amplitudes, dtype=np.complex128)
     psi /= np.linalg.norm(psi)
     n1 = psi.size
     nmax = n1 - 1
-    t_grid = np.asarray(cfg.t_grid, dtype=float)
     n_ch = max(len(active), 1)
     m_all = np.zeros((n_ch, n1))
     rates = np.zeros(n_ch)
@@ -222,10 +211,7 @@ def _jump_tables(psi0: PureState, channels: list[JumpChannel], cfg: TrajectoryCo
         rates[ci] = c.rate
         deltas[ci] = c.net_lowering
         s_tot += c.rate * amp**2
-
-    t_span = float(t_grid[-1] - t_grid[0]) if t_grid.size > 1 else 1.0
-    dt_max = cfg.dt_max if cfg.dt_max is not None else max(t_span / 100.0, 1e-6)
-    return psi, s_tot, m_all, rates, deltas, t_grid, dt_max
+    return psi, s_tot, m_all, rates, deltas
 
 
 def _no_jump_populations(w0, s, t_grid):
@@ -269,11 +255,13 @@ def run_ensemble(
     is proportional to rate * |L psi|^2; jump times come from Newton's method
     on the log of the squared norm of the no-jump evolution against a uniform
     draw. ``kerr`` is number-diagonal, so it moves no population and is
-    unused, and ``cfg.dt_max`` steers nothing.
+    unused. Trajectories run ``_CHUNK`` at a time, and the sums of each
+    chunk are kept apart until ``_summarize`` combines them.
     """
-    psi, s_tot, m_all, rates, deltas, t_grid, _ = _jump_tables(psi0, channels, cfg)
+    psi, s_tot, m_all, rates, deltas = _jump_tables(psi0, channels)
+    t_grid = cfg.t_grid
     m2_all = m_all**2
-    n_chunks = -(-cfg.n_traj // cfg.chunk_size)
+    n_chunks = -(-cfg.n_traj // _CHUNK)
     out_p = np.zeros((n_chunks, t_grid.size, psi.size))
     out_p2 = np.zeros_like(out_p)
     draws = np.zeros(cfg.n_traj, dtype=np.int64)
@@ -281,8 +269,8 @@ def run_ensemble(
     shift = _no_jump_populations(w0, s_tot, t_grid)
 
     for ci in range(n_chunks):
-        lo = ci * cfg.chunk_size
-        hi = min(cfg.n_traj, lo + cfg.chunk_size)
+        lo = ci * _CHUNK
+        hi = min(cfg.n_traj, lo + _CHUNK)
         keys = _rng.stream_key(cfg.master_seed, np.arange(lo, hi, dtype=np.uint64))
         draws[lo:hi] = _run_chunk(
             w0, s_tot, m2_all, rates, deltas, t_grid, keys, shift, out_p[ci], out_p2[ci]

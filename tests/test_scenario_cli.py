@@ -305,6 +305,40 @@ def test_seed_override(tmp_path):
     assert (tmp_path / "a" / "t" / "stderr.csv").exists()
 
 
+def test_sweep_applies_the_engine_override(tmp_path):
+    obj = dict(load_raw(str(SCENARIOS / "linear_loss_sweep.json")), sweep={"gamma_q": [0.0, 0.1]})
+    path = write_json(tmp_path / "sweep.json", obj)
+    assert cli.main(["sweep", path, "--out", str(tmp_path / "pauli")]) == 0
+    assert cli.main(["sweep", path, "--out", str(tmp_path / "dense"), "--engine", "dense"]) == 0
+    pauli, dense = (
+        np.loadtxt(tmp_path / d / "sweep.csv", delimiter=",", skiprows=1) for d in ("pauli", "dense")
+    )
+    assert pauli.shape == (2, 5)
+    assert np.max(np.abs(dense - pauli)) <= 1e-8
+    # the twomode engine takes no rates, so the overridden sweep is invalid
+    assert cli.main(["sweep", path, "--out", str(tmp_path), "--engine", "twomode"]) == 2
+
+
+def test_seed_needs_the_trajectory_engine(tmp_path, capsys):
+    assert cli.main(["preset", "fig1", "--out", str(tmp_path), "--seed", "1"]) == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_trajectory_dt_max_is_validated_and_echoed(tmp_path):
+    obj = dict(BASE, engine="trajectories", samples=5,
+               trajectory={"n_traj": 50, "master_seed": 1, "dt_max": 0.5})
+    bad = dict(obj, trajectory=dict(obj["trajectory"], dt_max=0))
+    assert cli.main(["validate", write_json(tmp_path / "bad.json", bad)]) == 2
+    path = write_json(tmp_path / "mc.json", obj)
+    assert cli.main(["run", path, "--out", str(tmp_path / "a")]) == 0
+    manifest = tmp_path / "a" / "t" / "manifest.json"
+    assert json.loads(manifest.read_text())["scenario"]["trajectory"] == obj["trajectory"]
+    assert cli.main(["run", str(manifest), "--out", str(tmp_path / "b")]) == 0
+    for name in ("timeseries.csv", "stderr.csv"):
+        assert (tmp_path / "a" / "t" / name).read_bytes() == (tmp_path / "b" / "t" / name).read_bytes()
+
+
 def test_twomode_engine_via_cli(tmp_path):
     obj = {
         "name": "pair",

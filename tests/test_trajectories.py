@@ -5,19 +5,23 @@ import pytest
 
 import fockdamp as fd
 from fockdamp import _rng, trajectories
-from fockdamp.channels import linear_loss, nonlinear_loss, two_photon_loss
+from fockdamp.channels import linear_loss, nonlinear_loss, three_photon_loss, two_photon_loss
 from fockdamp.trajectories import TrajectoryConfig, run_ensemble
 
 
 # Reference: a per-trajectory scalar sampler on complex amplitudes, Kerr
 # phases included. The batched population sampler must match it.
 
+# bisection width relative to the bracket's upper end: an absolute 1e-10
+# leaves waiting times a few 1e-9 off the root on the "relative-width" case
+BISECT_RTOL = 1e-14
+
 
 def _qnorm_np(psi, s, tau):
     return float(np.sum((psi.real**2 + psi.imag**2) * np.exp(-s * tau)))
 
 
-def _traj_np(psi0, s, theta, m_all, rates, deltas, t_grid, dt_max, key, shift, out_p, out_p2):
+def _traj_np(psi0, s, theta, m_all, rates, deltas, t_grid, key, shift, out_p, out_p2):
     psi = psi0.copy()
     n1 = psi.size
     m2_all = m_all**2
@@ -40,7 +44,7 @@ def _traj_np(psi0, s, theta, m_all, rates, deltas, t_grid, dt_max, key, shift, o
         no_jump = u <= dark
         tau_j = 0.0
         if not no_jump:
-            tau_lo, tau_hi = 0.0, dt_max
+            tau_lo, tau_hi = 0.0, max(float(t_grid[-1] - t_grid[0]) / 100.0, 1e-6)
             grow = 0
             while _qnorm_np(psi, s, tau_hi) > u:
                 tau_lo = tau_hi
@@ -50,7 +54,7 @@ def _traj_np(psi0, s, theta, m_all, rates, deltas, t_grid, dt_max, key, shift, o
                     no_jump = True
                     break
             if not no_jump:
-                while tau_hi - tau_lo > trajectories._BISECT_TOL:
+                while tau_hi - tau_lo > BISECT_RTOL * tau_hi:
                     mid = 0.5 * (tau_lo + tau_hi)
                     if _qnorm_np(psi, s, mid) > u:
                         tau_lo = mid
@@ -89,39 +93,45 @@ def _traj_np(psi0, s, theta, m_all, rates, deltas, t_grid, dt_max, key, shift, o
 
 
 def reference_ensemble(psi0, channels, kerr, cfg):
-    psi, s, m_all, rates, deltas, t_grid, dt_max = trajectories._jump_tables(psi0, channels, cfg)
+    psi, s, m_all, rates, deltas = trajectories._jump_tables(psi0, channels)
+    t_grid = cfg.t_grid
     n = np.arange(psi.size, dtype=float)
     theta = (kerr.strength if kerr is not None else 0.0) * n * (n - 1.0)
     shift = trajectories._no_jump_populations(np.abs(psi) ** 2, s, t_grid)
-    n_chunks = -(-cfg.n_traj // cfg.chunk_size)
+    chunk = trajectories._CHUNK
+    n_chunks = -(-cfg.n_traj // chunk)
     out_p = np.zeros((n_chunks, t_grid.size, psi.size))
     out_p2 = np.zeros_like(out_p)
     draws = np.zeros(cfg.n_traj, dtype=np.int64)
     for tr in range(cfg.n_traj):
-        ci = tr // cfg.chunk_size
+        ci = tr // chunk
         key = _rng.stream_key(cfg.master_seed, tr)
         draws[tr] = _traj_np(
-            psi, s, theta, m_all, rates, deltas, t_grid, dt_max, key, shift, out_p[ci], out_p2[ci]
+            psi, s, theta, m_all, rates, deltas, t_grid, key, shift, out_p[ci], out_p2[ci]
         )
     return trajectories._summarize(t_grid, shift, out_p, out_p2, draws)
 
 
-def assert_matches_reference(psi0, channels, kerr, cfg):
-    got = run_ensemble(psi0, channels, kerr, cfg)
-    ref = reference_ensemble(psi0, channels, kerr, cfg)
+def assert_matches_reference(psi0, channels, kerr, cfg, chunk=trajectories._CHUNK):
+    # both sides group trajectories into chunks of trajectories._CHUNK
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(trajectories, "_CHUNK", chunk)
+        got = run_ensemble(psi0, channels, kerr, cfg)
+        ref = reference_ensemble(psi0, channels, kerr, cfg)
     assert np.max(np.abs(got.mean_populations - ref.mean_populations)) <= 1e-9
     assert np.max(np.abs(got.stderr - ref.stderr)) <= 1e-9
     return got
 
 
 @pytest.mark.parametrize(
-    "psi0, channels, kerr, cfg",
+    "psi0, channels, kerr, cfg, chunk",
     [
         pytest.param(
             fd.coherent_state(2.0, fd.min_cutoff_for_coherent(2.0)),
             [nonlinear_loss(1.0)],
             fd.KerrTerm(3.0),
-            TrajectoryConfig(200, 21, np.linspace(0, 5, 11), chunk_size=64),
+            TrajectoryConfig(200, 21, np.linspace(0, 5, 11)),
+            64,
             id="kerr",
         ),
         pytest.param(
@@ -129,36 +139,49 @@ def assert_matches_reference(psi0, channels, kerr, cfg):
             [nonlinear_loss(1.0)],
             None,
             TrajectoryConfig(50, 22, np.linspace(0, 20, 9)),
+            256,
             id="dark",
         ),
         pytest.param(
             fd.coherent_state(1.5, fd.min_cutoff_for_coherent(1.5)),
             [nonlinear_loss(1.0), linear_loss(0.2), two_photon_loss(0.3)],
             None,
-            TrajectoryConfig(300, 23, np.linspace(0, 6, 13), chunk_size=100),
+            TrajectoryConfig(300, 23, np.linspace(0, 6, 13)),
+            100,
             id="three-channel",
         ),
         pytest.param(
             fd.coherent_state(2.5, fd.min_cutoff_for_coherent(2.5)),
             [nonlinear_loss(1.0), linear_loss(0.05)],
             None,
-            TrajectoryConfig(150, 24, np.linspace(1, 9, 7), dt_max=0.013),
-            id="dt_max",
+            TrajectoryConfig(150, 24, np.linspace(1, 9, 7)),
+            256,
+            id="late-start",
+        ),
+        pytest.param(
+            fd.coherent_state(2.5, fd.min_cutoff_for_coherent(2.5)),
+            [linear_loss(1.0), two_photon_loss(1.0), three_photon_loss(1.0)],
+            None,
+            TrajectoryConfig(2, 0, np.array([0.0, 1.0])),
+            1,
+            id="relative-width",
         ),
     ],
 )
-def test_batched_sampler_matches_scalar_reference(psi0, channels, kerr, cfg):
-    assert_matches_reference(psi0, channels, kerr, cfg)
+def test_batched_sampler_matches_scalar_reference(psi0, channels, kerr, cfg, chunk):
+    assert_matches_reference(psi0, channels, kerr, cfg, chunk)
 
 
-# the four cases of test_batched_sampler_matches_scalar_reference
+# the cases of test_batched_sampler_matches_scalar_reference
 REFERENCE_CASES = test_batched_sampler_matches_scalar_reference.pytestmark[0].args[1]
 
 
-@pytest.mark.parametrize("psi0, channels, kerr, cfg", REFERENCE_CASES)
-def test_draw_counts_match_scalar_reference(psi0, channels, kerr, cfg):
-    # one draw per waiting time and one per channel pick, as the reference takes them
-    psi, s, m_all, rates, deltas, t_grid, dt_max = trajectories._jump_tables(psi0, channels, cfg)
+@pytest.mark.parametrize("psi0, channels, kerr, cfg, chunk", REFERENCE_CASES)
+def test_draw_counts_match_scalar_reference(psi0, channels, kerr, cfg, chunk):
+    # one draw per waiting time and one per channel pick, as the reference takes
+    # them; draw counts do not depend on the chunking, so one chunk runs them all
+    psi, s, m_all, rates, deltas = trajectories._jump_tables(psi0, channels)
+    t_grid = cfg.t_grid
     n = np.arange(psi.size, dtype=float)
     theta = (kerr.strength if kerr is not None else 0.0) * n * (n - 1.0)
     w0 = np.abs(psi) ** 2
@@ -169,7 +192,7 @@ def test_draw_counts_match_scalar_reference(psi0, channels, kerr, cfg):
         w0, s, m_all**2, rates, deltas, t_grid, np.array(keys, dtype=np.uint64), shift, *sums
     )
     want = [
-        _traj_np(psi, s, theta, m_all, rates, deltas, t_grid, dt_max, k, shift, *sums) for k in keys
+        _traj_np(psi, s, theta, m_all, rates, deltas, t_grid, k, shift, *sums) for k in keys
     ]
     assert got.tolist() == want
 
@@ -192,8 +215,8 @@ def test_recording_in_small_blocks_matches_reference(monkeypatch, block):
     # long grids are recorded a block of rows at a time; force many blocks
     monkeypatch.setattr(trajectories, "_RECORD_BLOCK", block)
     psi0 = fd.coherent_state(1.5, fd.min_cutoff_for_coherent(1.5))
-    cfg = TrajectoryConfig(40, 25, np.linspace(0, 6, 31), chunk_size=16)
-    assert_matches_reference(psi0, [nonlinear_loss(1.0), linear_loss(0.2)], None, cfg)
+    cfg = TrajectoryConfig(40, 25, np.linspace(0, 6, 31))
+    assert_matches_reference(psi0, [nonlinear_loss(1.0), linear_loss(0.2)], None, cfg, chunk=16)
 
 
 @pytest.mark.parametrize(
@@ -293,5 +316,3 @@ def test_config_validation():
         TrajectoryConfig(10, -1, grid)
     with pytest.raises(ValueError):
         TrajectoryConfig(10, 1, np.array([0.0, 0.0]))
-    with pytest.raises(ValueError):
-        TrajectoryConfig(10, 1, grid, dt_max=0.0)

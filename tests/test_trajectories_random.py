@@ -39,10 +39,8 @@ def ensembles(draw):
         n_traj=draw(st.integers(2, 64)),
         master_seed=draw(st.integers(0, 2**64 - 1)),
         t_grid=grid,
-        dt_max=draw(st.none() | st.floats(1e-3, 2.0)),
-        chunk_size=draw(st.integers(1, 64)),
     )
-    return psi0, channels, kerr, cfg
+    return psi0, channels, kerr, cfg, draw(st.integers(1, 64))
 
 
 @settings(max_examples=30, derandomize=True, deadline=None)
