@@ -17,6 +17,7 @@ import numpy as np
 
 from .analysis import Samples, TimeSeries
 from .channels import JumpChannel, lowering_amplitudes, lowering_weight
+from .errors import TraceDriftExceeded
 from .fock import DensityMatrix, _frozen_array
 from .integrate import EXACT, expm, integrate
 
@@ -84,12 +85,49 @@ def evolve_populations(p0, channels: list[JumpChannel], t_grid) -> TimeSeries:
 
     Matches the diagonal of the dense engine on any scenario; roughly a
     thousand times fewer variables at the default cutoff, which is what
-    makes fine parameter sweeps cheap.
+    makes fine parameter sweeps cheap. It is the batch of one.
     """
-    p_init = p0.p if isinstance(p0, PopulationVector) else PopulationVector(np.asarray(p0)).p
-    samples = Samples(t_grid, float(p_init.sum()), slice(None))
-    gen = population_generator(channels, p_init.size - 1)
-    integrate(
-        lambda h: expm(gen * h), p_init.astype(float), samples.t, EXACT, post_accept=samples.add
+    (series,) = evolve_population_batch([p0], [channels], t_grid)
+    return series
+
+
+def evolve_population_batch(p0s, channel_sets, t_grid):
+    """Propagate N cascades of one cutoff together; yield their TimeSeries in order.
+
+    The generators are stacked, so one ``expm`` call builds every propagator
+    and one ``integrate`` call advances the (N, levels) state. Each cascade
+    keeps its own ``analysis.Samples``, which sees exactly the samples of
+    ``evolve_populations`` and runs the same drift check. When any cascade
+    drifts, the reported one is the earliest to do so in time, then the
+    first in order. ``expm`` scales its stack of at most ``integrate._CHUNK``
+    matrices by their largest norm, so a cascade may take more squarings
+    here than alone. A recorder is dropped once its series is yielded.
+    """
+    if len(p0s) != len(channel_sets):
+        raise ValueError(f"{len(p0s)} initial states for {len(channel_sets)} channel sets")
+    p_inits = [
+        p0.p if isinstance(p0, PopulationVector) else PopulationVector(np.asarray(p0)).p
+        for p0 in p0s
+    ]
+    records = [Samples(t_grid, float(p.sum()), slice(None)) for p in p_inits]
+    gens = np.stack(
+        [population_generator(ch, p.size - 1) for ch, p in zip(channel_sets, p_inits)]
     )
-    return samples.series()
+
+    def post_accept(start, ys):
+        try:
+            for j, rec in enumerate(records):
+                rec.add(start, ys[:, j])
+        except TraceDriftExceeded:
+            # the block again, sample by sample: the earliest drift in time is raised
+            for i in range(len(ys)):
+                for j, rec in enumerate(records):
+                    rec.add(start + i, ys[i : i + 1, j])
+            raise
+
+    integrate(
+        lambda h: expm(gens * h), np.stack(p_inits).astype(float), records[0].t, EXACT,
+        post_accept=post_accept,
+    )
+    while records:
+        yield records.pop(0).series()

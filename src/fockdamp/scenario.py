@@ -171,9 +171,10 @@ class Scenario:
         return KerrTerm(self.u1)
 
     def trajectory_config(self) -> TrajectoryConfig:
+        # the schema counts 50.0 as an integer; the engine needs an int
         return TrajectoryConfig(
-            n_traj=self.trajectory["n_traj"],
-            master_seed=self.trajectory["master_seed"],
+            n_traj=int(self.trajectory["n_traj"]),
+            master_seed=int(self.trajectory["master_seed"]),
             t_grid=self.t_grid,
         )
 

@@ -6,7 +6,13 @@ import scipy.linalg as sla
 
 import fockdamp as fd
 from fockdamp.channels import linear_loss, nonlinear_loss, three_photon_loss, two_photon_loss
-from fockdamp.pauli import PopulationVector, evolve_populations, population_rates
+from fockdamp import pauli
+from fockdamp.pauli import (
+    PopulationVector,
+    evolve_population_batch,
+    evolve_populations,
+    population_rates,
+)
 
 
 def poisson_vector(mean, nmax):
@@ -109,6 +115,62 @@ def test_matches_dense_engine():
     dense, _ = fd.evolve(rho0, channels, None, grid)
     pop = evolve_populations(PopulationVector.from_density(rho0), channels, grid)
     assert np.max(np.abs(dense.populations - pop.populations)) < 1e-8
+
+
+_FIELDS = ("populations", "trace_err", "mean_n", "std_n", "g2")
+
+
+@pytest.mark.parametrize(
+    "channel_sets, tol",
+    [
+        # generator norms within one power of two: the stack takes the
+        # squarings of each cascade alone, so every value is equal
+        ([[nonlinear_loss(1.0)], [nonlinear_loss(1.0), linear_loss(0.05)],
+          [nonlinear_loss(1.0), two_photon_loss(0.02)]], 0.0),
+        # norms from 0 to 2500: the small ones take the largest one's
+        # squarings here, which moves them at rounding level (3.6e-15 in std_n)
+        ([[nonlinear_loss(1.0)], [two_photon_loss(0.3)], [three_photon_loss(0.2), linear_loss(0.5)],
+          [linear_loss(2.0)], []], 1e-12),
+    ],
+    ids=["same-scaling", "mixed-norms"],
+)
+def test_batch_matches_one_run_per_cascade(channel_sets, tol):
+    p0s = [poisson_vector(mean, 30) for mean in (4.0, 6.0, 2.0, 5.0, 0.5)[: len(channel_sets)]]
+    grid = np.linspace(0, 6, 81)  # three sample blocks
+    batch = evolve_population_batch(p0s, channel_sets, grid)
+    for p0, channels, series in zip(p0s, channel_sets, batch, strict=True):
+        alone = evolve_populations(p0, channels, grid)
+        assert np.array_equal(series.t, alone.t)
+        for name in _FIELDS:
+            diff = np.max(np.abs(getattr(series, name) - getattr(alone, name)))
+            assert diff <= tol, name
+
+
+def test_batch_reports_the_earliest_drift_in_time_then_in_order(monkeypatch):
+    exact = pauli.expm
+    grid = np.linspace(0, 6, 21)
+    p0s = [poisson_vector(4.0, 30)] * 3
+    channels = [[nonlinear_loss(1.0)]] * 3
+
+    def inflated(*scales):
+        monkeypatch.setattr(pauli, "expm", lambda a: exact(a) * np.array(scales)[:, None, None])
+
+    # cascade 0 drifts past 1e-8 at the fourth step, cascade 1 at the first
+    inflated(1.0 + 3e-9, 1.0 + 1e-7, 1.0)
+    with pytest.raises(fd.TraceDriftExceeded, match=r"by 1\.000e-07 at t=0\.3 "):
+        list(evolve_population_batch(p0s, channels, grid))
+    # cascades 1 and 2 both drift at the first step; cascade 1 is reported
+    inflated(1.0, 1.0 + 1e-7, 1.0 + 2e-7)
+    with pytest.raises(fd.TraceDriftExceeded, match=r"by 1\.000e-07 at t=0\.3 "):
+        list(evolve_population_batch(p0s, channels, grid))
+    inflated(1.0 + 3e-9, 1.0, 1.0)
+    with pytest.raises(fd.TraceDriftExceeded, match=r"by 1\.200e-08 at t=1\.2 "):
+        list(evolve_population_batch(p0s, channels, grid))
+
+
+def test_batch_needs_one_state_per_channel_set():
+    with pytest.raises(ValueError, match="2 initial states for 1 channel sets"):
+        list(evolve_population_batch([poisson_vector(1.0, 5)] * 2, [[]], np.linspace(0, 1, 3)))
 
 
 def test_negative_population_rejected():

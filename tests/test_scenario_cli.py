@@ -276,6 +276,60 @@ def test_sweep_single_point_matches_run(tmp_path):
     assert float(row[3]) == expected["p1_star"]
 
 
+def _batch_sizes(monkeypatch):
+    """Record the size of every Pauli batch the sweep runs."""
+    sizes = []
+    batch = cli.pauli.evolve_population_batch
+
+    def recorded(p0s, channel_sets, t_grid):
+        sizes.append(len(p0s))
+        return batch(p0s, channel_sets, t_grid)
+
+    monkeypatch.setattr(cli.pauli, "evolve_population_batch", recorded)
+    return sizes
+
+
+def _assert_rows_match_single_runs(tmp_path, obj):
+    """Each sweep.csv row equals the row of its grid point run on its own."""
+    fields, grid = sweep_grid(obj)
+    rows = np.loadtxt(tmp_path / "sweep.csv", delimiter=",", skiprows=1, ndmin=2)
+    assert rows.shape[0] == len(grid)
+    for point, row in zip(grid, rows):
+        swept = [point["alpha"] if f == "alpha" else point["rates"][f] for f in fields]
+        alone = cli._sigma_row(cli.run_scenario(parse_scenario(point)))
+        expected = swept + [alone[k] for k in ("t_star", "sigma_star", "p1_star", "interior")]
+        assert list(row) == expected
+
+
+def test_sweep_batches_match_single_runs(tmp_path, monkeypatch):
+    # nine points of one cutoff run as a batch of 8 and a batch of 1
+    obj = dict(load_raw(str(SCENARIOS / "linear_loss_sweep.json")),
+               sweep={"gamma_q": [0.0, 0.05, 0.1], "gamma_s": [0.0, 0.025, 0.3]})
+    sizes = _batch_sizes(monkeypatch)
+    assert cli.main(["sweep", write_json(tmp_path / "sweep.json", obj), "--out", str(tmp_path)]) == 0
+    assert sizes == [8, 1]
+    _assert_rows_match_single_runs(tmp_path, obj)
+
+
+def test_sweep_batches_by_cutoff_in_grid_order(tmp_path, monkeypatch):
+    # without nmax each alpha resolves its own cutoff: 16, 27, 21 and 21
+    obj = dict(BASE, t_max=6.0, samples=61, rates={"gamma_e": 1.0, "gamma_q": 0.02},
+               sweep={"alpha": [1.0, 1.0, 2.0, 1.5, 1.5]})
+    sizes = _batch_sizes(monkeypatch)
+    assert cli.main(["sweep", write_json(tmp_path / "sweep.json", obj), "--out", str(tmp_path)]) == 0
+    assert sizes == [2, 1, 2]
+    _assert_rows_match_single_runs(tmp_path, obj)
+
+
+def test_sweep_drift_inside_a_batch_is_a_numerical_failure(tmp_path, monkeypatch, capsys):
+    exact = cli.pauli.expm
+    monkeypatch.setattr(cli.pauli, "expm", lambda a: exact(a) * (1.0 + 1e-6))
+    obj = dict(BASE, sweep={"gamma_q": [0.0, 0.1, 0.2]})
+    assert cli.main(["sweep", write_json(tmp_path / "sweep.json", obj), "--out", str(tmp_path)]) == 3
+    assert "numerical failure: trace drifted" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 def test_sweep_empty_range_rejected(tmp_path):
     obj = dict(BASE, sweep={"gamma_q": []})
     path = write_json(tmp_path / "empty.json", obj)
@@ -335,6 +389,21 @@ def test_trajectory_dt_max_is_validated_and_echoed(tmp_path):
     manifest = tmp_path / "a" / "t" / "manifest.json"
     assert json.loads(manifest.read_text())["scenario"]["trajectory"] == obj["trajectory"]
     assert cli.main(["run", str(manifest), "--out", str(tmp_path / "b")]) == 0
+    for name in ("timeseries.csv", "stderr.csv"):
+        assert (tmp_path / "a" / "t" / name).read_bytes() == (tmp_path / "b" / "t" / name).read_bytes()
+
+
+def test_trajectory_counts_written_as_integral_floats_run(tmp_path):
+    # JSON Schema counts 50.0 as an integer, so validation passes it
+    obj = dict(BASE, engine="trajectories", samples=5,
+               trajectory={"n_traj": 50.0, "master_seed": 3.0})
+    path = write_json(tmp_path / "mc.json", obj)
+    assert cli.main(["validate", path]) == 0
+    assert cli.main(["run", path, "--out", str(tmp_path / "a")]) == 0
+    manifest = json.loads((tmp_path / "a" / "t" / "manifest.json").read_text())
+    assert manifest["scenario"]["trajectory"] == {"n_traj": 50.0, "master_seed": 3.0}
+    as_ints = dict(obj, trajectory={"n_traj": 50, "master_seed": 3})
+    assert cli.main(["run", write_json(tmp_path / "ints.json", as_ints), "--out", str(tmp_path / "b")]) == 0
     for name in ("timeseries.csv", "stderr.csv"):
         assert (tmp_path / "a" / "t" / name).read_bytes() == (tmp_path / "b" / "t" / name).read_bytes()
 
