@@ -117,20 +117,22 @@ class Samples:
     state at ``t[start + j]``, in order. ``diagonal`` indexes the diagonal
     within one state (the populations; for the two-mode pair, the whole
     diagonal of its sector block); ``add`` keeps it for every sample, and
-    its sum is the trace, ``trace0`` at the start. At the block's first
-    sample whose trace has drifted by more than 1e-8, ``add`` raises
-    TraceDriftExceeded. When ``upper = (rows, cols, src)`` is given, the
-    flattened state's element ``src[p]`` is the matrix entry
-    ``(rows[p], cols[p])`` on or above the diagonal: the block's upper
+    its sum is the trace, ``trace0`` at the start; a stack of states, such as
+    several cascades' populations, has one ``trace0`` per state. ``add``
+    raises TraceDriftExceeded at the block's first (sample, state), in time
+    and then in order, whose trace has drifted by more than 1e-8. When
+    ``upper = (rows, cols, src)`` is given, the flattened state's element
+    ``src[p]`` is the matrix entry ``(rows[p], cols[p])`` on or above the
+    diagonal (one state per sample, not a stack): the block's upper
     triangles are then filled at once and one ``np.linalg.eigvalsh`` call
     gives each sample's smallest eigenvalue. LAPACK treats each matrix of
     the stack on its own, so these are the values of one call per sample. A
     value below -1e-8 raises PositivityViolated, at the first such sample.
     """
 
-    def __init__(self, t_grid, trace0: float, diagonal, upper=None):
+    def __init__(self, t_grid, trace0, diagonal, upper=None):
         self.t = np.asarray(t_grid, dtype=float)
-        self.trace0 = trace0
+        self.trace0 = np.asarray(trace0, dtype=float)
         self._diagonal = diagonal
         self._upper = upper
         self.min_eigenvalue = None if upper is None else np.zeros(self.t.size)
@@ -139,13 +141,14 @@ class Samples:
         stop = start + len(ys)
         diag = ys[:, self._diagonal].real
         if start == 0:
-            self.diagonals = np.zeros((self.t.size, diag.shape[1]))
+            self.diagonals = np.zeros((self.t.size,) + diag.shape[1:])
         self.diagonals[start:stop] = diag
-        drift = np.abs(diag.sum(axis=1) - self.trace0)
-        bad = np.flatnonzero(~(drift <= TRACE_DRIFT_LIMIT))  # nan-safe
+        drift = np.abs(diag.sum(axis=-1) - self.trace0)
+        bad = np.flatnonzero(~(drift <= TRACE_DRIFT_LIMIT))  # nan-safe, row-major
         if bad.size:
+            first = np.unravel_index(bad[0], drift.shape)
             raise TraceDriftExceeded(
-                f"trace drifted by {drift[bad[0]]:.3e} at t={self.t[start + bad[0]]:.6g} "
+                f"trace drifted by {drift[first]:.3e} at t={self.t[start + first[0]]:.6g} "
                 f"(limit {TRACE_DRIFT_LIMIT:.1e})"
             )
         if self._upper is not None:
@@ -161,11 +164,13 @@ class Samples:
                     f"(limit {POSITIVITY_LIMIT:.0e})"
                 )
 
-    def series(self, populations=None) -> TimeSeries:
+    def series(self, populations=None, state=...) -> TimeSeries:
         """The TimeSeries of the recorded diagonals, or of ``populations``
-        derived from them; the trace error is always the diagonals'."""
-        pops = self.diagonals if populations is None else populations
-        trace_err = np.abs(self.diagonals.sum(axis=1) - self.trace0)
+        derived from them; the trace error is always the diagonals'. Of a
+        stacked record, ``state`` picks the state."""
+        diagonals = self.diagonals[:, state]
+        pops = diagonals if populations is None else populations
+        trace_err = np.abs(diagonals.sum(axis=-1) - self.trace0[state])
         return TimeSeries(
             self.t, *moments(pops), trace_err, pops, min_eigenvalue=self.min_eigenvalue
         )

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, analysis, dynamics, integrate, pauli, svg, trajectories, twomode
+from . import __version__, analysis, dynamics, pauli, svg, trajectories, twomode
 from .errors import (
     CutoffTooSmall,
     FockdampError,
@@ -258,11 +258,10 @@ def _cmd_preset(args) -> int:
     return EXIT_OK
 
 
-def _sigma_row(result: RunResult) -> dict:
+def _sigma_row(series: analysis.TimeSeries) -> dict:
     """Stopping-time summary of one run: interior minimum if it exists,
     otherwise, flagged, the first sample within the noise floor of the
     grid minimum (on a flat tail the argmin itself is rounding noise)."""
-    series = result.series
     try:
         sm = analysis.find_sigma_min(series, (float(series.t[0]), float(series.t[-1])))
         return {
@@ -285,40 +284,36 @@ def _sigma_row(result: RunResult) -> dict:
 def _sweep_rows(scenarios: list[Scenario]) -> list[dict]:
     """The ``_sigma_row`` of every grid point, in grid order.
 
-    Consecutive Pauli points of one cutoff run together, at most
-    ``integrate._CHUNK`` at a time, which is one Pade evaluation of their
-    stacked generators; sweep points share the time grid. Each series is
-    reduced to its row as it arrives. Other engines run point by point.
+    Consecutive Pauli points of one cutoff go to the Pauli engine together,
+    which runs them in stacks; sweep points share the time grid. Each series
+    is reduced to its row as it arrives. Other engines run point by point.
     """
     rows = []
     for (engine, _), group in groupby(scenarios, lambda s: (s.engine, s.nmax)):
         group = list(group)
-        if engine != "pauli":
-            rows += [_sigma_row(run_scenario(scn)) for scn in group]
-            continue
-        for lo in range(0, len(group), integrate._CHUNK):
-            batch = group[lo : lo + integrate._CHUNK]
+        if engine == "pauli":
             series = pauli.evolve_population_batch(
-                [_initial_populations(scn) for scn in batch],
-                [scn.channels() for scn in batch],
-                batch[0].t_grid,
+                [_initial_populations(scn) for scn in group],
+                [scn.channels() for scn in group],
+                group[0].t_grid,
             )
-            rows += [_sigma_row(RunResult(scn, ts, {})) for scn, ts in zip(batch, series)]
+        else:
+            series = (run_scenario(scn).series for scn in group)
+        rows += map(_sigma_row, series)  # holds no series while the next is made
     return rows
 
 
 def _cmd_sweep(args) -> int:
-    fields, grid = sweep_grid(_apply_overrides(load_raw(args.scenario), args))
-    rows = _sweep_rows([parse_scenario(g) for g in grid])
+    fields, values, scenarios = sweep_grid(_apply_overrides(load_raw(args.scenario), args))
+    rows = _sweep_rows(scenarios)
 
     out_path = Path(args.out)
     out_path.mkdir(parents=True, exist_ok=True)
     header = fields + ["t_star", "sigma_star", "p1_star", "interior"]
     # the interior flag is 0 or 1, which "%.17g" writes as str() would
     table = [
-        [point["alpha"] if f == "alpha" else point["rates"][f] for f in fields]
-        + [row["t_star"], row["sigma_star"], row["p1_star"], row["interior"]]
-        for point, row in zip(grid, rows)
+        list(point) + [row["t_star"], row["sigma_star"], row["p1_star"], row["interior"]]
+        for point, row in zip(values, rows)
     ]
     csv_path = out_path / "sweep.csv"
     csv_path.write_text(",".join(header) + "\n" + _csv_rows(table))
@@ -327,12 +322,10 @@ def _cmd_sweep(args) -> int:
     # report-only monotonicity check: more linear loss should not help p1(t*)
     if "gamma_q" in fields:
         others = [f for f in fields if f != "gamma_q"]
+        q = fields.index("gamma_q")
         groups = {}
-        for point, row in zip(grid, rows):
-            key = tuple(
-                point["alpha"] if f == "alpha" else point["rates"][f] for f in others
-            )
-            groups.setdefault(key, []).append((point["rates"]["gamma_q"], row["p1_star"]))
+        for point, row in zip(values, rows):
+            groups.setdefault(point[:q] + point[q + 1 :], []).append((point[q], row["p1_star"]))
         for key, pairs in groups.items():
             pairs.sort()
             p1s = [p for _, p in pairs]
@@ -343,7 +336,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_validate(args) -> int:
     raw = load_raw(args.scenario)
-    violations = validate_dict(raw, allow_sweep=True)
+    violations = validate_dict(raw)
     if violations:
         raise ValidationError(violations)
     print(f"{args.scenario}: valid")

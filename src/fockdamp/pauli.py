@@ -17,9 +17,8 @@ import numpy as np
 
 from .analysis import Samples, TimeSeries
 from .channels import JumpChannel, lowering_amplitudes, lowering_weight
-from .errors import TraceDriftExceeded
 from .fock import DensityMatrix, _frozen_array
-from .integrate import EXACT, expm, integrate
+from .integrate import _CHUNK, EXACT, expm, integrate
 
 
 @dataclass(frozen=True)
@@ -92,16 +91,15 @@ def evolve_populations(p0, channels: list[JumpChannel], t_grid) -> TimeSeries:
 
 
 def evolve_population_batch(p0s, channel_sets, t_grid):
-    """Propagate N cascades of one cutoff together; yield their TimeSeries in order.
+    """Propagate N cascades of one cutoff; yield their TimeSeries in order.
 
-    The generators are stacked, so one ``expm`` call builds every propagator
-    and one ``integrate`` call advances the (N, levels) state. Each cascade
-    keeps its own ``analysis.Samples``, which sees exactly the samples of
-    ``evolve_populations`` and runs the same drift check. When any cascade
-    drifts, the reported one is the earliest to do so in time, then the
-    first in order. ``expm`` scales its stack of at most ``integrate._CHUNK``
-    matrices by their largest norm, so a cascade may take more squarings
-    here than alone. A recorder is dropped once its series is yielded.
+    The cascades run in stacks of at most ``integrate._CHUNK``, which bounds
+    their memory. A stack's generators are stacked, so one ``expm`` call
+    builds every propagator, one ``integrate`` call advances the (stack,
+    levels) state and one ``analysis.Samples`` records it with the drift
+    check of ``evolve_populations``: the cascade reported is the earliest
+    to drift in time, then the first in order. ``expm`` scales a stack by
+    its largest norm, so a cascade may take more squarings here than alone.
     """
     if len(p0s) != len(channel_sets):
         raise ValueError(f"{len(p0s)} initial states for {len(channel_sets)} channel sets")
@@ -109,25 +107,11 @@ def evolve_population_batch(p0s, channel_sets, t_grid):
         p0.p if isinstance(p0, PopulationVector) else PopulationVector(np.asarray(p0)).p
         for p0 in p0s
     ]
-    records = [Samples(t_grid, float(p.sum()), slice(None)) for p in p_inits]
-    gens = np.stack(
-        [population_generator(ch, p.size - 1) for ch, p in zip(channel_sets, p_inits)]
-    )
-
-    def post_accept(start, ys):
-        try:
-            for j, rec in enumerate(records):
-                rec.add(start, ys[:, j])
-        except TraceDriftExceeded:
-            # the block again, sample by sample: the earliest drift in time is raised
-            for i in range(len(ys)):
-                for j, rec in enumerate(records):
-                    rec.add(start + i, ys[i : i + 1, j])
-            raise
-
-    integrate(
-        lambda h: expm(gens * h), np.stack(p_inits).astype(float), records[0].t, EXACT,
-        post_accept=post_accept,
-    )
-    while records:
-        yield records.pop(0).series()
+    for lo in range(0, len(p_inits), _CHUNK):
+        stack = np.stack(p_inits[lo : lo + _CHUNK])
+        nmax = stack.shape[1] - 1
+        gens = np.stack([population_generator(ch, nmax) for ch in channel_sets[lo : lo + _CHUNK]])
+        record = Samples(t_grid, stack.sum(axis=1), slice(None))
+        integrate(lambda h: expm(gens * h), stack, record.t, EXACT, post_accept=record.add)
+        for j in range(len(stack)):
+            yield record.series(state=j)

@@ -10,7 +10,9 @@ manifest alone.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -91,7 +93,7 @@ SCENARIO_SCHEMA = {
             "required": ["n_traj", "master_seed"],
             "properties": {
                 "n_traj": {"type": "integer", "minimum": 1},
-                "master_seed": {"type": "integer", "minimum": 0},
+                "master_seed": {"type": "integer", "minimum": 0, "maximum": 2**64 - 1},
                 "dt_max": _positive,
             },
         },
@@ -111,7 +113,8 @@ SCENARIO_SCHEMA = {
             "additionalProperties": False,
             "minProperties": 1,
             "properties": {
-                k: {"type": "array", "minItems": 1, "items": {"type": "number"}}
+                k: {"type": "array", "minItems": 1,
+                    "items": _nonnegative if k in RATE_KEYS else {"type": "number"}}
                 for k in SWEEPABLE
             },
         },
@@ -206,65 +209,75 @@ class Scenario:
         return out
 
 
-def _semantic_violations(obj: dict) -> list[str]:
-    errors = []
-    engine = obj.get("engine")
-    rates = {k: float(obj.get("rates", {}).get(k, 0.0)) for k in RATE_KEYS}
-    if engine in ("dense", "pauli", "trajectories") and not any(v > 0 for v in rates.values()):
-        errors.append("at least one rate must be > 0 for the selected engine")
-    if engine == "twomode" and any(v > 0 for v in rates.values()):
-        errors.append("the twomode engine derives its rate from (u4, gamma_b); rates must be 0")
-    if engine == "trajectories" and "trajectory" not in obj:
-        errors.append("engine 'trajectories' requires the 'trajectory' block")
-    if engine != "trajectories" and "trajectory" in obj:
-        errors.append("'trajectory' block is only valid with engine 'trajectories'")
-    if engine == "twomode" and "twomode" not in obj:
-        errors.append("engine 'twomode' requires the 'twomode' block")
-    if engine != "twomode" and "twomode" in obj:
-        errors.append("'twomode' block is only valid with engine 'twomode'")
-    alpha = _as_complex(obj.get("alpha", 0.0))
-    nmax = obj.get("nmax")
-    if nmax is not None:
-        tail_tol = _tail_tol(engine)
-        tail = poisson_tail(abs(alpha) ** 2, int(nmax))
-        if tail >= tail_tol:
-            errors.append(
-                f"coherent tail beyond nmax={nmax} is {tail:.3e} (allowed {tail_tol:.0e})"
-            )
-        # a resolved cutoff is at least 3, so only a given one can be too small
-        for key, rate in rates.items():
-            k = _CHANNELS[key](rate).annihilation_power
-            if rate > 0 and k > int(nmax):
-                errors.append(f"{key} > 0 needs nmax >= {k}: a^{k} annihilates every level")
-    return errors
+def _points(obj: dict) -> tuple[list[str], list[tuple], list[tuple[complex, dict]]]:
+    """Sorted swept field names, each point's swept values in that order, and
+    each point's (alpha, rates); an object without 'sweep' is one point.
+    Points run lexicographically in the field names, each field iterating
+    in the order its values were listed."""
+    sweep = obj.get("sweep", {})
+    fields = sorted(sweep)
+    values = list(product(*(sweep[f] for f in fields)))
+    points = []
+    for point in values:
+        swept = dict(zip(fields, point))
+        alpha = _as_complex(swept.pop("alpha", obj["alpha"]))
+        rates = {**obj.get("rates", {}), **swept}
+        points.append((alpha, {k: float(rates.get(k, 0.0)) for k in RATE_KEYS}))
+    return fields, values, points
 
 
-def validate_dict(obj: dict, *, allow_sweep: bool) -> list[str]:
-    """All schema and semantic violations of a raw scenario object."""
+def validate_dict(obj: dict) -> list[str]:
+    """All schema and semantic violations of a raw scenario object.
+
+    The schema sees the whole object once; the checks of alpha and the rates
+    run for each point of a 'sweep' block, prefixed with its swept values.
+    """
     violations = []
     for err in sorted(_validator.iter_errors(obj), key=lambda e: list(map(str, e.path))):
         where = "/".join(str(p) for p in err.path) or "(top level)"
         violations.append(f"{where}: {err.message}")
     if violations:
         return violations
-    if not allow_sweep and "sweep" in obj:
-        violations.append("this scenario declares 'sweep' ranges; use the sweep command")
-    violations.extend(_semantic_violations(obj))
+    engine = obj["engine"]
+    if engine == "trajectories" and "trajectory" not in obj:
+        violations.append("engine 'trajectories' requires the 'trajectory' block")
+    if engine != "trajectories" and "trajectory" in obj:
+        violations.append("'trajectory' block is only valid with engine 'trajectories'")
+    if engine == "twomode" and "twomode" not in obj:
+        violations.append("engine 'twomode' requires the 'twomode' block")
+    if engine != "twomode" and "twomode" in obj:
+        violations.append("'twomode' block is only valid with engine 'twomode'")
+    nmax = obj.get("nmax")
+    fields, values, points = _points(obj)
+    for point, (alpha, rates) in zip(values, points):
+        errors = []
+        if engine in ("dense", "pauli", "trajectories") and not any(v > 0 for v in rates.values()):
+            errors.append("at least one rate must be > 0 for the selected engine")
+        if engine == "twomode" and any(v > 0 for v in rates.values()):
+            errors.append("the twomode engine derives its rate from (u4, gamma_b); rates must be 0")
+        if nmax is not None:
+            tail_tol = _tail_tol(engine)
+            tail = poisson_tail(abs(alpha) ** 2, int(nmax))
+            if tail >= tail_tol:
+                errors.append(
+                    f"coherent tail beyond nmax={nmax} is {tail:.3e} (allowed {tail_tol:.0e})"
+                )
+            # a resolved cutoff is at least 3, so only a given one can be too small
+            for key, rate in rates.items():
+                k = _CHANNELS[key](rate).annihilation_power
+                if rate > 0 and k > int(nmax):
+                    errors.append(f"{key} > 0 needs nmax >= {k}: a^{k} annihilates every level")
+        where = ", ".join(f"{f}={v:g}" for f, v in zip(fields, point))
+        violations += [f"{where}: {e}" if where else e for e in errors]
     return violations
 
 
-def parse_scenario(obj: dict) -> Scenario:
-    """Resolve a validated raw object into a Scenario (fills every default)."""
-    violations = validate_dict(obj, allow_sweep=False)
-    if violations:
-        raise ValidationError(violations)
-    alpha = _as_complex(obj["alpha"])
+def _resolve(obj: dict, alpha: complex, rates: dict) -> Scenario:
+    """The Scenario of a checked raw object, with alpha and the rates given."""
     engine = obj["engine"]
-    tail_tol = _tail_tol(engine)
     nmax = obj.get("nmax")
     if nmax is None:
-        nmax = min_cutoff_for_coherent(alpha, tail_tol=tail_tol).nmax
-    rates = {k: float(obj.get("rates", {}).get(k, 0.0)) for k in RATE_KEYS}
+        nmax = min_cutoff_for_coherent(alpha, tail_tol=_tail_tol(engine)).nmax
     tm = None
     if engine == "twomode":
         raw = obj["twomode"]
@@ -289,11 +302,29 @@ def parse_scenario(obj: dict) -> Scenario:
     )
 
 
+def parse_scenario(obj: dict) -> Scenario:
+    """Resolve a validated raw object into a Scenario (fills every default)."""
+    violations = validate_dict(obj)
+    if "sweep" in obj:
+        violations.append("this scenario declares 'sweep' ranges; use the sweep command")
+    if violations:
+        raise ValidationError(violations)
+    _, _, [(alpha, rates)] = _points(obj)
+    return _resolve(obj, alpha, rates)
+
+
 def load_raw(path) -> dict:
-    """Read a scenario or manifest file; manifests are unwrapped."""
+    """Read a scenario or manifest file; manifests are unwrapped, and NaN,
+    Infinity and numbers too large for a float are parse errors."""
+
+    def finite(token):
+        if not math.isfinite(value := float(token)):
+            raise ParseError(f"{path}: {token} is not a finite number")
+        return value
+
     text = Path(path).read_text()
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, parse_constant=finite, parse_float=finite)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
     if not isinstance(obj, dict):
@@ -305,36 +336,20 @@ def load_raw(path) -> dict:
     return obj
 
 
-def sweep_grid(obj: dict) -> tuple[list[str], list[dict]]:
-    """Expand the 'sweep' block into (sorted field names, resolved grid points).
+def sweep_grid(obj: dict) -> tuple[list[str], list[tuple], list[Scenario]]:
+    """Validate a sweep file once and resolve its grid.
 
-    Ordering is lexicographic in the sorted swept field names, each field
-    iterating in the order its values were listed.
+    Returns the sorted swept field names, each point's swept values as a
+    tuple in that order, and each point's Scenario, which keeps the base
+    name; see ``_points`` for the order of the points.
     """
-    violations = validate_dict(obj, allow_sweep=True)
+    violations = validate_dict(obj)
+    if "sweep" not in obj:
+        violations.append("sweep command requires a 'sweep' block")
     if violations:
         raise ValidationError(violations)
-    if "sweep" not in obj:
-        raise ValidationError(["sweep command requires a 'sweep' block"])
-    sweep = obj["sweep"]
-    fields = sorted(sweep.keys())
-    points = [{}]
-    for f in fields:
-        points = [dict(p, **{f: v}) for p in points for v in sweep[f]]
-    base = {k: v for k, v in obj.items() if k != "sweep"}
-    resolved = []
-    for p in points:
-        obj = json.loads(json.dumps(base))
-        for f, v in p.items():
-            if f == "alpha":
-                obj["alpha"] = v
-            else:
-                obj.setdefault("rates", {})[f] = v
-        obj["name"] = base.get("name", "sweep") + "_" + "_".join(
-            f"{f}-{p[f]:g}" for f in fields
-        )
-        resolved.append(obj)
-    return fields, resolved
+    fields, values, points = _points(obj)
+    return fields, values, [_resolve(obj, alpha, rates) for alpha, rates in points]
 
 
 _FIG_BASE = {

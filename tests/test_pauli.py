@@ -168,6 +168,23 @@ def test_batch_reports_the_earliest_drift_in_time_then_in_order(monkeypatch):
         list(evolve_population_batch(p0s, channels, grid))
 
 
+def test_batch_stacks_at_most_eight_cascades(monkeypatch):
+    sizes = []
+    original = pauli.integrate
+
+    def recorded(propagator, y0, t_grid, cfg, **kwargs):
+        sizes.append(len(y0))
+        return original(propagator, y0, t_grid, cfg, **kwargs)
+
+    monkeypatch.setattr(pauli, "integrate", recorded)
+    channels = [[nonlinear_loss(1.0), linear_loss(0.01 * i)] for i in range(9)]
+    grid = np.linspace(0, 2, 5)
+    batch = list(evolve_population_batch([poisson_vector(2.0, 12)] * 9, channels, grid))
+    assert sizes == [8, 1]
+    assert len(batch) == 9
+    assert batch[8].populations[-1, 0] > batch[0].populations[-1, 0]
+
+
 def test_batch_needs_one_state_per_channel_set():
     with pytest.raises(ValueError, match="2 initial states for 1 channel sets"):
         list(evolve_population_batch([poisson_vector(1.0, 5)] * 2, [[]], np.linspace(0, 1, 3)))

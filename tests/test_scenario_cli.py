@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import fockdamp as fd
-from fockdamp import cli
+from fockdamp import cli, scenario
 from fockdamp.errors import ValidationError
 from fockdamp.scenario import (
     load_raw,
@@ -38,36 +38,36 @@ BASE = {
 
 def test_unknown_fields_are_errors():
     bad = dict(BASE, frobnicate=1)
-    violations = validate_dict(bad, allow_sweep=False)
+    violations = validate_dict(bad)
     assert any("frobnicate" in v for v in violations)
 
 
 def test_all_violations_listed():
     bad = dict(BASE, rates={"gamma_x": 1.0}, engine="nope", samples=1)
-    violations = validate_dict(bad, allow_sweep=False)
+    violations = validate_dict(bad)
     assert len(violations) >= 3
 
 
 def test_engine_block_consistency():
     assert any(
         "trajectory" in v
-        for v in validate_dict(dict(BASE, engine="trajectories"), allow_sweep=False)
+        for v in validate_dict(dict(BASE, engine="trajectories"))
     )
     assert any(
-        "twomode" in v for v in validate_dict(dict(BASE, engine="twomode"), allow_sweep=False)
+        "twomode" in v for v in validate_dict(dict(BASE, engine="twomode"))
     )
     with_block = dict(BASE, trajectory={"n_traj": 10, "master_seed": 1})
-    assert any("trajectory" in v for v in validate_dict(with_block, allow_sweep=False))
+    assert any("trajectory" in v for v in validate_dict(with_block))
 
 
 def test_rate_required_for_single_mode_engines():
     bad = dict(BASE, rates={})
-    assert any("rate" in v for v in validate_dict(bad, allow_sweep=False))
+    assert any("rate" in v for v in validate_dict(bad))
 
 
 def test_tail_rule_checked_in_validation():
     bad = dict(BASE, alpha=3.0, nmax=20)
-    assert any("tail" in v for v in validate_dict(bad, allow_sweep=False))
+    assert any("tail" in v for v in validate_dict(bad))
 
 
 def test_nmax_auto_resolution():
@@ -252,7 +252,7 @@ def test_sigma_row_fallback_ignores_rounding_noise():
     assert np.argmin(sigma) == t.size - 40
     pops = np.tile([0.1, 0.9], (t.size, 1))
     series = fd.TimeSeries(t, np.zeros(t.size), sigma, np.zeros(t.size), np.zeros(t.size), pops)
-    row = cli._sigma_row(cli.RunResult(None, series, {}))
+    row = cli._sigma_row(series)
     assert row["interior"] == 0
     assert row["t_star"] == t[140]
     assert abs(row["sigma_star"] - 0.15) < 1e-15
@@ -270,14 +270,14 @@ def test_sweep_single_point_matches_run(tmp_path):
     direct = dict(base, name="direct")
     direct["rates"] = dict(base["rates"], gamma_q=0.025)
     result = cli.run_scenario(parse_scenario(direct))
-    expected = cli._sigma_row(result)
+    expected = cli._sigma_row(result.series)
     assert float(row[1]) == expected["t_star"]
     assert float(row[2]) == expected["sigma_star"]
     assert float(row[3]) == expected["p1_star"]
 
 
 def _batch_sizes(monkeypatch):
-    """Record the size of every Pauli batch the sweep runs."""
+    """Record the number of cascades of every call to the Pauli batch."""
     sizes = []
     batch = cli.pauli.evolve_population_batch
 
@@ -289,25 +289,37 @@ def _batch_sizes(monkeypatch):
     return sizes
 
 
+def raw_point(obj, fields, point):
+    """The plain scenario of one sweep point, built by hand from the file."""
+    raw = {k: v for k, v in obj.items() if k != "sweep"}
+    raw["rates"] = dict(raw.get("rates", {}))
+    for f, v in zip(fields, point):
+        if f == "alpha":
+            raw["alpha"] = v
+        else:
+            raw["rates"][f] = v
+    return raw
+
+
 def _assert_rows_match_single_runs(tmp_path, obj):
     """Each sweep.csv row equals the row of its grid point run on its own."""
-    fields, grid = sweep_grid(obj)
+    fields, values, scenarios = sweep_grid(obj)
     rows = np.loadtxt(tmp_path / "sweep.csv", delimiter=",", skiprows=1, ndmin=2)
-    assert rows.shape[0] == len(grid)
-    for point, row in zip(grid, rows):
-        swept = [point["alpha"] if f == "alpha" else point["rates"][f] for f in fields]
-        alone = cli._sigma_row(cli.run_scenario(parse_scenario(point)))
-        expected = swept + [alone[k] for k in ("t_star", "sigma_star", "p1_star", "interior")]
+    assert rows.shape[0] == len(values) == len(scenarios)
+    for point, row in zip(values, rows):
+        alone = cli._sigma_row(cli.run_scenario(parse_scenario(raw_point(obj, fields, point))).series)
+        expected = list(point) + [alone[k] for k in ("t_star", "sigma_star", "p1_star", "interior")]
         assert list(row) == expected
 
 
 def test_sweep_batches_match_single_runs(tmp_path, monkeypatch):
-    # nine points of one cutoff run as a batch of 8 and a batch of 1
+    # nine points of one cutoff go to the Pauli engine in one call, which
+    # stacks them as 8 and 1 (test_pauli.py)
     obj = dict(load_raw(str(SCENARIOS / "linear_loss_sweep.json")),
                sweep={"gamma_q": [0.0, 0.05, 0.1], "gamma_s": [0.0, 0.025, 0.3]})
     sizes = _batch_sizes(monkeypatch)
     assert cli.main(["sweep", write_json(tmp_path / "sweep.json", obj), "--out", str(tmp_path)]) == 0
-    assert sizes == [8, 1]
+    assert sizes == [9]
     _assert_rows_match_single_runs(tmp_path, obj)
 
 
@@ -343,10 +355,87 @@ def test_sweep_requires_sweep_block(tmp_path):
 
 def test_sweep_grid_ordering_multifield():
     obj = dict(BASE, sweep={"gamma_q": [0.1, 0.2], "alpha": [1.0, 2.0]})
-    fields, grid = sweep_grid(obj)
+    fields, values, scenarios = sweep_grid(obj)
     assert fields == ["alpha", "gamma_q"]
-    combos = [(g["alpha"], g["rates"]["gamma_q"]) for g in grid]
+    assert values == [(1.0, 0.1), (1.0, 0.2), (2.0, 0.1), (2.0, 0.2)]
+    combos = [(s.alpha, s.rates["gamma_q"]) for s in scenarios]
     assert combos == [(1.0, 0.1), (1.0, 0.2), (2.0, 0.1), (2.0, 0.2)]
+    assert {s.name for s in scenarios} == {"t"}
+
+
+def test_sweep_grid_resolves_a_large_swept_value():
+    # points keep the base name, so no generated name can fail its pattern
+    fields, values, scenarios = sweep_grid(dict(BASE, sweep={"gamma_q": [0.01, 1e16]}))
+    assert values == [(0.01,), (1e16,)]
+    assert [s.rates["gamma_q"] for s in scenarios] == [0.01, 1e16]
+
+
+def test_sweep_runs_the_schema_once(tmp_path, monkeypatch):
+    checked = []
+    validator = scenario._validator
+
+    class Spy:
+        def iter_errors(self, obj):
+            checked.append(obj)
+            return validator.iter_errors(obj)
+
+    monkeypatch.setattr(scenario, "_validator", Spy())
+    obj = dict(BASE, sweep={"gamma_q": [0.0, 0.1, 0.2], "alpha": [1.0, 1.2, 1.4]})
+    assert cli.main(["sweep", write_json(tmp_path / "sweep.json", obj), "--out", str(tmp_path)]) == 0
+    assert len(checked) == 1
+
+
+def test_negative_swept_rate_is_a_schema_error(tmp_path, capsys):
+    obj = dict(BASE, sweep={"gamma_q": [0.1, -0.1]})
+    assert cli.main(["sweep", write_json(tmp_path / "sweep.json", obj), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("  - ") == 1
+    assert "  - sweep/gamma_q/1: -0.1 is less than the minimum of 0" in err
+
+
+@pytest.mark.parametrize(
+    "change, violation",
+    [
+        ({"nmax": 20, "sweep": {"alpha": [1.0, 3.0]}},
+         "  - alpha=3: coherent tail beyond nmax=20 is 4.393e-04"),
+        ({"sweep": {"gamma_e": [1.0, 0.0]}},
+         "  - gamma_e=0: at least one rate must be > 0"),
+    ],
+    ids=["tail", "no-rate"],
+)
+def test_validate_checks_every_sweep_point_as_sweep_does(tmp_path, capsys, change, violation):
+    path = write_json(tmp_path / "sweep.json", dict(BASE, **change))
+    assert cli.main(["validate", path]) == 2
+    assert violation in capsys.readouterr().err
+    assert cli.main(["sweep", path, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert violation in err and err.count("  - ") == 1
+    assert not (tmp_path / "o").exists()
+    fine = dict(BASE, **change, rates={"gamma_e": 1.0, "gamma_q": 0.1})
+    fine["sweep"] = {f: values[:1] for f, values in change["sweep"].items()}
+    assert cli.main(["validate", write_json(tmp_path / "fine.json", fine)]) == 0
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999"])
+def test_non_finite_numbers_are_parse_errors(tmp_path, capsys, token):
+    path = tmp_path / "nonfinite.json"
+    path.write_text(json.dumps(BASE).replace('"gamma_e": 1.0', f'"gamma_e": 1.0, "gamma_q": {token}'))
+    for argv in (["validate", str(path)], ["run", str(path), "--out", str(tmp_path / "o")]):
+        assert cli.main(argv) == 2
+        assert f"{token} is not a finite number" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_master_seed_beyond_64_bits_is_a_validation_error(tmp_path):
+    obj = dict(BASE, engine="trajectories", samples=5,
+               trajectory={"n_traj": 10, "master_seed": 2**64})
+    path = write_json(tmp_path / "seed.json", obj)
+    assert cli.main(["validate", path]) == 2
+    assert cli.main(["run", path, "--out", str(tmp_path / "o")]) == 2
+    fits = write_json(tmp_path / "fits.json", dict(obj, trajectory={"n_traj": 10, "master_seed": 1}))
+    assert cli.main(["run", fits, "--out", str(tmp_path / "o"), "--seed", str(2**64)]) == 2
+    assert not (tmp_path / "o").exists()
+    assert cli.main(["run", fits, "--out", str(tmp_path / "o"), "--seed", str(2**64 - 1)]) == 0
 
 
 def test_seed_override(tmp_path):
