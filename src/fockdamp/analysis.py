@@ -8,7 +8,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channels import JumpChannel
+from .channels import JumpChannel, loss_table
 from .errors import (
     NoClosedForm,
     NoInteriorMinimum,
@@ -178,7 +178,7 @@ class Samples:
 
 @dataclass(frozen=True)
 class SteadyPrediction:
-    """Long-time populations pinned by a conservation law."""
+    """Long-time populations, all on the dark levels that ``regime`` names."""
 
     populations: np.ndarray
     regime: str
@@ -190,41 +190,26 @@ class SteadyPrediction:
 
 
 def steady_state_prediction(p0, channels: list[JumpChannel]) -> SteadyPrediction:
-    """Analytic long-time populations for channel sets a conservation law pins.
+    """Long-time populations of any channel mix, read from its loss table.
 
-    Pure nonlinear absorber: the vacuum weight decouples and everything else
-    collects at one photon. Pure two-photon loss splits by parity onto
-    {0, 1}; pure three-photon loss splits by photon number mod 3 onto
-    {0, 1, 2}. Any mix containing linear loss empties into the vacuum.
-    Other mixes have no closed form; use a long numeric run instead.
+    A level with zero loss is dark; every other level n empties, sending its
+    weight to n - d with the branching ratio rate * amp[n]**2 / loss[n] of
+    each channel lowering by d. One pass down the levels collects it on the
+    dark levels. Raises NoClosedForm when no channel is active.
     """
     p = _extract_populations(p0)
-    active = {(c.creation_power, c.annihilation_power) for c in channels if c.rate > 0.0}
-    if not active:
+    table = loss_table(channels, p.size - 1)
+    if not table.rates.size:
         raise NoClosedForm("no active channels; the state does not evolve")
-    out = np.zeros_like(p)
-    total = float(p.sum())
-    if (0, 1) in active:
-        out[0] = total
-        regime = "linear-loss mix: all mass to vacuum"
-    elif active == {(1, 2)}:
-        out[0] = p[0]
-        out[1] = total - p[0]
-        regime = "pure nonlinear absorber: vacuum weight frozen, rest to one photon"
-    elif active == {(0, 2)}:
-        out[0] = p[0::2].sum()
-        out[1] = p[1::2].sum()
-        regime = "pure two-photon loss: parity classes onto {0, 1}"
-    elif active == {(0, 3)}:
-        out[0] = p[0::3].sum()
-        out[1] = p[1::3].sum()
-        out[2] = p[2::3].sum()
-        regime = "pure three-photon loss: mod-3 classes onto {0, 1, 2}"
-    else:
-        raise NoClosedForm(
-            f"no conservation law pins the long-time state for channels {sorted(active)}"
-        )
-    return SteadyPrediction(out, regime)
+    dark = table.loss == 0.0
+    q = p.copy()
+    for n in np.flatnonzero(~dark)[::-1]:
+        to = n - table.lowerings
+        on = to >= 0
+        share = table.rates[on] * table.amps[on, n] ** 2 / table.loss[n]
+        np.add.at(q, to[on], q[n] * share)
+    regime = "mass collects on the dark levels {%s}" % ", ".join(map(str, np.flatnonzero(dark)))
+    return SteadyPrediction(np.where(dark, q, 0.0), regime)
 
 
 def effective_rate(u4: complex, gamma_b: float, gamma_a: float) -> float:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,18 +73,18 @@ def nonlinear_loss(rate: float) -> JumpChannel:
     return JumpChannel(1, 2, rate)
 
 
-def lowering_weight(channel: JumpChannel, n: int) -> float:
-    """|<n - d| L |n>|^2 for the lowering monomial L, zero when n < annihilation_power."""
+def lowering_weight(channel: JumpChannel, n):
+    """|<n - d| L |n>|^2 for the lowering monomial L, zero when n < annihilation_power;
+    ``n`` is a level or an integer array of levels."""
     j, k = channel.creation_power, channel.annihilation_power
-    if n < k:
-        return 0.0
-    w = 1.0
+    n = np.asarray(n)
+    w = np.ones(n.shape)
     for i in range(k):  # falling factorial n!/(n-k)!
         w *= n - i
-    v = n - k
-    for i in range(1, j + 1):  # rising factorial (v+1)...(v+j)
-        w *= v + i
-    return w
+    for i in range(1, j + 1):  # rising factorial (n-k+1)...(n-k+j)
+        w *= n - k + i
+    w = np.where(n < k, 0.0, w)
+    return w if w.ndim else float(w)
 
 
 def lowering_amplitudes(channel: JumpChannel, nmax: int) -> np.ndarray:
@@ -96,7 +97,32 @@ def lowering_amplitudes(channel: JumpChannel, nmax: int) -> np.ndarray:
         raise DimensionMismatch(
             f"a^{channel.annihilation_power} annihilates the whole space at nmax={nmax}"
         )
-    return np.sqrt([lowering_weight(channel, n) for n in range(nmax + 1)])
+    return np.sqrt(lowering_weight(channel, np.arange(nmax + 1)))
+
+
+class LossTable(NamedTuple):
+    """The active channels of a mix over levels 0..nmax: channel c takes level n
+    to n - lowerings[c] at rates[c] * amps[c, n]**2, and loss[n] sums those."""
+
+    rates: np.ndarray  # (channels,)
+    lowerings: np.ndarray  # (channels,) net lowering d of each channel
+    amps: np.ndarray  # (channels, levels) lowering_amplitudes rows
+    loss: np.ndarray  # (levels,)
+
+
+def loss_table(channels: list[JumpChannel], nmax: int) -> LossTable:
+    """The LossTable of the channels with a positive rate, in the order given,
+    with the loss summed in that order. Raises DimensionMismatch, as
+    ``lowering_amplitudes`` does, for an active a^k that empties the space."""
+    active = [c for c in channels if c.rate > 0.0]
+    amps = np.zeros((len(active), nmax + 1))
+    loss = np.zeros(nmax + 1)
+    for row, c in zip(amps, active):
+        row[:] = lowering_amplitudes(c, nmax)
+        loss += c.rate * row**2
+    rates = np.array([c.rate for c in active], dtype=float)
+    lowerings = np.array([c.net_lowering for c in active], dtype=np.int64)
+    return LossTable(rates, lowerings, amps, loss)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .analysis import TRACE_DRIFT_LIMIT, Samples, TimeSeries
-from .channels import JumpChannel, KerrTerm, lowering_amplitudes
+from .channels import JumpChannel, KerrTerm, loss_table
 from .errors import DimensionMismatch
 from .fock import DensityMatrix, FockCutoff, anharmonicity_matrix, jump_matrix
 from .integrate import EXACT, expm, integrate
@@ -63,15 +63,12 @@ def stripe_generators(channels, kerr, nmax) -> np.ndarray:
     d, k, l = _stripe_index(n1)
     u1 = kerr.strength if kerr is not None else 0.0
     stack = np.zeros((n1, n1, n1), dtype=np.complex128 if u1 != 0.0 else float)
-    s_tot = np.zeros(n1)
-    for c in channels:
-        if c.rate > 0.0:
-            amp = lowering_amplitudes(c, nmax)
-            s_tot += c.rate * amp**2
-            fed = l + c.net_lowering < n1
-            kf, lf = k[fed] + c.net_lowering, l[fed] + c.net_lowering
-            stack[d[fed], k[fed], kf] += c.rate * amp[kf] * amp[lf]
-    stack[d, k, k] = -0.5 * (s_tot[k] + s_tot[l])
+    table = loss_table(channels, nmax)
+    for rate, c, amp in zip(table.rates, table.lowerings, table.amps):
+        fed = l + c < n1
+        kf, lf = k[fed] + c, l[fed] + c
+        stack[d[fed], k[fed], kf] += rate * amp[kf] * amp[lf]
+    stack[d, k, k] = -0.5 * (table.loss[k] + table.loss[l])
     if u1 != 0.0:
         kappa = np.arange(n1) * (np.arange(n1) - 1.0)
         stack[d, k, k] -= 1j * u1 * (kappa[k] - kappa[l])

@@ -31,7 +31,7 @@ class PositivityViolated(FockdampError):
 
 
 class NoClosedForm(FockdampError):
-    """No conservation law pins the long-time state for this channel mix."""
+    """No channel of the mix is active, so no cascade sets a long-time state."""
 
 
 class NonpositiveGammaB(FockdampError):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import Samples, TimeSeries
-from .channels import JumpChannel, lowering_amplitudes, lowering_weight
+from .channels import JumpChannel, loss_table, lowering_weight
 from .fock import DensityMatrix, _frozen_array
 from .integrate import _CHUNK, EXACT, expm, integrate
 
@@ -68,14 +68,11 @@ def population_generator(channels: list[JumpChannel], nmax: int) -> np.ndarray:
     Level n loses rate * |<n-d| L |n>|^2 and passes it to level n - d; the
     eigenvalues of M are its diagonal, the loss rates.
     """
-    levels = np.arange(nmax + 1)
-    gen = np.zeros((nmax + 1, nmax + 1))
-    for c in channels:
-        if c.rate > 0.0:
-            w = c.rate * lowering_amplitudes(c, nmax) ** 2
-            gen[levels, levels] -= w
-            src = levels[c.net_lowering :]
-            gen[src - c.net_lowering, src] += w[src]
+    table = loss_table(channels, nmax)
+    gen = np.diag(0.0 - table.loss)  # not -loss, which would make dark diagonals -0.0
+    for rate, d, amp in zip(table.rates, table.lowerings, table.amps):
+        to = np.arange(nmax + 1 - d)
+        gen[to, to + d] += rate * amp[d:] ** 2
     return gen
 
 

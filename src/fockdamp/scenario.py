@@ -315,16 +315,21 @@ def parse_scenario(obj: dict) -> Scenario:
 
 def load_raw(path) -> dict:
     """Read a scenario or manifest file; manifests are unwrapped, and NaN,
-    Infinity and numbers too large for a float are parse errors."""
+    Infinity and numbers too large for a float are parse errors. Integers
+    stay exact, so a 64-bit master seed keeps every bit."""
 
     def finite(token):
         if not math.isfinite(value := float(token)):
             raise ParseError(f"{path}: {token} is not a finite number")
         return value
 
+    def integer(token):
+        finite(token)
+        return int(token)
+
     text = Path(path).read_text()
     try:
-        obj = json.loads(text, parse_constant=finite, parse_float=finite)
+        obj = json.loads(text, parse_constant=finite, parse_float=finite, parse_int=integer)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
     if not isinstance(obj, dict):

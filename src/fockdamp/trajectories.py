@@ -25,7 +25,7 @@ import numpy as np
 
 from . import _rng
 from .analysis import TimeSeries, observables
-from .channels import JumpChannel, KerrTerm, lowering_amplitudes
+from .channels import JumpChannel, KerrTerm, loss_table
 from .errors import SeedStreamExhausted
 from .fock import PureState, _frozen_array
 
@@ -192,28 +192,6 @@ def _run_chunk(w0, s, m2_all, rates, deltas, t_grid, keys, shift, out_p, out_p2)
     return n_draws
 
 
-def _jump_tables(psi0: PureState, channels: list[JumpChannel]):
-    """Normalized psi0, total decay rates s_n, and the per-channel
-    amplitudes, rates and net lowerings of the channels with a positive rate."""
-    active = [c for c in channels if c.rate > 0.0]
-    psi = np.array(psi0.amplitudes, dtype=np.complex128)
-    psi /= np.linalg.norm(psi)
-    n1 = psi.size
-    nmax = n1 - 1
-    n_ch = max(len(active), 1)
-    m_all = np.zeros((n_ch, n1))
-    rates = np.zeros(n_ch)
-    deltas = np.zeros(n_ch, dtype=np.int64)
-    s_tot = np.zeros(n1)
-    for ci, c in enumerate(active):
-        amp = lowering_amplitudes(c, nmax)
-        m_all[ci] = amp
-        rates[ci] = c.rate
-        deltas[ci] = c.net_lowering
-        s_tot += c.rate * amp**2
-    return psi, s_tot, m_all, rates, deltas
-
-
 def _no_jump_populations(w0, s, t_grid):
     """Normalized populations of a trajectory that never jumps, per sample.
 
@@ -258,21 +236,24 @@ def run_ensemble(
     unused. Trajectories run ``_CHUNK`` at a time, and the sums of each
     chunk are kept apart until ``_summarize`` combines them.
     """
-    psi, s_tot, m_all, rates, deltas = _jump_tables(psi0, channels)
+    psi = np.array(psi0.amplitudes, dtype=np.complex128)
+    psi /= np.linalg.norm(psi)
+    table = loss_table(channels, psi.size - 1)
     t_grid = cfg.t_grid
-    m2_all = m_all**2
+    m2_all = table.amps**2
     n_chunks = -(-cfg.n_traj // _CHUNK)
     out_p = np.zeros((n_chunks, t_grid.size, psi.size))
     out_p2 = np.zeros_like(out_p)
     draws = np.zeros(cfg.n_traj, dtype=np.int64)
     w0 = psi.real**2 + psi.imag**2
-    shift = _no_jump_populations(w0, s_tot, t_grid)
+    shift = _no_jump_populations(w0, table.loss, t_grid)
 
     for ci in range(n_chunks):
         lo = ci * _CHUNK
         hi = min(cfg.n_traj, lo + _CHUNK)
         keys = _rng.stream_key(cfg.master_seed, np.arange(lo, hi, dtype=np.uint64))
         draws[lo:hi] = _run_chunk(
-            w0, s_tot, m2_all, rates, deltas, t_grid, keys, shift, out_p[ci], out_p2[ci]
+            w0, table.loss, m2_all, table.rates, table.lowerings, t_grid, keys, shift,
+            out_p[ci], out_p2[ci],
         )
     return _summarize(t_grid, shift, out_p, out_p2, draws)

@@ -161,19 +161,30 @@ def test_steady_linear_mix_empties():
 def test_steady_no_closed_form():
     p0 = poisson_vector(4.0, 25)
     with pytest.raises(fd.NoClosedForm):
-        steady_state_prediction(p0, [nonlinear_loss(1.0), two_photon_loss(0.1)])
-    with pytest.raises(fd.NoClosedForm):
         steady_state_prediction(p0, [nonlinear_loss(0.0)])
 
 
+def test_steady_needs_every_active_channel_inside_the_cutoff():
+    # a^3 empties levels 0..2, as every engine reports; a zero rate is ignored
+    p0 = poisson_vector(1.0, 2)
+    with pytest.raises(fd.DimensionMismatch):
+        steady_state_prediction(p0, [nonlinear_loss(1.0), three_photon_loss(0.1)])
+    pred = steady_state_prediction(p0, [nonlinear_loss(1.0), three_photon_loss(0.0)])
+    assert pred.regime == "mass collects on the dark levels {0, 1}"
+
+
 def test_steady_predictions_match_long_runs():
-    # closed forms vs a long numeric run, for every covered channel set
+    # the cascade's dark-level weights vs a long numeric run, for the mixes a
+    # conservation law pins and for mixes that no law pins
     p0 = poisson_vector(9.0, 40)
     cases = [
         [nonlinear_loss(1.0)],
         [two_photon_loss(1.0)],
         [three_photon_loss(1.0)],
         [nonlinear_loss(1.0), linear_loss(1.0)],
+        [nonlinear_loss(1.0), two_photon_loss(0.1)],
+        [nonlinear_loss(1.0), two_photon_loss(0.05), three_photon_loss(0.02)],
+        [two_photon_loss(0.3), three_photon_loss(1.0)],
     ]
     for channels in cases:
         pred = steady_state_prediction(p0, channels)
@@ -182,7 +193,10 @@ def test_steady_predictions_match_long_runs():
         rates = np.abs(np.diag(fd.population_generator(channels, 40)))
         t_end = 100.0 / rates[rates > 0.0].min()
         series = fd.evolve_populations(p0, channels, np.array([0.0, t_end]))
-        assert np.max(np.abs(series.populations[-1] - pred.populations)) < 1e-6
+        assert np.max(np.abs(series.populations[-1] - pred.populations)) < 1e-12
+    # the gamma_e + gamma_s admixture of fig. 2 keeps 95 % at one photon
+    pred = steady_state_prediction(p0, [nonlinear_loss(1.0), two_photon_loss(0.05)])
+    assert abs(pred.populations[1] - 0.953452) < 1e-6
 
 
 def test_effective_rate_formula():

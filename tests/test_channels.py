@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,18 @@ def test_weights_by_hand():
     assert lowering_weight(three_photon_loss(1.0), 5) == 60.0  # 5*4*3
     assert lowering_weight(linear_loss(1.0), 7) == 7.0
     assert lowering_weight(two_photon_loss(1.0), 4) == 12.0  # 4*3
+
+
+@pytest.mark.parametrize("channel", ALL_CHANNELS + [JumpChannel(2, 5, 1.0)])
+def test_weights_of_a_level_array_are_the_exact_products(channel):
+    # reference in Python integers: n!/(n-k)! times (n-k+j)!/(n-k)!
+    j, k = channel.creation_power, channel.annihilation_power
+    levels = np.arange(-1, 60)
+    exact = [math.perm(n, k) * math.perm(n - k + j, j) if n >= k else 0 for n in levels]
+    weights = lowering_weight(channel, levels)
+    np.testing.assert_array_equal(weights, np.array(exact, dtype=float))
+    assert not np.signbit(weights).any()  # levels below k weigh +0.0
+    assert [lowering_weight(channel, int(n)) for n in levels] == weights.tolist()
 
 
 def test_channel_validation():

@@ -1,6 +1,7 @@
 """Property tests over random channel mixes: the dense and population
-engines agree, the trace holds, the dense state stays positive, and pure
-d-photon loss conserves the mass of each class of n mod d."""
+engines agree, the trace holds, the dense state stays positive, pure
+d-photon loss conserves the mass of each class of n mod d, and the engines
+and the long-time prediction read one loss table."""
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from fockdamp.channels import (  # noqa: E402
     three_photon_loss,
     two_photon_loss,
 )
+from fockdamp.dynamics import stripe_generators  # noqa: E402
 
 GRID = np.linspace(0.0, 3.0, 7)
 CHANNELS = (nonlinear_loss, linear_loss, two_photon_loss, three_photon_loss)
@@ -73,3 +75,33 @@ def test_pure_d_photon_loss_conserves_classes(d, rate, alpha, nmax):
     pops = fd.evolve_populations(p0, [loss(rate)], GRID).populations
     for r in range(d):
         assert np.max(np.abs(pops[:, r::d].sum(axis=1) - p0[r::d].sum())) <= 1e-8
+
+
+@st.composite
+def populations(draw):
+    """A random population vector over 4..31 levels, summing to at most 1."""
+    nmax = draw(st.integers(3, 30))
+    w = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=nmax + 1, max_size=nmax + 1)))
+    return w / max(w.sum(), 1.0)
+
+
+@PROPS
+@given(rates=mixes, p0=populations(), kerr=st.floats(0.0, 2.0))
+def test_engines_read_one_loss_table(rates, p0, kerr):
+    channels = [make(r) for make, r in zip(CHANNELS, rates)]
+    nmax = p0.size - 1
+    gen = fd.population_generator(channels, nmax)
+    diag = np.diag(gen)
+    # columns conserve probability: what level n loses, lower levels gain
+    assert np.max(np.abs(gen.sum(axis=0))) <= 1e-12 * np.max(np.abs(diag))
+    # stripe 0 of the dense generator is the population cascade
+    stripe0 = stripe_generators(channels, fd.KerrTerm(kerr), nmax)[0]
+    assert np.max(np.abs(stripe0 - gen)) <= 1e-15 * np.max(np.abs(gen))
+    assert np.array_equal(np.diag(stripe0), diag)
+    # the long-time state keeps the total and lives on the dark levels
+    pred = fd.steady_state_prediction(p0, channels).populations
+    assert abs(pred.sum() - p0.sum()) <= 1e-12
+    assert np.all(pred[diag != 0.0] == 0.0)
+    t_end = 100.0 / np.abs(diag[diag != 0.0]).min()
+    series = fd.evolve_populations(p0, channels, np.array([0.0, t_end]))
+    assert np.max(np.abs(series.populations[-1] - pred)) <= 1e-9

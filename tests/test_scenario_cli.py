@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import xml.etree.ElementTree as ET
@@ -99,6 +100,23 @@ def test_preset_fidelity_fig2():
     assert all(r["alpha"] == 3.0 for r in raws)
 
 
+def test_presets_write_every_run_and_the_fig2_minimum(tmp_path):
+    assert cli.main(["preset", "fig1", "--out", str(tmp_path)]) == 0
+    assert cli.main(["preset", "fig2", "--svg", "--out", str(tmp_path)]) == 0
+    for raw in preset_scenarios("fig1") + preset_scenarios("fig2"):
+        run_dir = tmp_path / raw["name"]
+        assert (run_dir / "timeseries.csv").exists() and (run_dir / "manifest.json").exists()
+        assert (run_dir / "plot.svg").exists() == raw["name"].startswith("fig2")
+    report = json.loads((tmp_path / "fig2_sigma_min.json").read_text())
+    assert report["scenario"] == "fig2_add_mixed"
+    assert abs(report["t_star"] - 2.382) <= 0.05  # one grid spacing of t_max / 2000
+    assert abs(report["p1_at_t_star"] - 0.92513) <= 1e-3
+    # the pure absorber never touches the vacuum, so p0 stays e^-|alpha|^2
+    header, *rows = (tmp_path / "fig1_pure_nonlinear" / "timeseries.csv").read_text().splitlines()
+    last = dict(zip(header.split(","), map(float, rows[-1].split(","))))
+    assert abs(last["p0"] - math.exp(-9.0)) <= 1e-12
+
+
 def test_run_flag_mode_csv_value(tmp_path):
     rc = cli.main([
         "run", "--alpha", "3", "--rates", "e=1", "--tmax", "100", "--samples", "21",
@@ -111,6 +129,46 @@ def test_run_flag_mode_csv_value(tmp_path):
     assert header[5] == "p0" and header[-1] == "p40"
     last = dict(zip(header, rows[-1].split(",")))
     assert abs(float(last["mean_n"]) - (1 - math.exp(-9))) < 1e-6
+
+
+FLAG_RUN = ["run", "--alpha", "1.2", "--rates", "e=1,q=0.05", "--tmax", "4", "--samples", "9",
+            "--name", "flags"]
+
+
+@pytest.mark.parametrize(
+    "rates, message",
+    [
+        ("q0.1", "bad --rates entry 'q0.1'; expected key=value"),
+        ("x=1", "unknown rate 'x'; use e, q, s, t"),
+        ("q=abc", "bad rate value 'abc' for gamma_q"),
+    ],
+    ids=["no-equals", "unknown-key", "bad-value"],
+)
+def test_run_flag_mode_rates_errors(tmp_path, capsys, rates, message):
+    argv = FLAG_RUN[:4] + [rates] + FLAG_RUN[5:] + ["--out", str(tmp_path / "o")]
+    assert cli.main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_run_flag_mode_fixed_step_and_u1(tmp_path):
+    runs = {"plain": [], "fixed": ["--fixed-step", "0.01"], "kerr": ["--u1", "0.4"]}
+    scenario, csv = {}, {}
+    for out, extra in runs.items():
+        assert cli.main(FLAG_RUN + extra + ["--out", str(tmp_path / out)]) == 0
+        run_dir = tmp_path / out / "flags"
+        scenario[out] = json.loads((run_dir / "manifest.json").read_text())["scenario"]
+        csv[out] = (run_dir / "timeseries.csv").read_text()
+    # the fixed step is recorded for replay and changes no result
+    assert "integrator" not in scenario["plain"]
+    assert scenario["fixed"]["integrator"] == {"fixed_step": 0.01}
+    assert csv["fixed"] == csv["plain"]
+    # the Kerr term turns coherences only, so the populations move by rounding
+    assert scenario["kerr"]["u1"] == 0.4 and scenario["plain"]["u1"] == 0.0
+    kerr, plain = (
+        np.loadtxt(io.StringIO(csv[out]), delimiter=",", skiprows=1)[:, 5:] for out in ("kerr", "plain")
+    )
+    assert np.max(np.abs(kerr - plain)) <= 1e-12
 
 
 def test_run_scenario_file_and_manifest_roundtrip(tmp_path):
@@ -436,6 +494,20 @@ def test_master_seed_beyond_64_bits_is_a_validation_error(tmp_path):
     assert cli.main(["run", fits, "--out", str(tmp_path / "o"), "--seed", str(2**64)]) == 2
     assert not (tmp_path / "o").exists()
     assert cli.main(["run", fits, "--out", str(tmp_path / "o"), "--seed", str(2**64 - 1)]) == 0
+
+
+@pytest.mark.parametrize("field", ["t_max", "samples", "nmax"])
+def test_integers_beyond_float_range_are_parse_errors(tmp_path, capsys, field):
+    path = tmp_path / "huge.json"
+    text = json.dumps(dict(BASE, **{field: 7}))
+    path.write_text(text.replace(f'"{field}": 7', f'"{field}": {"9" * 400}'))
+    for argv in (["validate", str(path)], ["run", str(path), "--out", str(tmp_path / "o")]):
+        assert cli.main(argv) == 2
+        assert f"{'9' * 400} is not a finite number" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+    # integers a float holds stay exact
+    seed = write_json(tmp_path / "seed.json", {"master_seed": 2**64 - 1})
+    assert load_raw(seed)["master_seed"] == 2**64 - 1
 
 
 def test_seed_override(tmp_path):

@@ -5,7 +5,13 @@ import pytest
 
 import fockdamp as fd
 from fockdamp import _rng, trajectories
-from fockdamp.channels import linear_loss, nonlinear_loss, three_photon_loss, two_photon_loss
+from fockdamp.channels import (
+    linear_loss,
+    loss_table,
+    nonlinear_loss,
+    three_photon_loss,
+    two_photon_loss,
+)
 from fockdamp.trajectories import TrajectoryConfig, run_ensemble
 
 
@@ -93,7 +99,8 @@ def _traj_np(psi0, s, theta, m_all, rates, deltas, t_grid, key, shift, out_p, ou
 
 
 def reference_ensemble(psi0, channels, kerr, cfg):
-    psi, s, m_all, rates, deltas = trajectories._jump_tables(psi0, channels)
+    psi = psi0.amplitudes / np.linalg.norm(psi0.amplitudes)
+    rates, deltas, m_all, s = loss_table(channels, psi.size - 1)
     t_grid = cfg.t_grid
     n = np.arange(psi.size, dtype=float)
     theta = (kerr.strength if kerr is not None else 0.0) * n * (n - 1.0)
@@ -180,7 +187,8 @@ REFERENCE_CASES = test_batched_sampler_matches_scalar_reference.pytestmark[0].ar
 def test_draw_counts_match_scalar_reference(psi0, channels, kerr, cfg, chunk):
     # one draw per waiting time and one per channel pick, as the reference takes
     # them; draw counts do not depend on the chunking, so one chunk runs them all
-    psi, s, m_all, rates, deltas = trajectories._jump_tables(psi0, channels)
+    psi = psi0.amplitudes / np.linalg.norm(psi0.amplitudes)
+    rates, deltas, m_all, s = loss_table(channels, psi.size - 1)
     t_grid = cfg.t_grid
     n = np.arange(psi.size, dtype=float)
     theta = (kerr.strength if kerr is not None else 0.0) * n * (n - 1.0)
