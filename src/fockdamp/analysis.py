@@ -3,7 +3,7 @@ and the stopping-time search on sampled standard deviations."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -94,13 +94,15 @@ def moments(populations) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``mean_n``, ``std_n`` and ``g2`` of every row of a (samples, levels) array.
 
     One array operation each: the variance is clamped at 0 and g2 is 0 where
-    the mean is not positive. ``observables`` is its one-row case.
+    the squared mean is not positive, which takes in a mean below about
+    1e-154 whose square underflows. ``observables`` is its one-row case.
     """
     p = np.asarray(populations, dtype=float)
     n = np.arange(p.shape[1], dtype=float)
     mean = p @ n
-    std = np.sqrt(np.maximum(p @ (n * n) - mean * mean, 0.0))
-    g2 = np.divide(p @ (n * (n - 1.0)), mean * mean, out=np.zeros_like(mean), where=mean > 0.0)
+    mean2 = mean * mean
+    std = np.sqrt(np.maximum(p @ (n * n) - mean2, 0.0))
+    g2 = np.divide(p @ (n * (n - 1.0)), mean2, out=np.zeros_like(mean), where=mean2 > 0.0)
     return mean, std, g2
 
 

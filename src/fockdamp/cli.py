@@ -25,7 +25,7 @@ from .errors import (
     TraceDriftExceeded,
     ValidationError,
 )
-from .fock import PureState, coherent_density, coherent_state
+from .fock import coherent_density, coherent_state
 from .scenario import (
     RATE_KEYS,
     Scenario,
@@ -65,7 +65,7 @@ def run_scenario(scn: Scenario) -> RunResult:
     elif scn.engine == "trajectories":
         psi0 = coherent_state(scn.alpha, scn.cutoff)
         result = trajectories.run_ensemble(psi0, scn.channels(), scn.kerr(), scn.trajectory_config())
-        series = result.to_timeseries()
+        series = result.series
         extras["stderr"] = result.stderr
     elif scn.engine == "twomode":
         rho_a = coherent_density(scn.alpha, scn.cutoff, tail_tol=scn.tail_tol)

@@ -20,6 +20,7 @@ from .errors import CutoffTooSmall, DimensionMismatch
 
 _HERM_TOL = 1e-12
 _NORM_TOL = 1e-12
+_CUTOFF_MARGIN = 2  # levels min_cutoff_for_coherent adds above the tail bound
 
 
 @dataclass(frozen=True)
@@ -147,7 +148,7 @@ def poisson_tail(mean_photons: float, nmax: int) -> float:
     return float(gammainc(nmax + 1, mean_photons))
 
 
-def min_cutoff_for_coherent(alpha: complex, tail_tol: float = 1e-12, margin: int = 2) -> FockCutoff:
+def min_cutoff_for_coherent(alpha: complex, tail_tol: float = 1e-12) -> FockCutoff:
     """Smallest cutoff keeping the coherent-state tail below tail_tol, plus a safety margin."""
     mean = abs(alpha) ** 2
     n = max(1, math.ceil(mean))
@@ -155,7 +156,7 @@ def min_cutoff_for_coherent(alpha: complex, tail_tol: float = 1e-12, margin: int
         n += 1
         if n > 100_000:
             raise ValueError("cutoff search did not converge")
-    return FockCutoff(n + margin)
+    return FockCutoff(n + _CUTOFF_MARGIN)
 
 
 def coherent_amplitudes(alpha: complex, cutoff: FockCutoff) -> np.ndarray:

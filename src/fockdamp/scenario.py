@@ -73,7 +73,8 @@ SCENARIO_SCHEMA = {
         },
         "u1": {"type": "number"},
         "t_max": _positive,
-        "samples": {"type": "integer", "minimum": 2},
+        # far above fig. 2's 2001; makes a grid too large to allocate a validation error
+        "samples": {"type": "integer", "minimum": 2, "maximum": 10**6},
         "engine": {"enum": list(ENGINES)},
         # accepted and echoed so that older manifests replay; propagation is
         # exact, so none of these fields changes a result

@@ -206,7 +206,7 @@ def test_criterion_5_trajectories_agree(mc_runs, pauli_on_mc_grid):
     worst_frac = 1.0
     for name, mc in mc_runs.items():
         me = pauli_on_mc_grid[name]
-        diff = np.abs(mc.mean_populations - me.populations)
+        diff = np.abs(mc.series.populations - me.populations)
         ok_bins = diff <= 3.0 * mc.stderr + 1e-12
         worst_frac = min(worst_frac, float(ok_bins.mean()))
     ok = worst_frac >= 0.95
@@ -336,7 +336,7 @@ def test_criterion_8_trajectory_seed_determinism(preset_scns):
     cfg = TrajectoryConfig(n_traj=2000, master_seed=4242, t_grid=np.linspace(0, 20, 6))
     a = run_ensemble(psi0, scn.channels(), None, cfg)
     b = run_ensemble(psi0, scn.channels(), None, cfg)
-    same = np.array_equal(a.mean_populations, b.mean_populations) and np.array_equal(
+    same = np.array_equal(a.series.populations, b.series.populations) and np.array_equal(
         a.stderr, b.stderr
     )
     assert report(8, same, "equal seeds give bit-identical ensemble means and errors")

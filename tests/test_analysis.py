@@ -45,6 +45,15 @@ def test_observables_vacuum_g2_defined_zero():
     assert observables(np.array([1.0, 0.0])).g2 == 0.0
 
 
+@pytest.mark.filterwarnings("error")
+def test_moments_g2_is_zero_where_the_squared_mean_underflows():
+    # a mean of 1e-170 squares to 0.0, so n(n-1)/mean^2 would be 0/0
+    mean, std, g2 = moments(np.array([[1.0 - 1e-170, 1e-170, 0.0]]))
+    assert mean[0] == 1e-170
+    assert std[0] > 0.0
+    assert g2[0] == 0.0
+
+
 def test_moments_match_observables_row_by_row():
     rng = np.random.default_rng(11)
     pops = rng.random((40, 9)) ** 3

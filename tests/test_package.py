@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -38,3 +39,23 @@ def test_cli_import_leaves_scipy_sparse_unloaded():
     # the two-mode sector generator is built dense; scipy.sparse would add
     # set-up time and resident memory
     assert not _loaded_after_cli_import("scipy.sparse")
+
+
+def test_every_imported_name_is_used():
+    # __init__.py re-exports its imports, so it is the one module left out
+    unused = []
+    for path in sorted(Path(fd.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in used:
+                    unused.append(f"{path.name}:{node.lineno} {name}")
+    assert unused == []

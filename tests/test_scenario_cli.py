@@ -9,7 +9,7 @@ import pytest
 
 import fockdamp as fd
 from fockdamp import cli, scenario
-from fockdamp.errors import ValidationError
+from fockdamp.errors import NoInteriorMinimum, ValidationError
 from fockdamp.scenario import (
     load_raw,
     parse_scenario,
@@ -567,6 +567,98 @@ def test_trajectory_counts_written_as_integral_floats_run(tmp_path):
     assert cli.main(["run", write_json(tmp_path / "ints.json", as_ints), "--out", str(tmp_path / "b")]) == 0
     for name in ("timeseries.csv", "stderr.csv"):
         assert (tmp_path / "a" / "t" / name).read_bytes() == (tmp_path / "b" / "t" / name).read_bytes()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.json")), ids=lambda p: p.stem)
+def test_bundled_scenarios_validate_and_run(tmp_path, path):
+    assert cli.main(["validate", str(path)]) == 0
+    raw = load_raw(str(path))
+    if "sweep" in raw:
+        command, written = "sweep", "sweep.csv"
+    else:
+        command, written = "run", f"{raw['name']}/timeseries.csv"
+    assert cli.main([command, str(path), "--out", str(tmp_path)]) == 0
+    assert (tmp_path / written).exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_g2_is_zero_where_the_mean_underflows(tmp_path):
+    # at t = 400 the mean is e^-400 ~ 1.9e-174, whose square underflows
+    argv = ["run", "--alpha", "1", "--rates", "q=1", "--tmax", "400", "--samples", "5",
+            "--engine", "pauli", "--name", "dark", "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+    table = np.loadtxt(tmp_path / "dark" / "timeseries.csv", delimiter=",", skiprows=1)
+    assert 0.0 < table[-1, 1] < 1e-170
+    assert table[-1, 3] == 0.0
+    assert np.all(np.isfinite(table))
+
+
+@pytest.mark.parametrize("samples", [10**6 + 1, 1e30])
+def test_samples_above_the_bound_is_a_validation_error(tmp_path, capsys, samples):
+    # the bound is 10**6; only values above it, since a valid grid that large is allocated
+    path = write_json(tmp_path / "big.json", dict(BASE, samples=samples))
+    for argv in (["validate", path], ["run", path, "--out", str(tmp_path / "o")]):
+        assert cli.main(argv) == 2
+        assert "samples" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "obj, pairs",
+    [
+        pytest.param(dict(BASE, engine="dense", alpha=[1.5, 1.0], u1=0.3),
+                     {"alpha": [1.5, 1.0]}, id="dense-complex-alpha"),
+        pytest.param({"name": "t", "alpha": 1.0, "nmax": 8, "t_max": 10.0, "samples": 6,
+                      "engine": "twomode",
+                      "twomode": {"u4": [0.6, 0.8], "gamma_b": 40.0, "gamma_a_formula": 30.0}},
+                     {"twomode": {"u4": [0.6, 0.8], "gamma_b": 40.0, "gamma_a_formula": 30.0,
+                                  "nmax_b": 4}}, id="twomode-complex-u4"),
+    ],
+)
+def test_complex_inputs_survive_manifest_replay(tmp_path, obj, pairs):
+    path = write_json(tmp_path / "scn.json", obj)
+    assert cli.main(["run", path, "--out", str(tmp_path / "a")]) == 0
+    manifest = tmp_path / "a" / "t" / "manifest.json"
+    replayed = json.loads(manifest.read_text())["scenario"]
+    assert {k: replayed[k] for k in pairs} == pairs
+    assert cli.main(["run", str(manifest), "--out", str(tmp_path / "b")]) == 0
+    csvs = sorted(f.name for f in (tmp_path / "a" / "t").glob("*.csv"))
+    assert "timeseries.csv" in csvs
+    for name in csvs:
+        a, b = ((tmp_path / d / "t" / name).read_bytes() for d in ("a", "b"))
+        assert a == b
+
+
+def test_preset_fig2_reports_a_missing_interior_minimum(tmp_path, monkeypatch, capsys):
+    def no_minimum(series, window):
+        raise NoInteriorMinimum("std_n has no interior minimum on [0.5, 20.0]")
+
+    # one small run stands in for the preset's three; the report reads the last
+    monkeypatch.setattr(cli, "preset_scenarios", lambda which: [dict(BASE, name="fig2_small")])
+    monkeypatch.setattr(fd.analysis, "find_sigma_min", no_minimum)
+    assert cli.main(["preset", "fig2", "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "fig2_sigma_min.json").read_text())
+    assert report == {
+        "scenario": "fig2_small",
+        "t_star": None,
+        "detail": "std_n has no interior minimum on [0.5, 20.0]",
+    }
+    assert "no interior sigma minimum: std_n has no interior minimum" in capsys.readouterr().out
+
+
+def test_sweep_warns_where_p1_rises_with_linear_loss(tmp_path, monkeypatch, capsys):
+    # points run (q, s) = (0, 0), (0, 0.05), (0.1, 0), (0.1, 0.05); at s = 0
+    # p1 rises from 0.9 to 0.95 as gamma_q grows, at s = 0.05 it falls
+    p1s = [0.9, 0.8, 0.95, 0.7]
+    rows = [{"t_star": 1.0, "sigma_star": 0.1, "p1_star": p, "interior": 1} for p in p1s]
+    monkeypatch.setattr(cli, "_sweep_rows", lambda scenarios: rows)
+    obj = dict(BASE, sweep={"gamma_q": [0.0, 0.1], "gamma_s": [0.0, 0.05]})
+    assert cli.main(["sweep", write_json(tmp_path / "s.json", obj), "--out", str(tmp_path)]) == 0
+    warned = [line for line in capsys.readouterr().out.splitlines() if line.startswith("WARNING")]
+    assert warned == ["WARNING: p1(t*) not nonincreasing in gamma_q at {'gamma_s': 0.0}"]
+    table = np.loadtxt(tmp_path / "sweep.csv", delimiter=",", skiprows=1)
+    assert table[:, 4].tolist() == p1s
 
 
 def test_twomode_engine_via_cli(tmp_path):

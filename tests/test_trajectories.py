@@ -125,7 +125,7 @@ def assert_matches_reference(psi0, channels, kerr, cfg, chunk=trajectories._CHUN
         mp.setattr(trajectories, "_CHUNK", chunk)
         got = run_ensemble(psi0, channels, kerr, cfg)
         ref = reference_ensemble(psi0, channels, kerr, cfg)
-    assert np.max(np.abs(got.mean_populations - ref.mean_populations)) <= 1e-9
+    assert np.max(np.abs(got.series.populations - ref.series.populations)) <= 1e-9
     assert np.max(np.abs(got.stderr - ref.stderr)) <= 1e-9
     return got
 
@@ -188,7 +188,8 @@ def test_draw_counts_match_scalar_reference(psi0, channels, kerr, cfg, chunk):
     # one draw per waiting time and one per channel pick, as the reference takes
     # them; draw counts do not depend on the chunking, so one chunk runs them all
     psi = psi0.amplitudes / np.linalg.norm(psi0.amplitudes)
-    rates, deltas, m_all, s = loss_table(channels, psi.size - 1)
+    table = loss_table(channels, psi.size - 1)
+    rates, deltas, m_all, s = table
     t_grid = cfg.t_grid
     n = np.arange(psi.size, dtype=float)
     theta = (kerr.strength if kerr is not None else 0.0) * n * (n - 1.0)
@@ -196,9 +197,7 @@ def test_draw_counts_match_scalar_reference(psi0, channels, kerr, cfg, chunk):
     shift = trajectories._no_jump_populations(w0, s, t_grid)
     sums = np.zeros((2, t_grid.size, psi.size))
     keys = [_rng.stream_key(cfg.master_seed, tr) for tr in range(cfg.n_traj)]
-    got = trajectories._run_chunk(
-        w0, s, m_all**2, rates, deltas, t_grid, np.array(keys, dtype=np.uint64), shift, *sums
-    )
+    got = trajectories._run_chunk(w0, table, t_grid, np.array(keys, dtype=np.uint64), shift, *sums)
     want = [
         _traj_np(psi, s, theta, m_all, rates, deltas, t_grid, k, shift, *sums) for k in keys
     ]
@@ -238,9 +237,9 @@ def test_no_dark_population_on_a_long_grid(psi0, channels, final):
     # exp(-s t) of every populated level underflows on this grid
     cfg = TrajectoryConfig(n_traj=50, master_seed=6, t_grid=np.linspace(0, 800, 5))
     res = run_ensemble(psi0, channels, None, cfg)
-    assert np.all(np.isfinite(res.mean_populations))
+    assert np.all(np.isfinite(res.series.populations))
     assert np.all(np.isfinite(res.stderr))
-    assert res.mean_populations[-1, final] == 1.0
+    assert res.series.populations[-1, final] == 1.0
     assert res.stderr[-1, final] == 0.0
 
 
@@ -248,7 +247,7 @@ def test_dark_state_never_jumps():
     psi = fd.fock_state(1, fd.FockCutoff(4))
     cfg = TrajectoryConfig(n_traj=64, master_seed=3, t_grid=np.linspace(0, 20, 9))
     res = run_ensemble(psi, [nonlinear_loss(1.0)], None, cfg)
-    assert np.all(res.mean_populations[:, 1] == 1.0)
+    assert np.all(res.series.populations[:, 1] == 1.0)
     assert np.all(res.stderr == 0.0)
 
 
@@ -256,7 +255,7 @@ def test_single_photon_linear_decay_statistics():
     psi = fd.fock_state(1, fd.FockCutoff(3))
     cfg = TrajectoryConfig(n_traj=10000, master_seed=12, t_grid=np.array([0.0, 1.0]))
     res = run_ensemble(psi, [linear_loss(1.0)], None, cfg)
-    p1 = res.mean_populations[-1, 1]
+    p1 = res.series.populations[-1, 1]
     se = res.stderr[-1, 1]
     assert se > 0
     assert abs(p1 - math.exp(-1)) < 3 * se
@@ -270,14 +269,14 @@ def test_coherent_nonlinear_matches_master_equation():
     grid = np.linspace(0.0, 20.0, 6)
     cfg = TrajectoryConfig(n_traj=20000, master_seed=77, t_grid=grid)
     res = run_ensemble(psi, [nonlinear_loss(1.0)], None, cfg)
-    p1 = res.mean_populations[-1, 1]
+    p1 = res.series.populations[-1, 1]
     se = res.stderr[-1, 1]
     assert abs(p1 - (1 - math.exp(-9))) < 3 * se
 
     oracle = fd.evolve_populations(
         fd.coherent_density(3.0, cut).populations(), [nonlinear_loss(1.0)], grid
     )
-    diff = np.abs(res.mean_populations - oracle.populations)
+    diff = np.abs(res.series.populations - oracle.populations)
     ok = diff <= 3 * res.stderr + 1e-12
     assert ok.mean() >= 0.95
 
@@ -287,7 +286,7 @@ def test_bit_identical_reruns():
     cfg = TrajectoryConfig(n_traj=500, master_seed=9, t_grid=np.linspace(0, 5, 6))
     a = run_ensemble(psi, [nonlinear_loss(1.0), linear_loss(0.1)], None, cfg)
     b = run_ensemble(psi, [nonlinear_loss(1.0), linear_loss(0.1)], None, cfg)
-    assert np.array_equal(a.mean_populations, b.mean_populations)
+    assert np.array_equal(a.series.populations, b.series.populations)
     assert np.array_equal(a.stderr, b.stderr)
 
 
@@ -296,7 +295,7 @@ def test_seed_changes_output():
     grid = np.linspace(0, 5, 6)
     a = run_ensemble(psi, [nonlinear_loss(1.0)], None, TrajectoryConfig(200, 1, grid))
     b = run_ensemble(psi, [nonlinear_loss(1.0)], None, TrajectoryConfig(200, 2, grid))
-    assert not np.array_equal(a.mean_populations, b.mean_populations)
+    assert not np.array_equal(a.series.populations, b.series.populations)
 
 
 def test_kerr_does_not_move_populations():
@@ -304,13 +303,13 @@ def test_kerr_does_not_move_populations():
     cfg = TrajectoryConfig(n_traj=300, master_seed=5, t_grid=np.linspace(0, 5, 6))
     a = run_ensemble(psi, [nonlinear_loss(1.0)], fd.KerrTerm(0.0), cfg)
     b = run_ensemble(psi, [nonlinear_loss(1.0)], fd.KerrTerm(5.0), cfg)
-    assert np.max(np.abs(a.mean_populations - b.mean_populations)) < 1e-12
+    assert np.max(np.abs(a.series.populations - b.series.populations)) < 1e-12
 
 
-def test_to_timeseries():
+def test_ensemble_series():
     psi = fd.fock_state(1, fd.FockCutoff(3))
     cfg = TrajectoryConfig(n_traj=100, master_seed=4, t_grid=np.linspace(0, 2, 5))
-    series = run_ensemble(psi, [linear_loss(1.0)], None, cfg).to_timeseries()
+    series = run_ensemble(psi, [linear_loss(1.0)], None, cfg).series
     assert series.populations.shape == (5, 4)
     assert series.trace_err.max() < 1e-12
     assert abs(series.mean_n[0] - 1.0) < 1e-12

@@ -47,7 +47,7 @@ def ensembles(draw):
 @given(ensembles())
 def test_batched_sampler_matches_reference_on_random_mixes(case):
     got = assert_matches_reference(*case)
-    assert np.max(np.abs(got.mean_populations.sum(axis=1) - 1.0)) <= 1e-12
+    assert np.max(np.abs(got.series.populations.sum(axis=1) - 1.0)) <= 1e-12
 
 
 RATES = st.just(0.0) | st.floats(1e-3, 1e3)
