@@ -24,9 +24,11 @@ class TimeSeries:
     """Sampled observables of one run.
 
     ``populations`` has one row per sample over levels 0..nmax; rows sum to
-    the initial trace up to the monitored drift. ``min_eigenvalue`` is
-    recorded by the dense engines (None for population-only engines, where
-    positivity is the componentwise statement).
+    the initial trace up to the monitored drift. ``min_eigenvalue`` is the
+    smallest eigenvalue of the last sample, the state the run ends in (for
+    the two-mode pair, its sector block); every earlier sample was only
+    checked against the positivity limit. It is None for population-only
+    engines, where positivity is the componentwise statement.
     """
 
     t: np.ndarray
@@ -35,7 +37,7 @@ class TimeSeries:
     g2: np.ndarray
     trace_err: np.ndarray
     populations: np.ndarray
-    min_eigenvalue: np.ndarray | None = None
+    min_eigenvalue: float | None = None
 
     def __post_init__(self):
         t = np.asarray(self.t, dtype=float)
@@ -50,9 +52,7 @@ class TimeSeries:
         object.__setattr__(self, "t", _frozen_array(t))
         object.__setattr__(self, "populations", _frozen_array(pops))
         if self.min_eigenvalue is not None:
-            object.__setattr__(
-                self, "min_eigenvalue", _frozen_array(np.asarray(self.min_eigenvalue, float))
-            )
+            object.__setattr__(self, "min_eigenvalue", float(self.min_eigenvalue))
 
     @property
     def n_levels(self) -> int:
@@ -110,6 +110,9 @@ def moments(populations) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 TRACE_DRIFT_LIMIT = 1e-8
 # the most negative eigenvalue a sampled state may have
 POSITIVITY_LIMIT = -1e-8
+# the positivity gate factors every sampled state with its diagonal raised by
+# half the limit, so a factor bounds each eigenvalue below by about -5e-9
+_GATE_SHIFT = -POSITIVITY_LIMIT / 2
 
 
 class Samples:
@@ -122,14 +125,22 @@ class Samples:
     its sum is the trace, ``trace0`` at the start; a stack of states, such as
     several cascades' populations, has one ``trace0`` per state. ``add``
     raises TraceDriftExceeded at the block's first (sample, state), in time
-    and then in order, whose trace has drifted by more than 1e-8. When
-    ``upper = (rows, cols, src)`` is given, the flattened state's element
+    and then in order, whose trace has drifted by more than 1e-8.
+
+    When ``upper = (rows, cols, src)`` is given, the flattened state's element
     ``src[p]`` is the matrix entry ``(rows[p], cols[p])`` on or above the
-    diagonal (one state per sample, not a stack): the block's upper
-    triangles are then filled at once and one ``np.linalg.eigvalsh`` call
-    gives each sample's smallest eigenvalue. LAPACK treats each matrix of
-    the stack on its own, so these are the values of one call per sample. A
-    value below -1e-8 raises PositivityViolated, at the first such sample.
+    diagonal (one state per sample, not a stack), and ``add`` also checks
+    positivity. It fills the block's lower triangles with the conjugates at
+    once and gates them with one stacked ``np.linalg.cholesky``, the
+    diagonal raised by 5e-9: a finite factor of every sample proves each
+    smallest eigenvalue above -5e-9, less rounding of order 1e-14, so the
+    block passes. (OpenBLAS factors a nan without failing, hence the finite
+    check.) Only a block the gate rejects goes, unshifted, to one stacked
+    ``np.linalg.eigvalsh``; LAPACK treats each matrix of the stack on its
+    own, so these are the values of one call per sample. A value below -1e-8
+    raises PositivityViolated, at the first such sample; otherwise the block
+    passes too. The last sample is always decomposed, and its smallest
+    eigenvalue, that of the state the run ends in, is ``min_eigenvalue``.
     """
 
     def __init__(self, t_grid, trace0, diagonal, upper=None):
@@ -137,7 +148,7 @@ class Samples:
         self.trace0 = np.asarray(trace0, dtype=float)
         self._diagonal = diagonal
         self._upper = upper
-        self.min_eigenvalue = None if upper is None else np.zeros(self.t.size)
+        self.min_eigenvalue = None
 
     def add(self, start: int, ys):
         stop = start + len(ys)
@@ -153,18 +164,32 @@ class Samples:
                 f"trace drifted by {drift[first]:.3e} at t={self.t[start + first[0]]:.6g} "
                 f"(limit {TRACE_DRIFT_LIMIT:.1e})"
             )
-        if self._upper is not None:
-            rows, cols, src = self._upper
-            tri = np.zeros((len(ys), diag.shape[1], diag.shape[1]), dtype=ys.dtype)
-            tri[:, rows, cols] = ys.reshape(len(ys), -1)[:, src]
-            lowest = np.linalg.eigvalsh(tri, UPLO="U")[:, 0]
-            self.min_eigenvalue[start:stop] = lowest
+        if self._upper is None:
+            return
+        rows, cols, src = self._upper
+        m, n = diag.shape
+        tri = np.zeros((m, n, n), dtype=ys.dtype)
+        tri[:, cols, rows] = ys.reshape(m, -1)[:, src].conj()
+        on_diagonal = tri.reshape(m, -1)[:, :: n + 1]
+        exact = on_diagonal.copy()
+        on_diagonal += _GATE_SHIFT
+        try:
+            factor = np.linalg.cholesky(tri)
+        except np.linalg.LinAlgError:
+            passed = False
+        else:
+            passed = np.isfinite(np.diagonal(factor, axis1=1, axis2=2)).all()
+        on_diagonal[:] = exact
+        if not passed:
+            lowest = np.linalg.eigvalsh(tri, UPLO="L")[:, 0]
             bad = np.flatnonzero(~(lowest >= POSITIVITY_LIMIT))  # nan-safe
             if bad.size:
                 raise PositivityViolated(
                     f"min eigenvalue {lowest[bad[0]]:.3e} at t={self.t[start + bad[0]]:.6g} "
                     f"(limit {POSITIVITY_LIMIT:.0e})"
                 )
+        if stop == self.t.size:
+            self.min_eigenvalue = np.linalg.eigvalsh(tri[-1], UPLO="L")[0]
 
     def series(self, populations=None, state=...) -> TimeSeries:
         """The TimeSeries of the recorded diagonals, or of ``populations``

@@ -85,7 +85,7 @@ def evolve(
 
     ``analysis.Samples`` records the run: each sample's populations, and its
     upper triangle of rho, refilled from the stripes, for the stacked
-    positivity check. The trace is never renormalized and its drift is a
+    positivity gate. The trace is never renormalized and its drift is a
     monitored failure signal (TraceDriftExceeded above 1e-8).
     """
     if not isinstance(rho0, DensityMatrix):

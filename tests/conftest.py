@@ -1,24 +1,79 @@
+import functools
+
+import numpy as np
 import pytest
+
+from fockdamp.analysis import Samples
+from fockdamp.dynamics import _stripe_index
+
+
+def install_recorder(monkeypatch, module, keep=np.copy):
+    """Wrap ``module.integrate`` through ``monkeypatch`` and return the list
+    that ``keep(ys)`` of every block of sampled states is appended to, one
+    item per sample; by default a copy of each state."""
+    states = []
+    original = module.integrate
+
+    def integrate(propagator, y0, t_grid, cfg, post_accept, **kwargs):
+        def record(start, ys):
+            assert start == len(states)
+            states.extend(keep(ys))
+            post_accept(start, ys)
+
+        return original(propagator, y0, t_grid, cfg, post_accept=record, **kwargs)
+
+    monkeypatch.setattr(module, "integrate", integrate)
+    return states
 
 
 @pytest.fixture
 def record_samples(monkeypatch):
     """``record_samples(module)`` wraps ``module.integrate`` for the test and
     returns the list that a copy of every sampled state is appended to."""
+    return functools.partial(install_recorder, monkeypatch)
 
-    def install(module):
-        states = []
-        original = module.integrate
 
-        def integrate(propagator, y0, t_grid, cfg, post_accept, **kwargs):
-            def record(start, ys):
-                assert start == len(states)
-                states.extend(ys.copy())
-                post_accept(start, ys)
+def hermitian(rows, cols, values):
+    """The stack of Hermitian matrices whose i-th has ``values[i, p]`` at
+    ``(rows[p], cols[p])``, on or above the diagonal."""
+    values = np.asarray(values)
+    n = int(max(rows.max(), cols.max())) + 1
+    out = np.zeros((len(values), n, n), dtype=values.dtype)
+    out[:, rows, cols] = values
+    out[:, cols, rows] = values.conj()
+    return out
 
-            return original(propagator, y0, t_grid, cfg, post_accept=record, **kwargs)
 
-        monkeypatch.setattr(module, "integrate", integrate)
-        return states
+def stripe_min_eigenvalues(ys):
+    """Smallest eigenvalue of each dense state in a block of stripe stacks
+    (``dynamics.evolve``'s layout), from ``eigvalsh`` of its matrix."""
+    d, k, l = _stripe_index(ys.shape[-1])
+    return np.linalg.eigvalsh(hermitian(k, l, ys[:, d, k]))[:, 0]
 
-    return install
+
+def states_with_lowest(lowest, n, complex_, seed):
+    """One unit-trace n x n Hermitian state per value of ``lowest``, with that
+    smallest eigenvalue, n // 2 zero eigenvalues and the rest positive, in a
+    random (unitary or orthogonal) basis; exactly Hermitian, so ``eigvalsh``
+    reads the same matrix from either triangle."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for lam in lowest:
+        a = rng.normal(size=(n, n))
+        if complex_:
+            a = a + 1j * rng.normal(size=(n, n))
+        q, _ = np.linalg.qr(a)
+        spectrum = np.zeros(n)
+        spectrum[0] = lam
+        weights = rng.uniform(0.1, 1.0, n - n // 2 - 1)
+        spectrum[n // 2 + 1 :] = weights / weights.sum() * (1.0 - lam)
+        m = (q * spectrum) @ q.conj().T
+        out.append(0.5 * (m + m.conj().T))
+    return np.array(out)
+
+
+def matrix_samples(t_grid, n):
+    """An ``analysis.Samples`` of unit-trace states stored as whole n x n
+    matrices, flattened, with the positivity check on."""
+    rows, cols = np.triu_indices(n)
+    return Samples(t_grid, 1.0, np.arange(n) * (n + 1), upper=(rows, cols, rows * n + cols))

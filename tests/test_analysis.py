@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import fockdamp as fd
+from conftest import matrix_samples, states_with_lowest
 from fockdamp.analysis import (
     TimeSeries,
     find_sigma_min,
@@ -13,6 +14,7 @@ from fockdamp.analysis import (
     steady_state_prediction,
 )
 from fockdamp.channels import linear_loss, nonlinear_loss, three_photon_loss, two_photon_loss
+from fockdamp.twomode import _sector_generator
 
 
 def poisson_vector(mean, nmax):
@@ -133,6 +135,68 @@ def test_positivity_violation_raises_at_the_first_sample(engine):
             fd.evolve(rho, [nonlinear_loss(1.0)], None, grid)
         else:
             fd.two_mode_evolve(rho, fd.TwoModeParams(u4=1.0, gamma_b=30.0, nmax_b=2), grid)
+
+
+@pytest.mark.parametrize("engine", ["dynamics", "twomode"])
+def test_positivity_violation_raises_at_the_first_sample_in_a_later_block(monkeypatch, engine):
+    # both runs start from a Fock state, so the vacuum (for the pair, with B
+    # empty) stays empty and uncoupled; from sample 67, the fourth of the third
+    # block of 32, 1e-6 of weight moves from it to the next level, which keeps
+    # the trace and leaves one eigenvalue of -1e-6
+    if engine == "dynamics":
+        vacuum, one = (0, 0), (0, 1)  # stripe 0, levels 0 and 1
+    else:
+        _, rows, cols = _sector_generator(fd.TwoModeParams(u4=1.0, gamma_b=30.0, nmax_b=2), 4)
+        on = np.flatnonzero(rows == cols)  # the sector's diagonal, in order
+        vacuum, one = (on[0],), (on[3],)  # |0,0> and |1,0> at nmax_b = 2
+    module = importlib.import_module(f"fockdamp.{engine}")
+    original = module.integrate
+
+    def integrate(propagator, y0, t_grid, cfg, post_accept, **kwargs):
+        def shifted(start, ys):
+            late = ys[max(67 - start, 0) :]
+            late[(slice(None),) + vacuum] -= 1e-6
+            late[(slice(None),) + one] += 1e-6
+            post_accept(start, ys)
+
+        return original(propagator, y0, t_grid, cfg, post_accept=shifted, **kwargs)
+
+    monkeypatch.setattr(module, "integrate", integrate)
+    grid = np.linspace(0.0, 1.0, 101)
+    message = rf"min eigenvalue -1\.000e-06 at t={grid[67]:.6g} "
+    with pytest.raises(fd.PositivityViolated, match=message):
+        _DRIFT_RUNS[engine](grid)
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+def test_positivity_gate_band(monkeypatch, complex_):
+    # the Cholesky gate shifts by 5e-9: a zero eigenvalue passes it, -7e-9
+    # fails it and eigvalsh clears the block, -1.2e-8 is below the limit
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(
+        np.linalg, "eigvalsh", lambda a, UPLO="L": calls.append(a.shape) or eigvalsh(a, UPLO=UPLO)
+    )
+    n, t = 12, np.arange(8.0)
+    for lowest, stacked in ((0.0, False), (-7e-9, True)):
+        calls.clear()
+        states = states_with_lowest([0.0] * 5 + [lowest] + [0.0] * 2, n, complex_, 7)
+        samples = matrix_samples(t, n)
+        samples.add(0, states.reshape(len(t), -1))
+        assert calls == [(8, n, n)] * stacked + [(n, n)]
+        assert samples.min_eigenvalue == eigvalsh(states[-1])[0]
+    states = states_with_lowest([0.0] * 5 + [-1.2e-8] + [0.0] * 2, n, complex_, 7)
+    with pytest.raises(fd.PositivityViolated, match=r"min eigenvalue -1\.200e-08 at t=5 "):
+        matrix_samples(t, n).add(0, states.reshape(len(t), -1))
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+def test_positivity_gate_rejects_nan(complex_):
+    # OpenBLAS factors a nan without failing; the gate must still reject it
+    states = states_with_lowest([0.0] * 3, 6, complex_, 1)
+    states[1, 2, 4] = states[1, 4, 2] = np.nan
+    with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+        matrix_samples(np.arange(3.0), 6).add(0, states.reshape(3, -1))
 
 
 def test_steady_pure_nonlinear():

@@ -1,7 +1,10 @@
 """Property tests over random channel mixes: the dense and population
 engines agree, the trace holds, the dense state stays positive, pure
 d-photon loss conserves the mass of each class of n mod d, and the engines
-and the long-time prediction read one loss table."""
+and the long-time prediction read one loss table. Over random states near
+the positivity limit, the recorder's Cholesky gate decides as eigvalsh does."""
+
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +14,14 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 import fockdamp as fd  # noqa: E402
+from conftest import (  # noqa: E402
+    install_recorder,
+    matrix_samples,
+    states_with_lowest,
+    stripe_min_eigenvalues,
+)
+from fockdamp import dynamics  # noqa: E402
+from fockdamp.analysis import POSITIVITY_LIMIT  # noqa: E402
 from fockdamp.channels import (  # noqa: E402
     linear_loss,
     nonlinear_loss,
@@ -57,8 +68,11 @@ def test_dense_matches_pauli_and_keeps_trace(rates, alpha, kerr, nmax):
 )
 def test_dense_state_stays_positive(rates, alpha, kerr, nmax):
     channels = [make(r) for make, r in zip(CHANNELS, rates) if r > 0.0]
-    dense, final = fd.evolve(_coherent(alpha, nmax), channels, fd.KerrTerm(kerr), GRID)
-    assert dense.min_eigenvalue.min() >= -1e-10
+    # hypothesis rejects function-scoped fixtures, so the recorder is patched here
+    with pytest.MonkeyPatch.context() as mp:
+        lowest = install_recorder(mp, dynamics, stripe_min_eigenvalues)
+        _, final = fd.evolve(_coherent(alpha, nmax), channels, fd.KerrTerm(kerr), GRID)
+    assert len(lowest) == GRID.size and min(lowest) >= -1e-10
     assert np.linalg.eigvalsh(final.entries)[0] >= -1e-10
 
 
@@ -105,3 +119,27 @@ def test_engines_read_one_loss_table(rates, p0, kerr):
     t_end = 100.0 / np.abs(diag[diag != 0.0]).min()
     series = fd.evolve_populations(p0, channels, np.array([0.0, t_end]))
     assert np.max(np.abs(series.populations[-1] - pred)) <= 1e-9
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(
+    n=st.integers(4, 41),
+    complex_=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    lowest=st.lists(st.floats(-2e-8, 2e-9), min_size=1, max_size=4),
+)
+def test_positivity_gate_decides_as_eigvalsh(n, complex_, seed, lowest):
+    # rank-deficient states whose smallest eigenvalue straddles the gate's
+    # shift (-5e-9) and the limit (-1e-8)
+    states = states_with_lowest(lowest, n, complex_, seed)
+    reference = np.linalg.eigvalsh(states)[:, 0]
+    t = np.arange(len(lowest), dtype=float)
+    samples = matrix_samples(t, n)
+    bad = np.flatnonzero(reference < POSITIVITY_LIMIT)
+    if bad.size:
+        message = f"min eigenvalue {reference[bad[0]]:.3e} at t={t[bad[0]]:.6g} "
+        with pytest.raises(fd.PositivityViolated, match=re.escape(message)):
+            samples.add(0, states.reshape(len(t), -1))
+    else:
+        samples.add(0, states.reshape(len(t), -1))
+        assert samples.min_eigenvalue == reference[-1]
