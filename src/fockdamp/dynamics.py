@@ -8,9 +8,11 @@ operator products and serves as the reference implementation.
 Because every jump operator is a lowering monomial, the generator couples
 element (k, l) only to (k + d, l + d): each diagonal stripe rho[k, k + d]
 evolves on its own under an upper-triangular generator, and the stripes
-below the diagonal are the conjugates of those above. ``evolve`` stacks
-the generators of the stripes d >= 0 (cross-checked against lindblad_rhs
-in the tests) and propagates them exactly with ``integrate.integrate``.
+below the diagonal are the conjugates of those above. Stripe d holds
+n - d elements (n = nmax + 1), so stripes d and n - d fill one n-element
+block between them: ``evolve`` stacks the paired stripe generators d >= 0,
+n // 2 + 1 blocks (cross-checked against lindblad_rhs in the tests), and
+propagates them exactly with ``integrate.integrate``.
 """
 
 from __future__ import annotations
@@ -45,33 +47,41 @@ def lindblad_rhs(rho, channels: list[JumpChannel], kerr: KerrTerm | None = None)
 
 
 def _stripe_index(n1: int):
-    """(d, k, k + d) for every element on or above the diagonal, stripe by stripe."""
+    """(b, r, k, l) for every element (k, l = k + d) on or above the diagonal,
+    stripe by stripe: stripe d lies in block b = min(d, n1 - d), at row r = k
+    when d <= n1 - d and at row r = l otherwise."""
     d, k = np.nonzero(np.add.outer(np.arange(n1), np.arange(n1)) < n1)
-    return d, k, k + d
+    l = k + d
+    low = d <= n1 - d
+    return np.where(low, d, n1 - d), np.where(low, k, l), k, l
 
 
 def stripe_generators(channels, kerr, nmax) -> np.ndarray:
-    """Generators of the stripes d = 0..nmax, stacked as an (n, n, n) array.
+    """Generators of the stripes d = 0..nmax, paired into an
+    (n // 2 + 1, n, n) stack, n = nmax + 1.
 
-    Stripe d holds rho[k, k + d] for k < n - d, zero-padded to n = nmax + 1.
+    Block 0 is stripe 0, the populations. Block b > 0 holds stripe b,
+    rho[k, k + b], at rows k < n - b and stripe n - b, rho[k, k + n - b], at
+    rows k + n - b; for even n the middle block's rows n/2.. stay empty.
     Element (k, l) decays at half the summed loss weights of k and l, turns
-    at the Kerr frequency u1 [k(k-1) - l(l-1)], and is fed by (k + c, l + c)
-    for each channel lowering by c, so every stripe generator is
-    upper-triangular. The stack is real when u1 = 0.
+    at the Kerr frequency u1 [k(k-1) - l(l-1)], and is fed by (k + c, l + c),
+    c rows further on, for each channel lowering by c. So each block is two
+    uncoupled upper-triangular stripe generators, upper-triangular itself.
+    The stack is real when u1 = 0.
     """
     n1 = nmax + 1
-    d, k, l = _stripe_index(n1)
+    b, r, k, l = _stripe_index(n1)
     u1 = kerr.strength if kerr is not None else 0.0
-    stack = np.zeros((n1, n1, n1), dtype=np.complex128 if u1 != 0.0 else float)
+    stack = np.zeros((n1 // 2 + 1, n1, n1), dtype=np.complex128 if u1 != 0.0 else float)
     table = loss_table(channels, nmax)
     for rate, c, amp in zip(table.rates, table.lowerings, table.amps):
         fed = l + c < n1
-        kf, lf = k[fed] + c, l[fed] + c
-        stack[d[fed], k[fed], kf] += rate * amp[kf] * amp[lf]
-    stack[d, k, k] = -0.5 * (table.loss[k] + table.loss[l])
+        rf = r[fed]
+        stack[b[fed], rf, rf + c] += rate * amp[k[fed] + c] * amp[l[fed] + c]
+    stack[b, r, r] = -0.5 * (table.loss[k] + table.loss[l])
     if u1 != 0.0:
         kappa = np.arange(n1) * (np.arange(n1) - 1.0)
-        stack[d, k, k] -= 1j * u1 * (kappa[k] - kappa[l])
+        stack[b, r, r] -= 1j * u1 * (kappa[k] - kappa[l])
     return stack
 
 
@@ -92,18 +102,18 @@ def evolve(
         raise DimensionMismatch("rho0 must be a DensityMatrix")
     n1 = rho0.dim
     stack = stripe_generators(channels, kerr, n1 - 1)
-    d, k, l = _stripe_index(n1)
+    b, r, k, l = _stripe_index(n1)
 
     values = rho0.entries[k, l]
     if not np.iscomplexobj(stack) and not np.any(values.imag):
         values = values.real
-    y0 = np.zeros((n1, n1), dtype=values.dtype)
-    y0[d, k] = values
+    y0 = np.zeros(stack.shape[:2], dtype=values.dtype)
+    y0[b, r] = values
 
-    samples = Samples(t_grid, rho0.trace(), 0, upper=(k, l, d * n1 + k))
+    samples = Samples(t_grid, rho0.trace(), 0, upper=(k, l, b * n1 + r))
     y_final = integrate(lambda h: expm(stack * h), y0, samples.t, EXACT, post_accept=samples.add)
     upper = np.zeros((n1, n1), dtype=values.dtype)
-    upper[k, l] = y_final[d, k]
+    upper[k, l] = y_final[b, r]
     full = upper + upper.conj().T
     np.fill_diagonal(full, y_final[0].real)
     final = DensityMatrix(

@@ -63,7 +63,8 @@ SCENARIO_SCHEMA = {
     "additionalProperties": False,
     "required": ["alpha", "t_max", "samples", "engine"],
     "properties": {
-        "name": {"type": "string", "pattern": "^[A-Za-z0-9_.-]+$"},
+        # a run writes into --out/<name>, so "." and ".." are no names
+        "name": {"type": "string", "pattern": "^(?!\\.\\.?$)[A-Za-z0-9_.-]+$"},
         "alpha": _number_or_pair,
         "nmax": {"type": "integer", "minimum": 1},
         "rates": {

@@ -3,6 +3,7 @@ import functools
 import numpy as np
 import pytest
 
+import fockdamp as fd
 from fockdamp.analysis import Samples
 from fockdamp.dynamics import _stripe_index
 
@@ -45,10 +46,37 @@ def hermitian(rows, cols, values):
 
 
 def stripe_min_eigenvalues(ys):
-    """Smallest eigenvalue of each dense state in a block of stripe stacks
-    (``dynamics.evolve``'s layout), from ``eigvalsh`` of its matrix."""
-    d, k, l = _stripe_index(ys.shape[-1])
-    return np.linalg.eigvalsh(hermitian(k, l, ys[:, d, k]))[:, 0]
+    """Smallest eigenvalue of each dense state in a block of paired stripe
+    stacks (``dynamics.evolve``'s layout), from ``eigvalsh`` of its matrix."""
+    b, r, k, l = _stripe_index(ys.shape[-1])
+    return np.linalg.eigvalsh(hermitian(k, l, ys[:, b, r]))[:, 0]
+
+
+def random_density(dim, seed):
+    """A full-rank unit-trace density matrix with random complex coherences."""
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    m = m @ m.conj().T
+    m /= np.trace(m).real
+    return fd.DensityMatrix(0.5 * (m + m.conj().T))
+
+
+def lindblad_superoperator(channels, kerr, cutoff):
+    """The master equation's generator acting on row-major vec(rho), built
+    from operator products (X rho Y -> kron(X, Y^T)): an oracle independent
+    of the stripe layout."""
+    d = cutoff.dim
+    eye = np.eye(d)
+    lsup = np.zeros((d * d, d * d), dtype=complex)
+    for ch in channels:
+        L = fd.jump_matrix(ch, cutoff)
+        LdL = L.conj().T @ L
+        lsup += ch.rate * (
+            np.kron(L, L.conj()) - 0.5 * np.kron(LdL, eye) - 0.5 * np.kron(eye, LdL.T)
+        )
+    n = np.arange(d)
+    h = kerr.strength * np.diag(n * (n - 1.0))
+    return lsup - 1j * (np.kron(h, eye) - np.kron(eye, h.T))
 
 
 def states_with_lowest(lowest, n, complex_, seed):

@@ -5,21 +5,13 @@ import pytest
 import scipy.linalg as sla
 
 import fockdamp as fd
-from conftest import stripe_min_eigenvalues
+from conftest import lindblad_superoperator, random_density, stripe_min_eigenvalues
 from fockdamp import dynamics
 from fockdamp.analysis import POSITIVITY_LIMIT
 from fockdamp.channels import linear_loss, nonlinear_loss, three_photon_loss, two_photon_loss
 from fockdamp.dynamics import stripe_generators
 
 ALL = [nonlinear_loss(0.7), linear_loss(0.3), two_photon_loss(0.2), three_photon_loss(0.1)]
-
-
-def random_density(dim, seed):
-    rng = np.random.default_rng(seed)
-    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    m = m @ m.conj().T
-    m /= np.trace(m).real
-    return fd.DensityMatrix(0.5 * (m + m.conj().T))
 
 
 def test_rhs_two_photon_state_pure_nonlinear():
@@ -62,19 +54,31 @@ def test_rhs_hermitian_and_traceless(seed):
 
 @pytest.mark.parametrize("seed", range(5))
 def test_banded_generator_matches_operator_form(seed):
-    # stripe d of the stack, applied to rho[k, k + d], gives that stripe of
-    # the operator-form derivative
-    dim = 9
-    rho = random_density(dim, 50 + seed)
+    # stripes b and dim - b share block b, stripe b in the rows above dim - b
+    # and stripe dim - b from there on; each sub-block, applied to its stripe
+    # of rho, gives that stripe of the operator-form derivative, and the two
+    # never couple. Odd and even dims: an even dim leaves the lower half of
+    # its middle block empty
     kerr = fd.KerrTerm(1.3)
-    stack = stripe_generators(ALL, kerr, dim - 1)
-    ref = fd.lindblad_rhs(rho, ALL, kerr)
-    for d in range(dim):
-        k = np.arange(dim - d)
-        fast = stack[d, : dim - d, : dim - d] @ rho.entries[k, k + d]
-        assert np.max(np.abs(fast - ref[k, k + d])) < 1e-13
-        assert not np.any(stack[d, dim - d :]) and not np.any(stack[d, :, dim - d :])
-        assert not np.any(np.tril(stack[d], -1))
+    for dim in (2, 3, 9, 10):
+        rho = random_density(dim, 50 + seed)
+        channels = [ch for ch in ALL if ch.annihilation_power < dim]
+        stack = stripe_generators(channels, kerr, dim - 1)
+        ref = fd.lindblad_rhs(rho, channels, kerr)
+        assert stack.shape == (dim // 2 + 1, dim, dim)
+        for b, block in enumerate(stack):
+            split = dim - b if b else dim
+            assert not np.any(np.tril(block, -1))
+            assert not np.any(block[:split, split:]) and not np.any(block[split:, :split])
+            pairs = [(b, block[:split, :split])]
+            if 0 < b < dim - b:
+                pairs.append((dim - b, block[split:, split:]))
+            else:
+                assert not np.any(block[split:])
+            for d, gen in pairs:
+                k = np.arange(dim - d)
+                fast = gen @ rho.entries[k, k + d]
+                assert np.max(np.abs(fast - ref[k, k + d])) < 1e-13
 
 
 def test_single_photon_linear_decay():
@@ -86,24 +90,13 @@ def test_single_photon_linear_decay():
 
 
 def test_evolve_matches_expm_oracle():
-    # independent oracle: exact exponential of the vectorized generator,
-    # built from operator products (row-major vec: X rho Y -> kron(X, Y^T))
+    # independent oracle: exact exponential of the vectorized generator
     nmax = 6
     cut = fd.FockCutoff(nmax)
     rho0 = random_density(cut.dim, 7)
     kerr = fd.KerrTerm(0.4)
     d = cut.dim
-    eye = np.eye(d)
-    lsup = np.zeros((d * d, d * d), dtype=complex)
-    for ch in ALL:
-        L = fd.jump_matrix(ch, cut)
-        LdL = L.conj().T @ L
-        lsup += ch.rate * (
-            np.kron(L, L.conj()) - 0.5 * np.kron(LdL, eye) - 0.5 * np.kron(eye, LdL.T)
-        )
-    n = np.arange(d)
-    h = kerr.strength * np.diag(n * (n - 1.0))
-    lsup += -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    lsup = lindblad_superoperator(ALL, kerr, cut)
     t_end = 0.8
     exact = (sla.expm(lsup * t_end) @ rho0.entries.reshape(-1)).reshape(d, d)
 

@@ -71,6 +71,21 @@ def test_expm_matches_scipy_on_the_fig1_stripe_stack(u1):
     assert np.max(np.abs(expm(stack) - sla.expm(stack))) <= 1e-14
 
 
+@pytest.mark.parametrize("u1", [0.0, 5.0])
+def test_expm_keeps_the_paired_stripes_apart_on_the_fig1_stack(u1):
+    # each block pairs stripe b (rows < 41 - b) with stripe 41 - b; the
+    # squarings must not leak between them, and each diagonal sub-block is the
+    # exponential of its stripe alone
+    stack = 0.5 * stripe_generators([nonlinear_loss(1.0)], fd.KerrTerm(u1), 40)
+    prop = expm(stack)
+    for b in range(1, len(stack)):
+        split = 41 - b
+        assert not np.any(prop[b, :split, split:]) and not np.any(prop[b, split:, :split])
+        for rows in (slice(None, split), slice(split, None)):
+            alone = sla.expm(stack[b, rows, rows])
+            assert np.max(np.abs(prop[b, rows, rows] - alone)) <= 1e-14
+
+
 def test_population_propagator_conserves_probability():
     # each column of a probability-conserving generator sums to zero, so each
     # column of its exponential sums to one; without the exact diagonal and

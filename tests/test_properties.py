@@ -1,4 +1,5 @@
-"""Property tests over random channel mixes: the dense and population
+"""Property tests over random channel mixes: the dense engine matches the
+exponential of the vectorized master equation, the dense and population
 engines agree, the trace holds, the dense state stays positive, pure
 d-photon loss conserves the mass of each class of n mod d, and the engines
 and the long-time prediction read one loss table. Over random states near
@@ -8,6 +9,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
@@ -16,7 +18,9 @@ from hypothesis import strategies as st  # noqa: E402
 import fockdamp as fd  # noqa: E402
 from conftest import (  # noqa: E402
     install_recorder,
+    lindblad_superoperator,
     matrix_samples,
+    random_density,
     states_with_lowest,
     stripe_min_eigenvalues,
 )
@@ -40,6 +44,28 @@ mixes = st.lists(rate, min_size=4, max_size=4).filter(any)
 
 def _coherent(alpha, nmax):
     return fd.coherent_density(alpha, fd.FockCutoff(nmax), tail_tol=1.0)
+
+
+@PROPS
+@given(
+    rates=mixes,
+    kerr=st.floats(0.0, 2.0),
+    nmax=st.integers(1, 9),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_dense_matches_the_vectorized_expm(rates, kerr, nmax, seed):
+    cut, kerr = fd.FockCutoff(nmax), fd.KerrTerm(kerr)
+    channels = [
+        make(r) for make, r in zip(CHANNELS, rates) if r > 0.0 and make(r).annihilation_power <= nmax
+    ]
+    rho0 = random_density(cut.dim, seed)
+    series, final = fd.evolve(rho0, channels, kerr, GRID)
+    lsup = lindblad_superoperator(channels, kerr, cut)
+    exact = np.array([sla.expm(lsup * t) @ rho0.entries.reshape(-1) for t in GRID])
+    exact = exact.reshape(GRID.size, cut.dim, cut.dim)
+    pops = np.diagonal(exact, axis1=1, axis2=2).real
+    assert np.max(np.abs(series.populations - pops)) <= 1e-12
+    assert np.max(np.abs(final.entries - exact[-1])) <= 1e-12
 
 
 @PROPS

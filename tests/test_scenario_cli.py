@@ -201,6 +201,20 @@ def test_validate_exit_codes(tmp_path):
     assert cli.main(["validate", str(broken)]) == 2
 
 
+@pytest.mark.parametrize("name", [".", ".."])
+def test_dot_names_are_validation_errors(tmp_path, capsys, name):
+    # a run writes into --out/<name>: "." is --out itself, ".." its parent
+    out = tmp_path / "nest" / "res"
+    path = write_json(tmp_path / "dots.json", dict(BASE, name=name))
+    before = sorted(tmp_path.rglob("*"))
+    assert cli.main(["validate", path]) == 2
+    assert cli.main(["run", path, "--out", str(out)]) == 2
+    flags = ["run", "--name", name, "--alpha", "1", "--tmax", "1", "--rates", "e=1"]
+    assert cli.main(flags + ["--out", str(out)]) == 2
+    assert "does not match" in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_missing_file_is_io_error(tmp_path):
     assert cli.main(["run", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 4
 
