@@ -8,7 +8,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channels import JumpChannel, loss_table
+from .channels import JumpChannel
 from .errors import (
     NoClosedForm,
     NoInteriorMinimum,
@@ -217,24 +217,24 @@ class SteadyPrediction:
 
 
 def steady_state_prediction(p0, channels: list[JumpChannel]) -> SteadyPrediction:
-    """Long-time populations of any channel mix, read from its loss table.
+    """Long-time populations of any channel mix, read from its population generator.
 
-    A level with zero loss is dark; every other level n empties, sending its
-    weight to n - d with the branching ratio rate * amp[n]**2 / loss[n] of
-    each channel lowering by d. One pass down the levels collects it on the
-    dark levels. Raises NoClosedForm when no channel is active.
+    A level with zero loss is dark; every other level n empties, sending the
+    share gen[m, n] / loss[n] of its weight to each level m < n. One pass down
+    the columns collects it on the dark levels. Raises NoClosedForm when no
+    channel is active.
     """
+    from .pauli import population_generator  # deferred: pauli imports analysis
+
     p = _extract_populations(p0)
-    table = loss_table(channels, p.size - 1)
-    if not table.rates.size:
+    gen = population_generator(channels, p.size - 1)
+    loss = -np.diag(gen)
+    dark = loss == 0.0
+    if dark.all():
         raise NoClosedForm("no active channels; the state does not evolve")
-    dark = table.loss == 0.0
     q = p.copy()
     for n in np.flatnonzero(~dark)[::-1]:
-        to = n - table.lowerings
-        on = to >= 0
-        share = table.rates[on] * table.amps[on, n] ** 2 / table.loss[n]
-        np.add.at(q, to[on], q[n] * share)
+        q[:n] += q[n] * gen[:n, n] / loss[n]
     regime = "mass collects on the dark levels {%s}" % ", ".join(map(str, np.flatnonzero(dark)))
     return SteadyPrediction(np.where(dark, q, 0.0), regime)
 

@@ -151,6 +151,13 @@ def write_outputs(result: RunResult, out_dir: Path, fmt: str, want_svg: bool) ->
     return run_dir
 
 
+def finite(text: str) -> float:
+    """The type of the float flags: argparse's ``float`` takes nan and inf."""
+    if not np.isfinite(value := float(text)):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
+
+
 def _apply_overrides(raw: dict, args) -> dict:
     raw = dict(raw)
     if args.engine:
@@ -188,9 +195,9 @@ def _scenario_from_flags(args) -> dict:
             if key not in RATE_KEYS:
                 raise ValidationError([f"unknown rate {key!r}; use e, q, s, t"])
             try:
-                rates[key] = float(val)
+                rates[key] = finite(val)
             except ValueError:
-                raise ValidationError([f"bad rate value {val!r} for {key}"])
+                raise ValidationError([f"bad rate value {val!r} for {key} in --rates"])
     obj["rates"] = rates
     if (args.engine or "dense") == "trajectories":
         obj["trajectory"] = {
@@ -349,7 +356,7 @@ def _add_common(p):
     p.add_argument("--svg", action="store_true", help="also write an SVG plot")
     p.add_argument("--engine", choices=("dense", "pauli", "trajectories", "twomode"))
     p.add_argument("--seed", type=int, help="override the trajectory master seed")
-    p.add_argument("--fixed-step", type=float, dest="fixed_step", metavar="DT",
+    p.add_argument("--fixed-step", type=finite, dest="fixed_step", metavar="DT",
                    help="accepted and recorded for manifest replay; propagation is "
                         "exact, so it changes no result")
 
@@ -364,12 +371,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run one scenario (file or flags)")
     run_p.add_argument("scenario", nargs="?", help="scenario or manifest JSON file")
-    run_p.add_argument("--alpha", type=float, help="coherent amplitude (flag mode)")
+    run_p.add_argument("--alpha", type=finite, help="coherent amplitude (flag mode)")
     run_p.add_argument("--rates", help="comma list like e=1,q=0.05 (flag mode)")
-    run_p.add_argument("--tmax", type=float, help="final time (flag mode)")
+    run_p.add_argument("--tmax", type=finite, help="final time (flag mode)")
     run_p.add_argument("--samples", type=int, default=201)
     run_p.add_argument("--nmax", type=int)
-    run_p.add_argument("--u1", type=float, default=0.0, help="Kerr strength")
+    run_p.add_argument("--u1", type=finite, default=0.0, help="Kerr strength")
     run_p.add_argument("--n-traj", type=int, default=10000, dest="n_traj")
     run_p.add_argument("--name", help="run name (flag mode)")
     _add_common(run_p)

@@ -56,6 +56,20 @@ def _stripe_index(n1: int):
     return np.where(low, d, n1 - d), np.where(low, k, l), k, l
 
 
+def _cascade(table, b, r, k, l, dtype=float) -> np.ndarray:
+    """The one feed-and-decay rule: generators of the elements (k, l), element p
+    at row r[p] of block b[p]. (k, l) decays at half the summed loss of k and l
+    and is fed by (k + c, l + c), c rows on, for each channel lowering by c."""
+    n1 = table.loss.size
+    stack = np.zeros((b.max() + 1, n1, n1), dtype)
+    flat, at = stack.reshape(-1), (b * n1 + r) * n1 + r  # at: the flat index of (b, r, r)
+    for rate, c, amp in zip(table.rates, table.lowerings, table.amps):
+        fed = l < n1 - c  # (k + c, l + c) is inside the cutoff
+        flat[c:][at[fed]] += rate * amp[c:][k[fed]] * amp[c:][l[fed]]
+    flat[at] = 0.0 - 0.5 * (table.loss[k] + table.loss[l])  # dark: +0.0, not -0.0
+    return stack
+
+
 def stripe_generators(channels, kerr, nmax) -> np.ndarray:
     """Generators of the stripes d = 0..nmax, paired into an
     (n // 2 + 1, n, n) stack, n = nmax + 1.
@@ -63,22 +77,13 @@ def stripe_generators(channels, kerr, nmax) -> np.ndarray:
     Block 0 is stripe 0, the populations. Block b > 0 holds stripe b,
     rho[k, k + b], at rows k < n - b and stripe n - b, rho[k, k + n - b], at
     rows k + n - b; for even n the middle block's rows n/2.. stay empty.
-    Element (k, l) decays at half the summed loss weights of k and l, turns
-    at the Kerr frequency u1 [k(k-1) - l(l-1)], and is fed by (k + c, l + c),
-    c rows further on, for each channel lowering by c. So each block is two
-    uncoupled upper-triangular stripe generators, upper-triangular itself.
-    The stack is real when u1 = 0.
+    Each stripe is a ``_cascade``, so each block is upper-triangular; Kerr
+    turns (k, l) at u1 [k(k-1) - l(l-1)]. The stack is real when u1 = 0.
     """
     n1 = nmax + 1
     b, r, k, l = _stripe_index(n1)
     u1 = kerr.strength if kerr is not None else 0.0
-    stack = np.zeros((n1 // 2 + 1, n1, n1), dtype=np.complex128 if u1 != 0.0 else float)
-    table = loss_table(channels, nmax)
-    for rate, c, amp in zip(table.rates, table.lowerings, table.amps):
-        fed = l + c < n1
-        rf = r[fed]
-        stack[b[fed], rf, rf + c] += rate * amp[k[fed] + c] * amp[l[fed] + c]
-    stack[b, r, r] = -0.5 * (table.loss[k] + table.loss[l])
+    stack = _cascade(loss_table(channels, nmax), b, r, k, l, complex if u1 != 0.0 else float)
     if u1 != 0.0:
         kappa = np.arange(n1) * (np.arange(n1) - 1.0)
         stack[b, r, r] -= 1j * u1 * (kappa[k] - kappa[l])
@@ -116,7 +121,5 @@ def evolve(
     upper[k, l] = y_final[b, r]
     full = upper + upper.conj().T
     np.fill_diagonal(full, y_final[0].real)
-    final = DensityMatrix(
-        full, trace_deficit=rho0.trace_deficit, trace_tol=TRACE_DRIFT_LIMIT * 2
-    )
+    final = DensityMatrix(full, trace_deficit=rho0.trace_deficit, trace_tol=TRACE_DRIFT_LIMIT * 2)
     return samples.series(), final

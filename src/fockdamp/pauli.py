@@ -4,9 +4,8 @@ Populations close on themselves: the diagonal obeys a birth-free cascade
 ODE built from the squared lowering matrix elements, in dimension nmax + 1
 instead of (nmax + 1)^2. Its generator is upper-triangular, since every
 gain comes from a higher level, and ``integrate.integrate`` evolves it
-exactly. This is the default engine for population-only observables and
-the independent oracle for the dense engine, whose stripe 0 is the same
-cascade.
+exactly. This is the default engine for population-only observables; its
+generator is stripe 0 of the dense engine's rule, ``dynamics._cascade``.
 """
 
 from __future__ import annotations
@@ -17,6 +16,7 @@ import numpy as np
 
 from .analysis import Samples, TimeSeries
 from .channels import JumpChannel, loss_table, lowering_weight
+from .dynamics import _cascade
 from .fock import DensityMatrix, _frozen_array
 from .integrate import _CHUNK, EXACT, expm, integrate
 
@@ -51,8 +51,8 @@ class PopulationVector:
 def population_rates(channel: JumpChannel, n: int) -> tuple[float, int, float]:
     """(loss rate out of n, source level feeding n, gain coefficient from it).
 
-    Loss out of level n is rate * |<n-d| L |n>|^2; the same formula one
-    net-lowering step higher gives the gain flowing down into n.
+    Loss out of level n is rate * |<n-d| L |n>|^2, and the same formula one
+    step higher gives the gain into n: a reference independent of ``_cascade``.
     """
     if n < 0:
         raise ValueError(f"level must be >= 0, got {n}")
@@ -66,13 +66,11 @@ def population_generator(channels: list[JumpChannel], nmax: int) -> np.ndarray:
     """Upper-triangular generator M of dp/dt = M p over levels 0..nmax.
 
     Level n loses rate * |<n-d| L |n>|^2 and passes it to level n - d; the
-    eigenvalues of M are its diagonal, the loss rates.
+    eigenvalues of M are its diagonal, the loss rates: ``dynamics._cascade``
+    of the elements (n, n).
     """
-    table = loss_table(channels, nmax)
-    gen = np.diag(0.0 - table.loss)  # not -loss, which would make dark diagonals -0.0
-    for rate, d, amp in zip(table.rates, table.lowerings, table.amps):
-        to = np.arange(nmax + 1 - d)
-        gen[to, to + d] += rate * amp[d:] ** 2
+    levels = np.arange(nmax + 1)
+    (gen,) = _cascade(loss_table(channels, nmax), 0 * levels, levels, levels, levels)
     return gen
 
 
@@ -100,10 +98,7 @@ def evolve_population_batch(p0s, channel_sets, t_grid):
     """
     if len(p0s) != len(channel_sets):
         raise ValueError(f"{len(p0s)} initial states for {len(channel_sets)} channel sets")
-    p_inits = [
-        p0.p if isinstance(p0, PopulationVector) else PopulationVector(np.asarray(p0)).p
-        for p0 in p0s
-    ]
+    p_inits = [p0.p if isinstance(p0, PopulationVector) else PopulationVector(p0).p for p0 in p0s]
     for lo in range(0, len(p_inits), _CHUNK):
         stack = np.stack(p_inits[lo : lo + _CHUNK])
         nmax = stack.shape[1] - 1

@@ -393,11 +393,6 @@ def preset_scenarios(preset: str) -> list[dict]:
         samples = 2001
     else:
         raise ValidationError([f"unknown preset {preset!r}; available: fig1, fig2"])
-    out = []
-    for name, rates in runs:
-        obj = dict(_FIG_BASE)
-        obj["name"] = f"{preset}_{name}"
-        obj["rates"] = rates
-        obj["samples"] = samples
-        out.append(obj)
-    return out
+    return [
+        dict(_FIG_BASE, name=f"{preset}_{name}", rates=rates, samples=samples) for name, rates in runs
+    ]

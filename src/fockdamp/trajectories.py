@@ -11,9 +11,9 @@ the pending draw never jumps again.
 
 Trajectories own counter-based random substreams keyed on
 (master_seed, trajectory index); identical configuration gives bit-identical
-output. Per-trajectory results accumulate into fixed chunks that are
-combined by pairwise summation, so the reduction is independent of
-execution order. All trajectories of a chunk advance together on their
+output. Per-trajectory results accumulate into fixed chunks whose sums are
+added one after another in chunk order, a fixed order, so the output is
+bit-reproducible. All trajectories of a chunk advance together on their
 level populations.
 """
 

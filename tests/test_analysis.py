@@ -14,6 +14,7 @@ from fockdamp.analysis import (
     steady_state_prediction,
 )
 from fockdamp.channels import linear_loss, nonlinear_loss, three_photon_loss, two_photon_loss
+from fockdamp.pauli import population_rates
 from fockdamp.twomode import _sector_generator
 
 
@@ -270,6 +271,32 @@ def test_steady_predictions_match_long_runs():
     # the gamma_e + gamma_s admixture of fig. 2 keeps 95 % at one photon
     pred = steady_state_prediction(p0, [nonlinear_loss(1.0), two_photon_loss(0.05)])
     assert abs(pred.populations[1] - 0.953452) < 1e-6
+
+
+@pytest.mark.parametrize(
+    "channels",
+    [
+        [nonlinear_loss(1.0), two_photon_loss(0.05)],
+        [nonlinear_loss(1.0), linear_loss(0.3), two_photon_loss(0.7), three_photon_loss(0.2)],
+        [two_photon_loss(0.3), three_photon_loss(1.0)],
+    ],
+    ids=["fig2-mix", "four-channels", "two-and-three"],
+)
+def test_steady_prediction_matches_the_level_rates(channels):
+    # the branching-ratio pass built from population_rates, independent of the
+    # generator the prediction reads; 40 passes in double precision
+    p0 = poisson_vector(9.0, 40)
+    q = p0.copy()
+    for n in range(40, -1, -1):
+        out = [(population_rates(c, n)[0], c.net_lowering) for c in channels]
+        total = sum(loss for loss, _ in out)
+        for loss, d in out:
+            if loss > 0.0:
+                q[n - d] += q[n] * loss / total
+        if total > 0.0:
+            q[n] = 0.0
+    pred = steady_state_prediction(p0, channels).populations
+    assert np.max(np.abs(pred - q)) <= 1e-14
 
 
 def test_effective_rate_formula():

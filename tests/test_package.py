@@ -1,5 +1,6 @@
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -18,6 +19,15 @@ def test_import_leaves_environment_alone():
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_readme_library_sketch_runs():
+    # the sketch uses the public names of the engines and the long-time prediction
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    sketch = re.search(r"## Library sketch\n\n```python\n(.*?)```", readme, re.S).group(1)
+    names = {}
+    exec(sketch, names)
+    assert names["pred"].regime == "mass collects on the dark levels {0}"
 
 
 def _loaded_after_cli_import(module: str) -> bool:

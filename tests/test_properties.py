@@ -134,10 +134,9 @@ def test_engines_read_one_loss_table(rates, p0, kerr):
     diag = np.diag(gen)
     # columns conserve probability: what level n loses, lower levels gain
     assert np.max(np.abs(gen.sum(axis=0))) <= 1e-12 * np.max(np.abs(diag))
-    # stripe 0 of the dense generator is the population cascade
-    stripe0 = stripe_generators(channels, fd.KerrTerm(kerr), nmax)[0]
-    assert np.max(np.abs(stripe0 - gen)) <= 1e-15 * np.max(np.abs(gen))
-    assert np.array_equal(np.diag(stripe0), diag)
+    # stripe 0 of the dense generator is the population cascade, bit for bit
+    for strength in (0.0, kerr):
+        assert np.array_equal(stripe_generators(channels, fd.KerrTerm(strength), nmax)[0], gen)
     # the long-time state keeps the total and lives on the dark levels
     pred = fd.steady_state_prediction(p0, channels).populations
     assert abs(pred.sum() - p0.sum()) <= 1e-12

@@ -151,6 +151,38 @@ def test_run_flag_mode_rates_errors(tmp_path, capsys, rates, message):
     assert not (tmp_path / "o").exists()
 
 
+def _exit_code(argv):
+    # argparse rejects a bad flag value with SystemExit(2); main returns the rest
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["run", "--alpha", "nan", "--rates", "e=1", "--tmax", "1"], "--alpha"),
+        (["run", "--alpha", "1", "--rates", "e=1", "--tmax", "inf"], "--tmax"),
+        (["run", "--alpha", "1", "--rates", "e=inf", "--tmax", "1"], "--rates"),
+        (["run", "--alpha", "1", "--rates", "e=1", "--tmax", "1", "--u1", "nan"], "--u1"),
+        (["run", "--alpha", "1", "--rates", "e=1", "--tmax", "1", "--fixed-step", "nan"],
+         "--fixed-step"),
+        (["preset", "fig1", "--fixed-step", "inf"], "--fixed-step"),
+        (["sweep", str(SCENARIOS / "linear_loss_sweep.json"), "--fixed-step", "nan"],
+         "--fixed-step"),
+    ],
+    ids=["alpha-nan", "tmax-inf", "rate-inf", "u1-nan", "run-fixed-step", "preset-fixed-step",
+         "sweep-fixed-step"],
+)
+def test_non_finite_flags_are_validation_errors(tmp_path, capsys, argv, flag):
+    # argparse's float takes nan and inf; every float flag rejects them, before
+    # anything is written, so no manifest records a step that cannot replay
+    assert _exit_code(argv + ["--out", str(tmp_path / "o")]) == 2
+    assert flag in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_run_flag_mode_fixed_step_and_u1(tmp_path):
     runs = {"plain": [], "fixed": ["--fixed-step", "0.01"], "kerr": ["--u1", "0.4"]}
     scenario, csv = {}, {}
