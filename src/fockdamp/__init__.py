@@ -24,11 +24,12 @@ from .channels import (
     three_photon_loss,
     two_photon_loss,
 )
-from .dynamics import evolve, lindblad_rhs
+from .dynamics import evolve
 from .errors import (
     CutoffTooSmall,
     DimensionMismatch,
     FockdampError,
+    GeneratorOverflow,
     NoClosedForm,
     NoInteriorMinimum,
     NonpositiveGammaB,
@@ -45,18 +46,10 @@ from .fock import (
     annihilation_matrix,
     coherent_density,
     coherent_state,
-    fock_density,
-    fock_state,
-    jump_matrix,
     min_cutoff_for_coherent,
     poisson_tail,
 )
-from .pauli import (
-    PopulationVector,
-    evolve_populations,
-    population_generator,
-    population_rates,
-)
+from .pauli import PopulationVector, evolve_populations, population_generator
 from .trajectories import EnsembleResult, TrajectoryConfig, run_ensemble
 from .twomode import (
     EliminationRecord,

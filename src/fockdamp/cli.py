@@ -1,7 +1,7 @@
 """Command-line interface: scenario runs, presets, sweeps, validation.
 
-Exit codes: 0 success, 2 validation error, 3 numerical failure (trace drift
-or positivity), 4 I/O failure.
+Exit codes: 0 success, 2 validation error, 3 numerical failure (trace drift,
+positivity or an overflowing generator), 4 I/O failure.
 """
 
 from __future__ import annotations

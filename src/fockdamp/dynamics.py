@@ -2,8 +2,7 @@
 
 The generator is the canonical Lindblad form: for each channel with jump
 operator L and rate r it adds r (L rho L^dag - {L^dag L, rho}/2), plus the
-commutator of the Kerr term. ``lindblad_rhs`` evaluates this literally from
-operator products and serves as the reference implementation.
+commutator of the Kerr term.
 
 Because every jump operator is a lowering monomial, the generator couples
 element (k, l) only to (k + d, l + d): each diagonal stripe rho[k, k + d]
@@ -11,8 +10,7 @@ evolves on its own under an upper-triangular generator, and the stripes
 below the diagonal are the conjugates of those above. Stripe d holds
 n - d elements (n = nmax + 1), so stripes d and n - d fill one n-element
 block between them: ``evolve`` stacks the paired stripe generators d >= 0,
-n // 2 + 1 blocks (cross-checked against lindblad_rhs in the tests), and
-propagates them exactly with ``integrate.integrate``.
+n // 2 + 1 blocks, and propagates them exactly with ``integrate.integrate``.
 """
 
 from __future__ import annotations
@@ -22,28 +20,8 @@ import numpy as np
 from .analysis import TRACE_DRIFT_LIMIT, Samples, TimeSeries
 from .channels import JumpChannel, KerrTerm, loss_table
 from .errors import DimensionMismatch
-from .fock import DensityMatrix, FockCutoff, anharmonicity_matrix, jump_matrix
+from .fock import DensityMatrix
 from .integrate import EXACT, expm, integrate
-
-
-def lindblad_rhs(rho, channels: list[JumpChannel], kerr: KerrTerm | None = None) -> np.ndarray:
-    """d(rho)/dt from operator products; Hermitian and traceless by construction."""
-    m = rho.entries if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionMismatch(f"state must be a square matrix, got {m.shape}")
-    cutoff = FockCutoff(m.shape[0] - 1)
-    out = np.zeros_like(m)
-    for ch in channels:
-        if ch.rate == 0.0:
-            continue
-        L = jump_matrix(ch, cutoff)
-        Ld = L.conj().T
-        LdL = Ld @ L
-        out += ch.rate * (L @ m @ Ld - 0.5 * (LdL @ m + m @ LdL))
-    if kerr is not None and kerr.strength != 0.0:
-        H = kerr.strength * anharmonicity_matrix(cutoff)
-        out += -1j * (H @ m - m @ H)
-    return out
 
 
 def _stripe_index(n1: int):

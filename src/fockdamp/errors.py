@@ -30,6 +30,10 @@ class PositivityViolated(FockdampError):
     """A sampled state has an eigenvalue below the monitored bound."""
 
 
+class GeneratorOverflow(FockdampError):
+    """A step generator's norm is not finite: a rate, time or Kerr strength is too large."""
+
+
 class NoClosedForm(FockdampError):
     """No channel of the mix is active, so no cascade sets a long-time state."""
 

@@ -15,12 +15,12 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gammainc
 
-from .channels import JumpChannel
 from .errors import CutoffTooSmall, DimensionMismatch
 
 _HERM_TOL = 1e-12
 _NORM_TOL = 1e-12
 _CUTOFF_MARGIN = 2  # levels min_cutoff_for_coherent adds above the tail bound
+MAX_CUTOFF = 100_000  # where min_cutoff_for_coherent stops searching
 
 
 @dataclass(frozen=True)
@@ -85,10 +85,6 @@ class DensityMatrix:
     def populations(self) -> np.ndarray:
         return np.diag(self.entries).real.copy()
 
-    def min_eigenvalue(self) -> float:
-        """Smallest eigenvalue; positivity check on demand, not per step."""
-        return float(np.linalg.eigvalsh(self.entries)[0])
-
 
 @dataclass(frozen=True)
 class PureState:
@@ -105,10 +101,6 @@ class PureState:
             raise ValueError(f"state norm deviates from 1 by {dev:.3e}")
         object.__setattr__(self, "amplitudes", _frozen_array(v))
 
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.size
-
     def populations(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
 
@@ -116,29 +108,6 @@ class PureState:
 def annihilation_matrix(cutoff: FockCutoff) -> np.ndarray:
     """Lowering operator: entries sqrt(n) on the superdiagonal."""
     return np.diag(np.sqrt(np.arange(1, cutoff.dim)), 1).astype(np.complex128)
-
-
-def anharmonicity_matrix(cutoff: FockCutoff) -> np.ndarray:
-    """a^dag a^dag a a = diag(n(n-1)); the Kerr Hamiltonian up to its strength."""
-    n = np.arange(cutoff.dim)
-    return np.diag((n * (n - 1)).astype(np.complex128))
-
-
-def jump_matrix(channel: JumpChannel, cutoff: FockCutoff) -> np.ndarray:
-    """(A^dag)^j A^k as an explicit operator product on the truncated basis."""
-    k = channel.annihilation_power
-    if k > cutoff.nmax:
-        raise DimensionMismatch(
-            f"a^{k} annihilates the whole truncated space at nmax={cutoff.nmax}"
-        )
-    a = annihilation_matrix(cutoff)
-    ad = a.conj().T
-    out = np.eye(cutoff.dim, dtype=np.complex128)
-    for _ in range(channel.creation_power):
-        out = out @ ad
-    for _ in range(k):
-        out = out @ a
-    return out
 
 
 def poisson_tail(mean_photons: float, nmax: int) -> float:
@@ -154,7 +123,7 @@ def min_cutoff_for_coherent(alpha: complex, tail_tol: float = 1e-12) -> FockCuto
     n = max(1, math.ceil(mean))
     while poisson_tail(mean, n) >= tail_tol:
         n += 1
-        if n > 100_000:
+        if n > MAX_CUTOFF:
             raise ValueError("cutoff search did not converge")
     return FockCutoff(n + _CUTOFF_MARGIN)
 
@@ -184,16 +153,3 @@ def coherent_density(alpha: complex, cutoff: FockCutoff, tail_tol: float = 1e-12
     rho = np.outer(c, c.conj())
     deficit = 1.0 - float(np.trace(rho).real)
     return DensityMatrix(rho, trace_deficit=deficit)
-
-
-def fock_state(n: int, cutoff: FockCutoff) -> PureState:
-    if not 0 <= n <= cutoff.nmax:
-        raise DimensionMismatch(f"level {n} outside basis 0..{cutoff.nmax}")
-    v = np.zeros(cutoff.dim, dtype=np.complex128)
-    v[n] = 1.0
-    return PureState(v)
-
-
-def fock_density(n: int, cutoff: FockCutoff) -> DensityMatrix:
-    v = fock_state(n, cutoff).amplitudes
-    return DensityMatrix(np.outer(v, v.conj()))

@@ -25,6 +25,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from .errors import GeneratorOverflow
+
 _PADE13 = (
     64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
     129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0,
@@ -72,6 +74,8 @@ def _pade13(a):
     diag = np.arange(n)
     triangular = not np.any(np.tril(a, -1))
     norm = float(np.abs(a).sum(axis=-2).max())
+    if not math.isfinite(norm):
+        raise GeneratorOverflow(f"generator norm {norm}: a rate, time or Kerr strength is too large")
     s = math.ceil(math.log2(norm / _THETA13)) if norm > _THETA13 else 0
     a = a / 2.0**s
     b = _PADE13

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import Samples, TimeSeries
-from .channels import JumpChannel, loss_table, lowering_weight
+from .channels import JumpChannel, loss_table
 from .dynamics import _cascade
 from .fock import DensityMatrix, _frozen_array
 from .integrate import _CHUNK, EXACT, expm, integrate
@@ -42,24 +42,6 @@ class PopulationVector:
     @classmethod
     def from_density(cls, rho: DensityMatrix) -> "PopulationVector":
         return cls(rho.populations())
-
-    @property
-    def nmax(self) -> int:
-        return self.p.size - 1
-
-
-def population_rates(channel: JumpChannel, n: int) -> tuple[float, int, float]:
-    """(loss rate out of n, source level feeding n, gain coefficient from it).
-
-    Loss out of level n is rate * |<n-d| L |n>|^2, and the same formula one
-    step higher gives the gain into n: a reference independent of ``_cascade``.
-    """
-    if n < 0:
-        raise ValueError(f"level must be >= 0, got {n}")
-    d = channel.net_lowering
-    loss = channel.rate * lowering_weight(channel, n)
-    gain = channel.rate * lowering_weight(channel, n + d)
-    return loss, n + d, gain
 
 
 def population_generator(channels: list[JumpChannel], nmax: int) -> np.ndarray:

@@ -27,7 +27,7 @@ from .channels import (
     two_photon_loss,
 )
 from .errors import ParseError, ValidationError
-from .fock import FockCutoff, min_cutoff_for_coherent, poisson_tail
+from .fock import MAX_CUTOFF, FockCutoff, min_cutoff_for_coherent, poisson_tail
 from .trajectories import TrajectoryConfig
 from .twomode import TAIL_TOL, TwoModeParams
 
@@ -257,13 +257,14 @@ def validate_dict(obj: dict) -> list[str]:
             errors.append("at least one rate must be > 0 for the selected engine")
         if engine == "twomode" and any(v > 0 for v in rates.values()):
             errors.append("the twomode engine derives its rate from (u4, gamma_b); rates must be 0")
+        # hypot and a product, not abs and ** 2, which raise OverflowError for a huge alpha
+        r, cutoff = math.hypot(alpha.real, alpha.imag), MAX_CUTOFF if nmax is None else int(nmax)
+        tail, tail_tol = poisson_tail(r * r, cutoff), _tail_tol(engine)
+        if tail >= tail_tol and (nmax is None or math.isinf(r * r)):
+            errors.append(f"|alpha|={r:g} needs a cutoff above nmax={cutoff}")
+        elif tail >= tail_tol:
+            errors.append(f"coherent tail beyond nmax={nmax} is {tail:.3e} (allowed {tail_tol:.0e})")
         if nmax is not None:
-            tail_tol = _tail_tol(engine)
-            tail = poisson_tail(abs(alpha) ** 2, int(nmax))
-            if tail >= tail_tol:
-                errors.append(
-                    f"coherent tail beyond nmax={nmax} is {tail:.3e} (allowed {tail_tol:.0e})"
-                )
             # a resolved cutoff is at least 3, so only a given one can be too small
             for key, rate in rates.items():
                 k = _CHANNELS[key](rate).annihilation_power

@@ -61,22 +61,62 @@ def random_density(dim, seed):
     return fd.DensityMatrix(0.5 * (m + m.conj().T))
 
 
-def lindblad_superoperator(channels, kerr, cutoff):
-    """The master equation's generator acting on row-major vec(rho), built
-    from operator products (X rho Y -> kron(X, Y^T)): an oracle independent
-    of the stripe layout."""
-    d = cutoff.dim
-    eye = np.eye(d)
-    lsup = np.zeros((d * d, d * d), dtype=complex)
+# The operator-product oracle: built from annihilation_matrix and the state
+# types only, never from the loss table or the cascade rule the engines share.
+
+
+def fock_state(n, cutoff):
+    """|n> over the truncated basis."""
+    return fd.PureState(np.eye(cutoff.dim)[n])
+
+
+def fock_density(n, cutoff):
+    """|n><n| over the truncated basis."""
+    return fd.DensityMatrix(np.diag(np.eye(cutoff.dim)[n]))
+
+
+def jump_matrix(channel, cutoff):
+    """(a^dag)^j a^k as an explicit operator product on the truncated basis."""
+    a = fd.annihilation_matrix(cutoff)
+    power = np.linalg.matrix_power
+    return power(a.conj().T, channel.creation_power) @ power(a, channel.annihilation_power)
+
+
+def lindblad_rhs(rho, channels, kerr=None):
+    """d(rho)/dt from operator products; Hermitian and traceless by construction."""
+    m = rho.entries if isinstance(rho, fd.DensityMatrix) else np.asarray(rho, dtype=np.complex128)
+    cutoff = fd.FockCutoff(m.shape[0] - 1)
+    out = np.zeros_like(m)
     for ch in channels:
-        L = fd.jump_matrix(ch, cutoff)
-        LdL = L.conj().T @ L
-        lsup += ch.rate * (
-            np.kron(L, L.conj()) - 0.5 * np.kron(LdL, eye) - 0.5 * np.kron(eye, LdL.T)
-        )
-    n = np.arange(d)
-    h = kerr.strength * np.diag(n * (n - 1.0))
-    return lsup - 1j * (np.kron(h, eye) - np.kron(eye, h.T))
+        if ch.rate == 0.0:
+            continue
+        L = jump_matrix(ch, cutoff)
+        Ld = L.conj().T
+        LdL = Ld @ L
+        out += ch.rate * (L @ m @ Ld - 0.5 * (LdL @ m + m @ LdL))
+    if kerr is not None and kerr.strength != 0.0:
+        n = np.arange(cutoff.dim)
+        H = kerr.strength * np.diag(n * (n - 1.0))
+        out += -1j * (H @ m - m @ H)
+    return out
+
+
+def lindblad_superoperator(channels, kerr, cutoff):
+    """The generator on row-major vec(rho): column i is lindblad_rhs of basis matrix i."""
+    d = cutoff.dim
+    basis = np.eye(d * d).reshape(d * d, d, d)
+    return np.stack([lindblad_rhs(e, channels, kerr).reshape(-1) for e in basis], axis=1)
+
+
+def population_oracle(channels, nmax):
+    """M of dp/dt = M p, levels 0..nmax: column n is the diagonal of lindblad_rhs(|n><n|)."""
+    cutoff = fd.FockCutoff(nmax)
+    columns = [np.diag(lindblad_rhs(fock_density(n, cutoff), channels)) for n in range(cutoff.dim)]
+    return np.stack(columns, axis=1).real
+
+
+ORACLE = (fock_state, fock_density, jump_matrix, lindblad_rhs, lindblad_superoperator,
+          population_oracle)
 
 
 def states_with_lowest(lowest, n, complex_, seed):

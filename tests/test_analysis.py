@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import fockdamp as fd
-from conftest import matrix_samples, states_with_lowest
+from conftest import fock_density, matrix_samples, population_oracle, states_with_lowest
 from fockdamp.analysis import (
     TimeSeries,
     find_sigma_min,
@@ -14,7 +14,6 @@ from fockdamp.analysis import (
     steady_state_prediction,
 )
 from fockdamp.channels import linear_loss, nonlinear_loss, three_photon_loss, two_photon_loss
-from fockdamp.pauli import population_rates
 from fockdamp.twomode import _sector_generator
 
 
@@ -32,7 +31,7 @@ def test_observables_coherent():
 
 
 def test_observables_fock_one():
-    obs = observables(fd.fock_density(1, fd.FockCutoff(3)))
+    obs = observables(fock_density(1, fd.FockCutoff(3)))
     assert obs.mean_n == 1.0
     assert obs.std_n == 0.0
     assert obs.g2 == 0.0
@@ -85,14 +84,14 @@ def test_moments_match_observables_row_by_row():
 # each exact engine run on a small state for the drift test below
 _DRIFT_RUNS = {
     "pauli": lambda grid: fd.evolve_populations(
-        fd.PopulationVector.from_density(fd.fock_density(3, fd.FockCutoff(4))),
+        fd.PopulationVector.from_density(fock_density(3, fd.FockCutoff(4))),
         [nonlinear_loss(1.0)], grid,
     ),
     "dynamics": lambda grid: fd.evolve(
-        fd.fock_density(3, fd.FockCutoff(4)), [nonlinear_loss(1.0)], None, grid
+        fock_density(3, fd.FockCutoff(4)), [nonlinear_loss(1.0)], None, grid
     ),
     "twomode": lambda grid: fd.two_mode_evolve(
-        fd.fock_density(2, fd.FockCutoff(3)), fd.TwoModeParams(u4=1.0, gamma_b=30.0, nmax_b=2),
+        fock_density(2, fd.FockCutoff(3)), fd.TwoModeParams(u4=1.0, gamma_b=30.0, nmax_b=2),
         grid,
     ),
 }
@@ -283,17 +282,14 @@ def test_steady_predictions_match_long_runs():
     ids=["fig2-mix", "four-channels", "two-and-three"],
 )
 def test_steady_prediction_matches_the_level_rates(channels):
-    # the branching-ratio pass built from population_rates, independent of the
-    # generator the prediction reads; 40 passes in double precision
+    # the branching-ratio pass down the operator-product population oracle,
+    # independent of the generator the prediction reads; 40 passes in double precision
     p0 = poisson_vector(9.0, 40)
+    rates = population_oracle(channels, 40)
     q = p0.copy()
     for n in range(40, -1, -1):
-        out = [(population_rates(c, n)[0], c.net_lowering) for c in channels]
-        total = sum(loss for loss, _ in out)
-        for loss, d in out:
-            if loss > 0.0:
-                q[n - d] += q[n] * loss / total
-        if total > 0.0:
+        if rates[n, n] < 0.0:
+            q[:n] += q[n] * rates[:n, n] / -rates[n, n]
             q[n] = 0.0
     pred = steady_state_prediction(p0, channels).populations
     assert np.max(np.abs(pred - q)) <= 1e-14

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import fockdamp as fd
+from conftest import jump_matrix
 from fockdamp.channels import (
     JumpChannel,
     KerrTerm,
@@ -28,7 +29,7 @@ def test_amplitudes_match_operator_matrix(channel):
     # oracle: read the matrix elements straight off the operator product
     nmax = 12
     cut = fd.FockCutoff(nmax)
-    L = fd.jump_matrix(channel, cut)
+    L = jump_matrix(channel, cut)
     amp = lowering_amplitudes(channel, nmax)
     d = channel.net_lowering
     for n in range(nmax + 1):

@@ -5,7 +5,13 @@ import pytest
 import scipy.linalg as sla
 
 import fockdamp as fd
-from conftest import lindblad_superoperator, random_density, stripe_min_eigenvalues
+from conftest import (
+    fock_density,
+    lindblad_rhs,
+    lindblad_superoperator,
+    random_density,
+    stripe_min_eigenvalues,
+)
 from fockdamp import dynamics
 from fockdamp.analysis import POSITIVITY_LIMIT
 from fockdamp.channels import linear_loss, nonlinear_loss, three_photon_loss, two_photon_loss
@@ -15,8 +21,8 @@ ALL = [nonlinear_loss(0.7), linear_loss(0.3), two_photon_loss(0.2), three_photon
 
 
 def test_rhs_two_photon_state_pure_nonlinear():
-    rho = fd.fock_density(2, fd.FockCutoff(5))
-    out = fd.lindblad_rhs(rho, [nonlinear_loss(1.0)])
+    rho = fock_density(2, fd.FockCutoff(5))
+    out = lindblad_rhs(rho, [nonlinear_loss(1.0)])
     expected = np.zeros((6, 6), dtype=complex)
     expected[2, 2] = -2.0  # damping k(k-1)^2 at k=2
     expected[1, 1] = +2.0  # gain feeds one level down
@@ -24,15 +30,15 @@ def test_rhs_two_photon_state_pure_nonlinear():
 
 
 def test_rhs_vacuum_dark():
-    rho = fd.fock_density(0, fd.FockCutoff(4))
-    out = fd.lindblad_rhs(rho, ALL, fd.KerrTerm(2.0))
+    rho = fock_density(0, fd.FockCutoff(4))
+    out = lindblad_rhs(rho, ALL, fd.KerrTerm(2.0))
     assert np.allclose(out, 0.0, atol=1e-15)
 
 
 def test_rhs_three_photon_state():
     # |<0| a^3 |3>|^2 = 3! = 6 by hand
-    rho = fd.fock_density(3, fd.FockCutoff(5))
-    out = fd.lindblad_rhs(rho, [three_photon_loss(1.0)])
+    rho = fock_density(3, fd.FockCutoff(5))
+    out = lindblad_rhs(rho, [three_photon_loss(1.0)])
     assert abs(out[3, 3].real + 6.0) < 1e-13
     assert abs(out[0, 0].real - 6.0) < 1e-13
     out[3, 3] = out[0, 0] = 0.0
@@ -46,7 +52,7 @@ def test_rhs_hermitian_and_traceless(seed):
     rho = random_density(dim, seed)
     channels = [c for c in ALL if c.annihilation_power <= dim - 1 and rng.random() > 0.3]
     kerr = fd.KerrTerm(float(rng.normal()))
-    out = fd.lindblad_rhs(rho, channels, kerr)
+    out = lindblad_rhs(rho, channels, kerr)
     scale = np.linalg.norm(rho.entries)
     assert np.max(np.abs(out - out.conj().T)) < 1e-12 * max(1.0, np.linalg.norm(out))
     assert abs(np.trace(out)) < 1e-12 * scale
@@ -64,7 +70,7 @@ def test_banded_generator_matches_operator_form(seed):
         rho = random_density(dim, 50 + seed)
         channels = [ch for ch in ALL if ch.annihilation_power < dim]
         stack = stripe_generators(channels, kerr, dim - 1)
-        ref = fd.lindblad_rhs(rho, channels, kerr)
+        ref = lindblad_rhs(rho, channels, kerr)
         assert stack.shape == (dim // 2 + 1, dim, dim)
         for b, block in enumerate(stack):
             split = dim - b if b else dim
@@ -82,7 +88,7 @@ def test_banded_generator_matches_operator_form(seed):
 
 
 def test_single_photon_linear_decay():
-    rho = fd.fock_density(1, fd.FockCutoff(3))
+    rho = fock_density(1, fd.FockCutoff(3))
     grid = np.array([0.0, 0.5, 1.0, 2.0])
     series, _ = fd.evolve(rho, [linear_loss(1.0)], None, grid)
     for i, t in enumerate(grid):
@@ -161,7 +167,7 @@ def test_stripe_support_preserved():
 
 def test_rhs_trace_free_at_step_start():
     rho = random_density(10, 77)
-    out = fd.lindblad_rhs(rho, ALL, fd.KerrTerm(0.9))
+    out = lindblad_rhs(rho, ALL, fd.KerrTerm(0.9))
     assert abs(np.trace(out)) < 1e-12 * np.linalg.norm(rho.entries)
 
 

@@ -5,7 +5,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import fockdamp as fd
+from conftest import ORACLE
 
 
 def test_import_leaves_environment_alone():
@@ -69,3 +72,18 @@ def test_every_imported_name_is_used():
                 if name not in used:
                     unused.append(f"{path.name}:{node.lineno} {name}")
     assert unused == []
+
+
+def _names(code):
+    """Every global and attribute name a code object reads, nested comprehensions included."""
+    nested = (_names(c) for c in code.co_consts if isinstance(c, type(code)))
+    return set(code.co_names).union(*nested)
+
+
+@pytest.mark.parametrize("oracle", ORACLE, ids=lambda f: f.__name__)
+def test_oracle_reads_nothing_the_engines_share(oracle):
+    # the operator-product references check the engines' one cascade rule and
+    # its loss table, so they must not be built from either
+    shared = {"_cascade", "loss_table", "lowering_amplitudes", "lowering_weight",
+              "stripe_generators", "population_generator"}
+    assert not _names(oracle.__code__) & shared

@@ -5,13 +5,13 @@ import pytest
 import scipy.linalg as sla
 
 import fockdamp as fd
+from conftest import population_oracle
 from fockdamp.channels import linear_loss, nonlinear_loss, three_photon_loss, two_photon_loss
 from fockdamp import pauli
 from fockdamp.pauli import (
     PopulationVector,
     evolve_population_batch,
     evolve_populations,
-    population_rates,
 )
 
 
@@ -22,23 +22,15 @@ def poisson_vector(mean, nmax):
 
 
 
-def test_population_rates_nonlinear():
-    loss, source, gain = population_rates(nonlinear_loss(1.0), 3)
-    assert loss == 12.0  # k(k-1)^2 at k=3
-    assert source == 4
-    assert gain == 36.0  # 4*3^2
-
-
-def test_population_rates_dark_level():
-    loss, _, _ = population_rates(nonlinear_loss(1.0), 1)
-    assert loss == 0.0
-
-
-def test_population_rates_three_photon():
-    loss, source, gain = population_rates(three_photon_loss(1.0), 5)
-    assert loss == 60.0  # 5!/2! by hand
-    assert source == 8
-    assert gain == 8 * 7 * 6
+def test_population_oracle_by_hand():
+    rates = population_oracle([nonlinear_loss(1.0)], 5)
+    assert rates[3, 3] == pytest.approx(-12.0, rel=1e-15)  # k(k-1)^2 at k=3
+    assert rates[3, 4] == pytest.approx(36.0, rel=1e-15)  # 4*3^2, fed from level 4
+    assert rates[1, 1] == 0.0  # dark
+    rates = population_oracle([three_photon_loss(1.0)], 8)
+    assert rates[5, 5] == pytest.approx(-60.0, rel=1e-15)  # 5!/2! by hand
+    assert rates[5, 8] == pytest.approx(8 * 7 * 6, rel=1e-15)  # fed from level 8
+    assert np.count_nonzero(rates[:, 8]) == 2  # level 8 feeds level 5 only
 
 
 def test_two_level_cascade_closed_form():

@@ -183,6 +183,43 @@ def test_non_finite_flags_are_validation_errors(tmp_path, capsys, argv, flag):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--rates", "e=1e308", "--tmax", "1", "--engine", "pauli"],
+        ["--rates", "e=1", "--tmax", "1e308", "--engine", "pauli"],
+        ["--rates", "e=1", "--u1", "1e308", "--tmax", "1"],
+    ],
+    ids=["rate", "tmax", "u1"],
+)
+def test_an_overflowing_generator_is_a_numerical_failure(tmp_path, capsys, extra):
+    # finite flags whose generator overflows: NumPy warns, then expm refuses the norm
+    with pytest.warns(RuntimeWarning):
+        code = cli.main(["run", "--alpha", "1", *extra, "--out", str(tmp_path / "o")])
+    assert code == 3
+    assert "generator norm" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, violation",
+    [
+        (["run", "--alpha", "400", "--rates", "e=1", "--tmax", "1"],
+         "  - |alpha|=400 needs a cutoff above nmax=100000"),
+        (["run", "--alpha", "1e200", "--rates", "e=1", "--tmax", "1"],
+         "  - |alpha|=1e+200 needs a cutoff above nmax=100000"),
+        (["run", "--alpha", "1e200", "--nmax", "5", "--rates", "e=1", "--tmax", "1"],
+         "  - |alpha|=1e+200 needs a cutoff above nmax=5"),
+    ],
+    ids=["no-cutoff", "overflow", "overflow-nmax"],
+)
+def test_a_huge_alpha_is_a_validation_error(tmp_path, capsys, argv, violation):
+    # no cutoff the search may reach holds the coherent tail, or |alpha|^2 overflows
+    assert cli.main(argv + ["--out", str(tmp_path / "o")]) == 2
+    assert violation in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_run_flag_mode_fixed_step_and_u1(tmp_path):
     runs = {"plain": [], "fixed": ["--fixed-step", "0.01"], "kerr": ["--u1", "0.4"]}
     scenario, csv = {}, {}
@@ -504,8 +541,10 @@ def test_negative_swept_rate_is_a_schema_error(tmp_path, capsys):
          "  - alpha=3: coherent tail beyond nmax=20 is 4.393e-04"),
         ({"sweep": {"gamma_e": [1.0, 0.0]}},
          "  - gamma_e=0: at least one rate must be > 0"),
+        ({"sweep": {"alpha": [1.0, 400.0]}},
+         "  - alpha=400: |alpha|=400 needs a cutoff above nmax=100000"),
     ],
-    ids=["tail", "no-rate"],
+    ids=["tail", "no-rate", "huge-alpha"],
 )
 def test_validate_checks_every_sweep_point_as_sweep_does(tmp_path, capsys, change, violation):
     path = write_json(tmp_path / "sweep.json", dict(BASE, **change))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import fockdamp as fd
+from conftest import fock_state
 from fockdamp import _rng, trajectories
 from fockdamp.channels import (
     linear_loss,
@@ -142,7 +143,7 @@ def assert_matches_reference(psi0, channels, kerr, cfg, chunk=trajectories._CHUN
             id="kerr",
         ),
         pytest.param(
-            fd.fock_state(1, fd.FockCutoff(4)),
+            fock_state(1, fd.FockCutoff(4)),
             [nonlinear_loss(1.0)],
             None,
             TrajectoryConfig(50, 22, np.linspace(0, 20, 9)),
@@ -229,8 +230,8 @@ def test_recording_in_small_blocks_matches_reference(monkeypatch, block):
 @pytest.mark.parametrize(
     "psi0, channels, final",
     [
-        pytest.param(fd.fock_state(1, fd.FockCutoff(3)), [linear_loss(1.0)], 0, id="linear"),
-        pytest.param(fd.fock_state(2, fd.FockCutoff(3)), [nonlinear_loss(1.0)], 1, id="nonlinear"),
+        pytest.param(fock_state(1, fd.FockCutoff(3)), [linear_loss(1.0)], 0, id="linear"),
+        pytest.param(fock_state(2, fd.FockCutoff(3)), [nonlinear_loss(1.0)], 1, id="nonlinear"),
     ],
 )
 def test_no_dark_population_on_a_long_grid(psi0, channels, final):
@@ -244,7 +245,7 @@ def test_no_dark_population_on_a_long_grid(psi0, channels, final):
 
 
 def test_dark_state_never_jumps():
-    psi = fd.fock_state(1, fd.FockCutoff(4))
+    psi = fock_state(1, fd.FockCutoff(4))
     cfg = TrajectoryConfig(n_traj=64, master_seed=3, t_grid=np.linspace(0, 20, 9))
     res = run_ensemble(psi, [nonlinear_loss(1.0)], None, cfg)
     assert np.all(res.series.populations[:, 1] == 1.0)
@@ -252,7 +253,7 @@ def test_dark_state_never_jumps():
 
 
 def test_single_photon_linear_decay_statistics():
-    psi = fd.fock_state(1, fd.FockCutoff(3))
+    psi = fock_state(1, fd.FockCutoff(3))
     cfg = TrajectoryConfig(n_traj=10000, master_seed=12, t_grid=np.array([0.0, 1.0]))
     res = run_ensemble(psi, [linear_loss(1.0)], None, cfg)
     p1 = res.series.populations[-1, 1]
@@ -307,7 +308,7 @@ def test_kerr_does_not_move_populations():
 
 
 def test_ensemble_series():
-    psi = fd.fock_state(1, fd.FockCutoff(3))
+    psi = fock_state(1, fd.FockCutoff(3))
     cfg = TrajectoryConfig(n_traj=100, master_seed=4, t_grid=np.linspace(0, 2, 5))
     series = run_ensemble(psi, [linear_loss(1.0)], None, cfg).series
     assert series.populations.shape == (5, 4)

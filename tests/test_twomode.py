@@ -7,7 +7,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 import fockdamp as fd
-from conftest import hermitian
+from conftest import fock_density, hermitian
 from fockdamp import twomode
 from fockdamp.analysis import POSITIVITY_LIMIT
 from fockdamp.channels import nonlinear_loss
@@ -49,7 +49,7 @@ def random_density(dim, seed):
 
 def test_one_photon_is_stationary():
     params = TwoModeParams(u4=1.0, gamma_b=30.0, nmax_b=2)
-    res = two_mode_evolve(fd.fock_density(1, fd.FockCutoff(3)), params, np.linspace(0, 3, 7))
+    res = two_mode_evolve(fock_density(1, fd.FockCutoff(3)), params, np.linspace(0, 3, 7))
     assert np.max(np.abs(res.series.populations[:, 1] - 1.0)) < 1e-12
     assert res.b_occupation.max() < 1e-12
 
@@ -100,7 +100,7 @@ def test_two_photons_decay_at_effective_rate():
     ge = params.gamma_e
     assert abs(ge - 0.08) < 1e-15  # 50 * (2/50)^2
     grid = np.linspace(0, 20, 11)
-    res = two_mode_evolve(fd.fock_density(2, fd.FockCutoff(4)), params, grid)
+    res = two_mode_evolve(fock_density(2, fd.FockCutoff(4)), params, grid)
     # the pair level empties at ~ 2 gamma_e toward the one-photon dark state
     for i, t in enumerate(grid):
         assert abs(res.series.populations[i, 2] - math.exp(-2 * ge * t)) < 0.01
