@@ -22,14 +22,31 @@ def poisson_vector(mean, nmax):
 
 
 
-def test_population_oracle_by_hand():
-    rates = population_oracle([nonlinear_loss(1.0)], 5)
-    assert rates[3, 3] == pytest.approx(-12.0, rel=1e-15)  # k(k-1)^2 at k=3
-    assert rates[3, 4] == pytest.approx(36.0, rel=1e-15)  # 4*3^2, fed from level 4
-    assert rates[1, 1] == 0.0  # dark
-    rates = population_oracle([three_photon_loss(1.0)], 8)
-    assert rates[5, 5] == pytest.approx(-60.0, rel=1e-15)  # 5!/2! by hand
-    assert rates[5, 8] == pytest.approx(8 * 7 * 6, rel=1e-15)  # fed from level 8
+def _level_rates(channel, nmax):
+    """The engine's generator and the operator-product oracle, each checked by hand."""
+    gen = pauli.population_generator([channel], nmax)
+    rates = population_oracle([channel], nmax)
+    np.testing.assert_allclose(gen, rates, rtol=1e-14, atol=1e-12)
+    return gen
+
+
+def test_population_rates_nonlinear():
+    rates = _level_rates(nonlinear_loss(1.0), 5)
+    assert rates[3, 3] == pytest.approx(-12.0, rel=1e-14)  # k(k-1)^2 at k=3
+    assert rates[3, 4] == pytest.approx(36.0, rel=1e-14)  # 4*3^2, fed from level 4
+    assert np.count_nonzero(rates[:, 4]) == 2  # level 4 feeds level 3 only
+
+
+def test_population_rates_dark_level():
+    rates = _level_rates(nonlinear_loss(1.0), 5)
+    assert rates[1, 1] == 0.0
+    assert np.count_nonzero(rates[:, 1]) == 0
+
+
+def test_population_rates_three_photon():
+    rates = _level_rates(three_photon_loss(1.0), 8)
+    assert rates[5, 5] == pytest.approx(-60.0, rel=1e-14)  # 5!/2! by hand
+    assert rates[5, 8] == pytest.approx(8 * 7 * 6, rel=1e-14)  # fed from level 8
     assert np.count_nonzero(rates[:, 8]) == 2  # level 8 feeds level 5 only
 
 
