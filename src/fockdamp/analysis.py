@@ -110,9 +110,28 @@ def moments(populations) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 TRACE_DRIFT_LIMIT = 1e-8
 # the most negative eigenvalue a sampled state may have
 POSITIVITY_LIMIT = -1e-8
-# the positivity gate factors every sampled state with its diagonal raised by
-# half the limit, so a factor bounds each eigenvalue below by about -5e-9
-_GATE_SHIFT = -POSITIVITY_LIMIT / 2
+# the positivity gate factors a leading block of the sampled states, raised on
+# its diagonal by _GATE_SHIFT, and leaves out at most _TAIL_NORM of entries,
+# root-sum-square; each term costs at most 2.5e-9, so a factor bounds every
+# eigenvalue below by about -5e-9, half the limit
+_GATE_SHIFT = -POSITIVITY_LIMIT / 4
+_TAIL_NORM = -POSITIVITY_LIMIT / 8
+
+
+def _lower(states, rows, cols, src, n):
+    """The (samples, n, n) matrices whose lower triangles hold the conjugates
+    of the upper entries ``states[:, src[p]]`` at ``(rows[p], cols[p])``."""
+    tri = np.zeros((len(states), n, n), dtype=states.dtype)
+    tri[:, cols, rows] = states[:, src].conj()
+    return tri
+
+
+def _abs2(a):
+    """|a|^2 elementwise; a complex inf gives inf, not the nan of inf * 0."""
+    out = a.real * a.real
+    if a.dtype.kind == "c":
+        out += a.imag * a.imag
+    return out
 
 
 class Samples:
@@ -129,17 +148,31 @@ class Samples:
 
     When ``upper = (rows, cols, src)`` is given, the flattened state's element
     ``src[p]`` is the matrix entry ``(rows[p], cols[p])`` on or above the
-    diagonal (one state per sample, not a stack), and ``add`` also checks
-    positivity. It fills the block's lower triangles with the conjugates at
-    once and gates them with one stacked ``np.linalg.cholesky``, the
-    diagonal raised by 5e-9: a finite factor of every sample proves each
-    smallest eigenvalue above -5e-9, less rounding of order 1e-14, so the
-    block passes. (OpenBLAS factors a nan without failing, hence the finite
-    check.) Only a block the gate rejects goes, unshifted, to one stacked
+    diagonal, the whole diagonal among them (one state per sample, not a
+    stack), and ``add`` also checks positivity, with a gate that factors
+    only the levels holding weight. Split a state at level K as
+    rho = [[A, B], [B^H, C]]. Then
+
+        lambda_min(rho) >= min(lambda_min(A), 0) - ||B||_2 - ||C||_2,
+
+    and ||B||_2 + ||C||_2 <= 2 sqrt(S(K)), where S(K) is the sum of |rho_ij|^2
+    over the stored entries in columns j >= K. ``add`` sums each column's
+    |rho_ij|^2, reads S(K) for every K off one cumulative sum from the last
+    column down, and takes the smallest K at which S(K) <= 1.25e-9 ** 2 for
+    every sample of the block (a nan or inf is never below it, so it stays
+    inside A). One stacked ``np.linalg.cholesky`` factors the block's leading
+    K x K matrices, their diagonal raised by 2.5e-9. A finite factor of every
+    sample proves lambda_min(A) above -2.5e-9, so each smallest eigenvalue
+    is above -5e-9, less rounding of order 1e-14, and the block passes.
+    (OpenBLAS factors a nan without failing, hence the finite check.) Once
+    the attenuator has drained the high levels, K is 2 to 4 at nmax = 40.
+
+    Only a block the gate rejects is filled whole, its lower triangles with
+    the conjugates, and goes, unshifted, to one stacked
     ``np.linalg.eigvalsh``; LAPACK treats each matrix of the stack on its
     own, so these are the values of one call per sample. A value below -1e-8
     raises PositivityViolated, at the first such sample; otherwise the block
-    passes too. The last sample is always decomposed, and its smallest
+    passes too. The last sample is always decomposed whole, and its smallest
     eigenvalue, that of the state the run ends in, is ``min_eigenvalue``.
     """
 
@@ -147,8 +180,14 @@ class Samples:
         self.t = np.asarray(t_grid, dtype=float)
         self.trace0 = np.asarray(trace0, dtype=float)
         self._diagonal = diagonal
-        self._upper = upper
+        self._upper = None
         self.min_eigenvalue = None
+        if upper is not None:
+            rows, cols, src = map(np.asarray, upper)
+            by_col = np.argsort(cols, kind="stable")
+            self._upper = rows[by_col], cols[by_col], src[by_col]
+            # the entries in columns < K are the first _first[K] of them
+            self._first = np.searchsorted(cols[by_col], np.arange(cols.max() + 2))
 
     def add(self, start: int, ys):
         stop = start + len(ys)
@@ -168,20 +207,23 @@ class Samples:
             return
         rows, cols, src = self._upper
         m, n = diag.shape
-        tri = np.zeros((m, n, n), dtype=ys.dtype)
-        tri[:, cols, rows] = ys.reshape(m, -1)[:, src].conj()
-        on_diagonal = tri.reshape(m, -1)[:, :: n + 1]
-        exact = on_diagonal.copy()
-        on_diagonal += _GATE_SHIFT
+        flat = ys.reshape(m, -1)
+        by_col = np.add.reduceat(_abs2(flat[:, src]), self._first[:-1], axis=1)
+        outside = np.zeros((m, n + 1))  # outside[:, k]: the weight in columns >= k
+        np.cumsum(by_col[:, ::-1], axis=1, out=outside[:, -2::-1])
+        fits = (outside <= _TAIL_NORM**2).all(axis=0)  # nan-safe
+        k = int(np.argmax(fits))  # fits[n], with nothing outside, always holds
+        inside = self._first[k]
+        lead = _lower(flat, rows[:inside], cols[:inside], src[:inside], k)
+        lead.reshape(m, -1)[:, :: k + 1] += _GATE_SHIFT
         try:
-            factor = np.linalg.cholesky(tri)
+            factor = np.linalg.cholesky(lead)
         except np.linalg.LinAlgError:
             passed = False
         else:
             passed = np.isfinite(np.diagonal(factor, axis1=1, axis2=2)).all()
-        on_diagonal[:] = exact
         if not passed:
-            lowest = np.linalg.eigvalsh(tri, UPLO="L")[:, 0]
+            lowest = np.linalg.eigvalsh(_lower(flat, rows, cols, src, n), UPLO="L")[:, 0]
             bad = np.flatnonzero(~(lowest >= POSITIVITY_LIMIT))  # nan-safe
             if bad.size:
                 raise PositivityViolated(
@@ -189,7 +231,8 @@ class Samples:
                     f"(limit {POSITIVITY_LIMIT:.0e})"
                 )
         if stop == self.t.size:
-            self.min_eigenvalue = np.linalg.eigvalsh(tri[-1], UPLO="L")[0]
+            (last,) = _lower(flat[-1:], rows, cols, src, n)
+            self.min_eigenvalue = np.linalg.eigvalsh(last, UPLO="L")[0]
 
     def series(self, populations=None, state=...) -> TimeSeries:
         """The TimeSeries of the recorded diagonals, or of ``populations``

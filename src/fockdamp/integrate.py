@@ -14,8 +14,9 @@ Matrix Anal. Appl. 31, 970, 2009, Code Fragment 2.1), which keeps the
 column sums of a probability-conserving cascade at rounding level.
 
 Every step lands on a sample, so ``integrate`` has one callback: it hands
-the sampled states up in blocks of 32, which is also the stack size of the
-recorder's positivity check (``analysis.Samples``).
+the sampled states up in blocks of 32, and the recorder
+(``analysis.Samples``) checks each block's positivity with one stacked
+factorisation of the levels its states occupy.
 """
 
 from __future__ import annotations

@@ -28,6 +28,8 @@ from .channels import (
 )
 from .errors import ParseError, ValidationError
 from .fock import MAX_CUTOFF, FockCutoff, min_cutoff_for_coherent, poisson_tail
+from .integrate import _CHUNK
+from .trajectories import _CHUNK as _TRAJ_CHUNK
 from .trajectories import TrajectoryConfig
 from .twomode import TAIL_TOL, TwoModeParams
 
@@ -135,6 +137,46 @@ def _as_complex(value) -> complex:
 def _tail_tol(engine: str) -> float:
     """Allowed coherent tail beyond nmax: loose for the small two-mode basis."""
     return TAIL_TOL if engine == "twomode" else 1e-12
+
+
+# the most bytes one array of a run may take; each engine's cutoff cap is the
+# largest nmax at which its largest array fits. expm and the sampler make a
+# few temporaries of that size, so a run at the cap stays within a few GB
+ARRAY_LIMIT = 2**28
+
+
+def _largest_array(obj: dict, points: int, nmax: int) -> tuple[str, int]:
+    """What the engine's largest array at cutoff ``nmax`` holds, and its bytes.
+
+    dense: the propagator stack of the paired stripes, complex at worst.
+    pauli: the stack of generators of one group of sweep points, at most 8.
+    trajectories: the population sums of every chunk of 256 trajectories.
+    twomode: the sector-by-pairs table ``twomode._sector_generator`` forms.
+    """
+    n1 = nmax + 1
+    engine = obj["engine"]
+    if engine == "dense":
+        return "stripe stack", 16 * (n1 // 2 + 1) * n1 * n1
+    if engine == "pauli":
+        stack = min(points, _CHUNK)
+        return f"stack of {stack} generator{'s' * (stack > 1)}", 8 * stack * n1 * n1
+    if engine == "trajectories":
+        chunks = -(-int(obj["trajectory"]["n_traj"]) // _TRAJ_CHUNK)
+        return "population sums", 8 * chunks * int(obj["samples"]) * n1
+    # sector pairs: sum over N of the squared count of (n_A, n_B) with n_A + n_B = N
+    nb1 = int(obj["twomode"].get("nmax_b", 4)) + 1
+    lo, hi = sorted((n1, nb1))
+    pairs = (lo - 1) * lo * (2 * lo - 1) // 3 + (hi - lo + 1) * lo * lo
+    return f"sector table at nmax_b={nb1 - 1}", 8 * pairs * (pairs + n1 * nb1) // 2
+
+
+def _cutoff_cap(obj: dict, points: int) -> int:
+    """The largest nmax whose ``_largest_array`` fits in ARRAY_LIMIT (0 if none)."""
+    lo, hi = 0, MAX_CUTOFF + 1  # the array grows with nmax
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if _largest_array(obj, points, mid)[1] <= ARRAY_LIMIT else (lo, mid)
+    return lo
 
 
 def _json_complex(z: complex):
@@ -250,6 +292,7 @@ def validate_dict(obj: dict) -> list[str]:
     if engine != "twomode" and "twomode" in obj:
         violations.append("'twomode' block is only valid with engine 'twomode'")
     nmax = obj.get("nmax")
+    sized = not violations  # the engine's own block, which sizes its arrays, is there
     fields, values, points = _points(obj)
     for point, (alpha, rates) in zip(values, points):
         errors = []
@@ -264,6 +307,16 @@ def validate_dict(obj: dict) -> list[str]:
             errors.append(f"|alpha|={r:g} needs a cutoff above nmax={cutoff}")
         elif tail >= tail_tol:
             errors.append(f"coherent tail beyond nmax={nmax} is {tail:.3e} (allowed {tail_tol:.0e})")
+        if sized and (nmax is not None or tail < tail_tol):
+            size = cutoff if nmax is not None else min_cutoff_for_coherent(alpha, tail_tol).nmax
+            what, nbytes = _largest_array(obj, len(points), size)
+            if nbytes > ARRAY_LIMIT:
+                named = f"nmax={size}" if nmax is not None else f"|alpha|={r:g} resolves nmax={size}, which"
+                errors.append(
+                    f"{named} is above the {engine} engine's cap of nmax="
+                    f"{_cutoff_cap(obj, len(points))}: its {what} would take "
+                    f"{nbytes / 2**30:.3g} GiB (limit {ARRAY_LIMIT / 2**30:g} GiB)"
+                )
         if nmax is not None:
             # a resolved cutoff is at least 3, so only a given one can be too small
             for key, rate in rates.items():

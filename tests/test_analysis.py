@@ -14,6 +14,7 @@ from fockdamp.analysis import (
     steady_state_prediction,
 )
 from fockdamp.channels import linear_loss, nonlinear_loss, three_photon_loss, two_photon_loss
+from fockdamp.scenario import parse_scenario, preset_scenarios
 from fockdamp.twomode import _sector_generator
 
 
@@ -170,8 +171,9 @@ def test_positivity_violation_raises_at_the_first_sample_in_a_later_block(monkey
 
 @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
 def test_positivity_gate_band(monkeypatch, complex_):
-    # the Cholesky gate shifts by 5e-9: a zero eigenvalue passes it, -7e-9
-    # fails it and eigvalsh clears the block, -1.2e-8 is below the limit
+    # these states fill every level, so the gate factors them whole, shifted
+    # by 2.5e-9: a zero eigenvalue passes it, -7e-9 fails it and eigvalsh
+    # clears the block, -1.2e-8 is below the limit
     calls = []
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(
@@ -197,6 +199,76 @@ def test_positivity_gate_rejects_nan(complex_):
     states[1, 2, 4] = states[1, 4, 2] = np.nan
     with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
         matrix_samples(np.arange(3.0), 6).add(0, states.reshape(3, -1))
+
+
+def _record_calls(monkeypatch, name):
+    """Wrap ``np.linalg.<name>`` and return the list of the shapes it receives."""
+    shapes, original = [], getattr(np.linalg, name)
+    monkeypatch.setattr(
+        np.linalg, name, lambda a, *args, **kw: shapes.append(a.shape) or original(a, *args, **kw)
+    )
+    return shapes
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_the_gate_never_passes_a_non_finite_trailing_entry(monkeypatch, complex_, value):
+    # the weight sits on levels 0..2 and the bad entry in column 10, far
+    # outside them: the gate must take it into its block, fail, and hand the
+    # block to eigvalsh, which does not converge on it
+    eig_calls = _record_calls(monkeypatch, "eigvalsh")
+    n = 12
+    states = np.zeros((4, n, n), dtype=complex if complex_ else float)
+    states[:, :3, :3] = [[0.5, 0.1, 0.0], [0.1, 0.3, 0.05], [0.0, 0.05, 0.2]]
+    states[2, 8, 10] = states[2, 10, 8] = value
+    samples = matrix_samples(np.arange(4.0), n)
+    with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+        samples.add(0, states.reshape(4, -1))
+    assert eig_calls == [(4, n, n)]
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("trailing", [38, 97])
+def test_the_gate_finds_an_eigenvalue_hidden_in_the_trailing_levels(monkeypatch, complex_, trailing):
+    # level 2 is empty, and it couples to each of the trailing levels by b,
+    # with |b| = 1.2e-8 / sqrt(trailing): 1.9e-9 at 38 levels, and 1.2e-9, each
+    # entry below the tail bound of 1.25e-9, at 97. Together they give sample 5
+    # an eigenvalue of -1.2e-8 that no leading block shows: the block over
+    # levels 0..2 is positive semidefinite.
+    n = 3 + trailing
+    states = np.zeros((8, n, n), dtype=complex if complex_ else float)
+    states[:, :3, :3] = np.diag([0.6, 0.4, 0.0])
+    phases = np.exp(2j * np.pi * np.arange(trailing) / 7) if complex_ else np.ones(trailing)
+    states[5, 2, 3:] = 1.2e-8 / math.sqrt(trailing) * phases
+    states[5, 3:, 2] = states[5, 2, 3:].conj()
+    assert np.linalg.eigvalsh(states[5, :3, :3])[0] >= 0.0
+    chol_calls = _record_calls(monkeypatch, "cholesky")
+    with pytest.raises(fd.PositivityViolated, match=r"min eigenvalue -1\.200e-08 at t=5 "):
+        matrix_samples(np.arange(8.0), n).add(0, states.reshape(8, -1))
+    # the gate widened its block past level 2, to the column where the
+    # weight outside fell below the bound
+    assert chol_calls[0][1] >= n - 1
+
+
+def test_the_gate_factors_only_the_occupied_levels_after_the_first_block(monkeypatch):
+    # fig. 2's add_mixed run: alpha = 3, nmax = 40, 2001 samples to t = 100.
+    # The first block holds the coherent state and is factored whole; by the
+    # second the attenuator has drained every level above 3 below the bound.
+    (raw,) = [r for r in preset_scenarios("fig2") if r["name"].endswith("add_mixed")]
+    scn = parse_scenario(raw)
+    chol_calls = _record_calls(monkeypatch, "cholesky")
+    eig_calls = _record_calls(monkeypatch, "eigvalsh")
+    fd.evolve(fd.coherent_density(scn.alpha, scn.cutoff), scn.channels(), scn.kerr(), scn.t_grid)
+    assert len(chol_calls) == -(-scn.samples // 32)
+    assert chol_calls[0] == (32, 41, 41)
+    assert all(shape[0] <= 32 and shape[1] == shape[2] <= 4 for shape in chol_calls[1:])
+    assert eig_calls == [(41, 41)]  # the last sample only: every block passed the gate
+    # the two-mode sector passes the same gate on every block
+    chol_calls.clear()
+    eig_calls.clear()
+    rho_a = fd.coherent_density(1.5, fd.FockCutoff(12), tail_tol=1e-4)
+    fd.two_mode_evolve(rho_a, fd.TwoModeParams(u4=1.0, gamma_b=100.0), np.linspace(0, 100, 41))
+    assert len(chol_calls) == 2 and eig_calls == [(65, 65)]
 
 
 def test_steady_pure_nonlinear():

@@ -155,11 +155,16 @@ def test_engines_read_one_loss_table(rates, p0, kerr):
 )
 def test_positivity_gate_decides_as_eigvalsh(n, complex_, seed, lowest):
     # rank-deficient states whose smallest eigenvalue straddles the gate's
-    # shift (-5e-9) and the limit (-1e-8)
-    states = states_with_lowest(lowest, n, complex_, seed)
+    # bound (-5e-9) and the limit (-1e-8)
+    assert_gate_decides_as_eigvalsh(states_with_lowest(lowest, n, complex_, seed))
+
+
+def assert_gate_decides_as_eigvalsh(states):
+    """The recorder raises where eigvalsh finds a value below the limit, at
+    the first such sample, and otherwise ends on eigvalsh's last value."""
     reference = np.linalg.eigvalsh(states)[:, 0]
-    t = np.arange(len(lowest), dtype=float)
-    samples = matrix_samples(t, n)
+    t = np.arange(len(states), dtype=float)
+    samples = matrix_samples(t, states.shape[-1])
     bad = np.flatnonzero(reference < POSITIVITY_LIMIT)
     if bad.size:
         message = f"min eigenvalue {reference[bad[0]]:.3e} at t={t[bad[0]]:.6g} "
@@ -168,3 +173,55 @@ def test_positivity_gate_decides_as_eigvalsh(n, complex_, seed, lowest):
     else:
         samples.add(0, states.reshape(len(t), -1))
         assert samples.min_eigenvalue == reference[-1]
+
+
+def states_near_the_tail_bound(lowest, n, lead, tail, hidden, complex_, seed):
+    """Unit-trace n x n Hermitian states, one per value of ``lowest``. The
+    leading ``lead`` levels hold that eigenvalue (in the trailing levels
+    instead when ``hidden``), zeros and, from level lead // 2, positive
+    weights, in a random basis. The trailing levels hold
+    eigenvalues up to ``tail`` times the gate's tail bound, 1.25e-9, and a
+    rotation by an angle of that size mixes them with the leading ones, so
+    the weight outside the leading block sits around the bound."""
+    rng = np.random.default_rng(seed)
+    scale = tail * 1.25e-9
+    out = []
+    for lam in lowest:
+        spectrum = np.zeros(n)
+        spectrum[lead:] = rng.uniform(0.0, scale / n, n - lead) * rng.integers(0, 2, n - lead)
+        spectrum[lead if hidden else 0] = lam
+        weights = rng.uniform(0.1, 1.0, lead - lead // 2)
+        spectrum[lead // 2 : lead] = weights / weights.sum() * (1.0 - spectrum.sum())
+        mix = np.zeros((n, n), dtype=complex if complex_ else float)
+        mix[:lead, lead:] = rng.normal(size=(lead, n - lead))
+        if complex_:
+            mix[:lead, lead:] += 1j * rng.normal(size=(lead, n - lead))
+        mix *= scale / np.linalg.norm(mix)
+        basis = np.zeros((n, n), dtype=mix.dtype)
+        for lo, hi in ((0, lead), (lead, n)):
+            a = rng.normal(size=(hi - lo, hi - lo))
+            if complex_:
+                a = a + 1j * rng.normal(size=(hi - lo, hi - lo))
+            basis[lo:hi, lo:hi] = np.linalg.qr(a)[0]
+        q = sla.expm(mix - mix.conj().T) @ basis
+        m = (q * spectrum) @ q.conj().T
+        out.append(0.5 * (m + m.conj().T))
+    return np.array(out)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(
+    n=st.integers(6, 41),
+    lead=st.integers(2, 5),
+    complex_=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    lowest=st.lists(st.floats(-2e-8, 2e-9), min_size=1, max_size=4),
+    tail=st.floats(0.1, 4.0),
+    hidden=st.booleans(),
+)
+def test_the_split_gate_decides_as_eigvalsh(n, lead, complex_, seed, lowest, tail, hidden):
+    # the gate factors only the leading levels when the weight outside them
+    # is below its tail bound; whatever block it takes, it decides as eigvalsh
+    assert_gate_decides_as_eigvalsh(
+        states_near_the_tail_bound(lowest, n, lead, tail, hidden, complex_, seed)
+    )

@@ -9,6 +9,7 @@ import pytest
 
 import fockdamp as fd
 from fockdamp import cli, scenario
+from fockdamp.dynamics import stripe_generators
 from fockdamp.errors import NoInteriorMinimum, ValidationError
 from fockdamp.scenario import (
     load_raw,
@@ -17,6 +18,7 @@ from fockdamp.scenario import (
     sweep_grid,
     validate_dict,
 )
+from fockdamp.twomode import _sector_generator
 
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -218,6 +220,74 @@ def test_a_huge_alpha_is_a_validation_error(tmp_path, capsys, argv, violation):
     assert cli.main(argv + ["--out", str(tmp_path / "o")]) == 2
     assert violation in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+# alpha = 300, a mean photon number of 90000, resolves a cutoff above 90000;
+# each engine at this module's settings, with the cap its largest array sets
+_CAPPED = {
+    "dense": ({}, 320),
+    "pauli": ({}, 5791),
+    "trajectories": ({"samples": 201, "trajectory": {"n_traj": 10000, "master_seed": 1}}, 4172),
+    "twomode": ({"rates": {}, "twomode": {"u4": 1.0, "gamma_b": 100.0}}, 299),
+}
+
+
+@pytest.mark.parametrize("engine", sorted(_CAPPED))
+def test_alpha_300_is_above_every_engines_cap(tmp_path, capsys, engine):
+    extra, cap = _CAPPED[engine]
+    obj = dict(BASE, alpha=300.0, engine=engine, **extra)
+    path = write_json(tmp_path / "huge.json", obj)
+    for argv in (["validate", path], ["run", path, "--out", str(tmp_path / "o")]):
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert "|alpha|=300 resolves nmax=" in err
+        assert f"above the {engine} engine's cap of nmax={cap}:" in err
+    assert not (tmp_path / "o").exists()
+    # the cap itself is accepted, one level above it is not
+    assert validate_dict(dict(obj, alpha=1.0, nmax=cap)) == []
+    (above,) = validate_dict(dict(obj, alpha=1.0, nmax=cap + 1))
+    assert above.startswith(f"nmax={cap + 1} is above the {engine} engine's cap of nmax={cap}: ")
+
+
+def test_a_cutoff_above_the_cap_is_reported_at_every_sweep_point(tmp_path, capsys):
+    obj = dict(BASE, engine="dense", nmax=400, sweep={"gamma_q": [0.0, 0.1]})
+    path = write_json(tmp_path / "sweep.json", obj)
+    for argv in (["validate", path], ["sweep", path, "--out", str(tmp_path / "o")]):
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("  - ") == 2
+        for q in ("0", "0.1"):
+            assert f"  - gamma_q={q}: nmax=400 is above the dense engine's cap of nmax=320: " in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_an_nmax_b_no_cutoff_fits_is_a_validation_error():
+    obj = dict(BASE, engine="twomode", nmax=12, rates={},
+               twomode={"u4": 1.0, "gamma_b": 100.0, "nmax_b": 2000})
+    (violation,) = validate_dict(obj)
+    assert violation.startswith(
+        "nmax=12 is above the twomode engine's cap of nmax=0: its sector table at nmax_b=2000 "
+    )
+
+
+def test_largest_array_sizes_match_the_engines():
+    # the bytes each cap is derived from, against the arrays the engines build
+    nmax, kerr = 9, fd.KerrTerm(0.5)
+    dense = dict(BASE, engine="dense")
+    assert scenario._largest_array(dense, 1, nmax)[1] == stripe_generators(
+        [fd.nonlinear_loss(1.0)], kerr, nmax
+    ).nbytes
+    pauli = dict(BASE, engine="pauli")
+    generator = fd.population_generator([fd.nonlinear_loss(1.0)], nmax)
+    assert scenario._largest_array(pauli, 3, nmax)[1] == 3 * generator.nbytes
+    assert scenario._largest_array(pauli, 20, nmax)[1] == 8 * generator.nbytes
+    for nmax_b in (1, 4, 12):
+        params = fd.TwoModeParams(u4=1.0, gamma_b=100.0, nmax_b=nmax_b)
+        packed = _sector_generator(params, nmax + 1)[0].shape[0]
+        n_tot = np.add.outer(np.arange(nmax + 1), np.arange(nmax_b + 1)).ravel()
+        pairs = int((n_tot[:, None] == n_tot[None, :]).sum())
+        twomode = dict(BASE, engine="twomode", twomode={"u4": 1.0, "gamma_b": 100.0, "nmax_b": nmax_b})
+        assert scenario._largest_array(twomode, 1, nmax)[1] == 8 * packed * pairs
 
 
 def test_run_flag_mode_fixed_step_and_u1(tmp_path):
