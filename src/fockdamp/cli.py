@@ -68,7 +68,7 @@ def run_scenario(scn: Scenario) -> RunResult:
         series = result.series
         extras["stderr"] = result.stderr
     elif scn.engine == "twomode":
-        rho_a = coherent_density(scn.alpha, scn.cutoff, tail_tol=scn.tail_tol)
+        rho_a = coherent_density(scn.alpha, scn.cutoff, tail_tol=twomode.TAIL_TOL)
         result = twomode.two_mode_evolve(rho_a, scn.twomode_params, scn.t_grid)
         series = result.series
         extras["b_occupation"] = result.b_occupation

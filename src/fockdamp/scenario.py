@@ -134,11 +134,6 @@ def _as_complex(value) -> complex:
     return complex(value)
 
 
-def _tail_tol(engine: str) -> float:
-    """Allowed coherent tail beyond nmax: loose for the small two-mode basis."""
-    return TAIL_TOL if engine == "twomode" else 1e-12
-
-
 # the most bytes one array of a run may take; each engine's cutoff cap is the
 # largest nmax at which its largest array fits. expm and the sampler make a
 # few temporaries of that size, so a run at the cap stays within a few GB
@@ -204,10 +199,6 @@ class Scenario:
         return FockCutoff(self.nmax)
 
     @property
-    def tail_tol(self) -> float:
-        return _tail_tol(self.engine)
-
-    @property
     def t_grid(self) -> np.ndarray:
         return np.linspace(0.0, self.t_max, self.samples)
 
@@ -253,11 +244,33 @@ class Scenario:
         return out
 
 
-def _points(obj: dict) -> tuple[list[str], list[tuple], list[tuple[complex, dict]]]:
-    """Sorted swept field names, each point's swept values in that order, and
-    each point's (alpha, rates); an object without 'sweep' is one point.
-    Points run lexicographically in the field names, each field iterating
-    in the order its values were listed."""
+def _walk(obj: dict) -> tuple[list[str], list[str], list[tuple], list[tuple[complex, dict, int]]]:
+    """Check and resolve each point of a raw scenario object, once.
+
+    Returns the violations, the sorted swept field names, each point's swept
+    values in that order, and each point's (alpha, rates, nmax), nmax given
+    or resolved from alpha; the points hold only without violations. An
+    object without 'sweep' is one point; points run lexicographically in the
+    field names, each field in the order its values were listed. The schema
+    sees the whole object once; alpha, the rates and the cutoff are checked
+    at each point, their violations prefixed with its swept values.
+    """
+    violations = []
+    for err in sorted(_validator.iter_errors(obj), key=lambda e: list(map(str, e.path))):
+        where = "/".join(str(p) for p in err.path) or "(top level)"
+        violations.append(f"{where}: {err.message}")
+    if violations:
+        return violations, [], [], []
+    engine = obj["engine"]
+    for name, block in (("trajectories", "trajectory"), ("twomode", "twomode")):
+        if engine == name and block not in obj:
+            violations.append(f"engine '{name}' requires the '{block}' block")
+        if engine != name and block in obj:
+            violations.append(f"'{block}' block is only valid with engine '{name}'")
+    nmax = obj.get("nmax")
+    # allowed coherent tail beyond nmax: loose for the small two-mode basis
+    tail_tol = TAIL_TOL if engine == "twomode" else 1e-12
+    sized = not violations  # the engine's own block, which sizes its arrays, is there
     sweep = obj.get("sweep", {})
     fields = sorted(sweep)
     values = list(product(*(sweep[f] for f in fields)))
@@ -265,36 +278,7 @@ def _points(obj: dict) -> tuple[list[str], list[tuple], list[tuple[complex, dict
     for point in values:
         swept = dict(zip(fields, point))
         alpha = _as_complex(swept.pop("alpha", obj["alpha"]))
-        rates = {**obj.get("rates", {}), **swept}
-        points.append((alpha, {k: float(rates.get(k, 0.0)) for k in RATE_KEYS}))
-    return fields, values, points
-
-
-def validate_dict(obj: dict) -> list[str]:
-    """All schema and semantic violations of a raw scenario object.
-
-    The schema sees the whole object once; the checks of alpha and the rates
-    run for each point of a 'sweep' block, prefixed with its swept values.
-    """
-    violations = []
-    for err in sorted(_validator.iter_errors(obj), key=lambda e: list(map(str, e.path))):
-        where = "/".join(str(p) for p in err.path) or "(top level)"
-        violations.append(f"{where}: {err.message}")
-    if violations:
-        return violations
-    engine = obj["engine"]
-    if engine == "trajectories" and "trajectory" not in obj:
-        violations.append("engine 'trajectories' requires the 'trajectory' block")
-    if engine != "trajectories" and "trajectory" in obj:
-        violations.append("'trajectory' block is only valid with engine 'trajectories'")
-    if engine == "twomode" and "twomode" not in obj:
-        violations.append("engine 'twomode' requires the 'twomode' block")
-    if engine != "twomode" and "twomode" in obj:
-        violations.append("'twomode' block is only valid with engine 'twomode'")
-    nmax = obj.get("nmax")
-    sized = not violations  # the engine's own block, which sizes its arrays, is there
-    fields, values, points = _points(obj)
-    for point, (alpha, rates) in zip(values, points):
+        rates = {k: float(swept.get(k, obj.get("rates", {}).get(k, 0.0))) for k in RATE_KEYS}
         errors = []
         if engine in ("dense", "pauli", "trajectories") and not any(v > 0 for v in rates.values()):
             errors.append("at least one rate must be > 0 for the selected engine")
@@ -302,71 +286,78 @@ def validate_dict(obj: dict) -> list[str]:
             errors.append("the twomode engine derives its rate from (u4, gamma_b); rates must be 0")
         # hypot and a product, not abs and ** 2, which raise OverflowError for a huge alpha
         r, cutoff = math.hypot(alpha.real, alpha.imag), MAX_CUTOFF if nmax is None else int(nmax)
-        tail, tail_tol = poisson_tail(r * r, cutoff), _tail_tol(engine)
+        tail, size = poisson_tail(r * r, cutoff), None if nmax is None else cutoff
         if tail >= tail_tol and (nmax is None or math.isinf(r * r)):
             errors.append(f"|alpha|={r:g} needs a cutoff above nmax={cutoff}")
         elif tail >= tail_tol:
             errors.append(f"coherent tail beyond nmax={nmax} is {tail:.3e} (allowed {tail_tol:.0e})")
-        if sized and (nmax is not None or tail < tail_tol):
-            size = cutoff if nmax is not None else min_cutoff_for_coherent(alpha, tail_tol).nmax
-            what, nbytes = _largest_array(obj, len(points), size)
+        elif sized and size is None:
+            size = min_cutoff_for_coherent(alpha, tail_tol).nmax
+        if sized and size is not None:
+            what, nbytes = _largest_array(obj, len(values), size)
             if nbytes > ARRAY_LIMIT:
                 named = f"nmax={size}" if nmax is not None else f"|alpha|={r:g} resolves nmax={size}, which"
                 errors.append(
                     f"{named} is above the {engine} engine's cap of nmax="
-                    f"{_cutoff_cap(obj, len(points))}: its {what} would take "
+                    f"{_cutoff_cap(obj, len(values))}: its {what} would take "
                     f"{nbytes / 2**30:.3g} GiB (limit {ARRAY_LIMIT / 2**30:g} GiB)"
                 )
         if nmax is not None:
             # a resolved cutoff is at least 3, so only a given one can be too small
             for key, rate in rates.items():
                 k = _CHANNELS[key](rate).annihilation_power
-                if rate > 0 and k > int(nmax):
+                if rate > 0 and k > size:
                     errors.append(f"{key} > 0 needs nmax >= {k}: a^{k} annihilates every level")
         where = ", ".join(f"{f}={v:g}" for f, v in zip(fields, point))
         violations += [f"{where}: {e}" if where else e for e in errors]
-    return violations
+        points.append((alpha, rates, size))
+    return violations, fields, values, points
 
 
-def _resolve(obj: dict, alpha: complex, rates: dict) -> Scenario:
-    """The Scenario of a checked raw object, with alpha and the rates given."""
-    engine = obj["engine"]
-    nmax = obj.get("nmax")
-    if nmax is None:
-        nmax = min_cutoff_for_coherent(alpha, tail_tol=_tail_tol(engine)).nmax
-    tm = None
-    if engine == "twomode":
-        raw = obj["twomode"]
-        tm = TwoModeParams(
-            u4=_as_complex(raw["u4"]),
-            gamma_b=float(raw["gamma_b"]),
-            gamma_a_formula=raw.get("gamma_a_formula"),
-            nmax_b=int(raw.get("nmax_b", 4)),
-        )
-    return Scenario(
-        name=obj.get("name", "scenario"),
-        alpha=alpha,
-        nmax=int(nmax),
-        rates=rates,
-        u1=float(obj.get("u1", 0.0)),
-        t_max=float(obj["t_max"]),
-        samples=int(obj["samples"]),
-        engine=engine,
-        integrator=dict(obj.get("integrator", {})),
-        trajectory=dict(obj.get("trajectory", {})),
-        twomode_params=tm,
+def validate_dict(obj: dict) -> list[str]:
+    """All schema and semantic violations of a raw scenario object."""
+    return _walk(obj)[0]
+
+
+def _scenarios(obj: dict, swept: bool) -> tuple[list[str], list[tuple], list[Scenario]]:
+    """Check a raw object once, with or without (``swept``) a 'sweep' block,
+    and build each point's Scenario (which keeps the base name); raises
+    ValidationError with every violation."""
+    violations, fields, values, points = _walk(obj)
+    if swept and "sweep" not in obj:
+        violations.append("sweep command requires a 'sweep' block")
+    if not swept and "sweep" in obj:
+        violations.append("this scenario declares 'sweep' ranges; use the sweep command")
+    if violations:
+        raise ValidationError(violations)
+    raw = obj.get("twomode")  # present exactly when the engine is twomode
+    tm = None if raw is None else TwoModeParams(
+        u4=_as_complex(raw["u4"]),
+        gamma_b=float(raw["gamma_b"]),
+        gamma_a_formula=raw.get("gamma_a_formula"),
+        nmax_b=int(raw.get("nmax_b", 4)),
     )
+    return fields, values, [
+        Scenario(
+            name=obj.get("name", "scenario"),
+            alpha=alpha,
+            nmax=nmax,
+            rates=rates,
+            u1=float(obj.get("u1", 0.0)),
+            t_max=float(obj["t_max"]),
+            samples=int(obj["samples"]),
+            engine=obj["engine"],
+            integrator=dict(obj.get("integrator", {})),
+            trajectory=dict(obj.get("trajectory", {})),
+            twomode_params=tm,
+        )
+        for alpha, rates, nmax in points
+    ]
 
 
 def parse_scenario(obj: dict) -> Scenario:
     """Resolve a validated raw object into a Scenario (fills every default)."""
-    violations = validate_dict(obj)
-    if "sweep" in obj:
-        violations.append("this scenario declares 'sweep' ranges; use the sweep command")
-    if violations:
-        raise ValidationError(violations)
-    _, _, [(alpha, rates)] = _points(obj)
-    return _resolve(obj, alpha, rates)
+    return _scenarios(obj, swept=False)[2][0]
 
 
 def load_raw(path) -> dict:
@@ -398,19 +389,10 @@ def load_raw(path) -> dict:
 
 
 def sweep_grid(obj: dict) -> tuple[list[str], list[tuple], list[Scenario]]:
-    """Validate a sweep file once and resolve its grid.
-
-    Returns the sorted swept field names, each point's swept values as a
-    tuple in that order, and each point's Scenario, which keeps the base
-    name; see ``_points`` for the order of the points.
-    """
-    violations = validate_dict(obj)
-    if "sweep" not in obj:
-        violations.append("sweep command requires a 'sweep' block")
-    if violations:
-        raise ValidationError(violations)
-    fields, values, points = _points(obj)
-    return fields, values, [_resolve(obj, alpha, rates) for alpha, rates in points]
+    """Validate a sweep file once and resolve its grid: the sorted swept
+    field names, each point's swept values as a tuple in that order, and
+    each point's Scenario; see ``_walk`` for the order of the points."""
+    return _scenarios(obj, swept=True)
 
 
 _FIG_BASE = {

@@ -596,6 +596,23 @@ def test_sweep_runs_the_schema_once(tmp_path, monkeypatch):
     assert len(checked) == 1
 
 
+def test_each_point_is_searched_for_its_cutoff_once(monkeypatch):
+    searched, search = [], scenario.min_cutoff_for_coherent
+
+    def spy(alpha, tail_tol):
+        searched.append(alpha)
+        return search(alpha, tail_tol)
+
+    monkeypatch.setattr(scenario, "min_cutoff_for_coherent", spy)
+    alphas = [1.0, 1.2, 2.0]
+    fields, values, scenarios = sweep_grid(dict(BASE, sweep={"alpha": alphas}))
+    assert searched == alphas
+    assert [s.nmax for s in scenarios] == [search(a).nmax for a in alphas]
+    searched.clear()
+    assert parse_scenario(BASE).nmax == search(BASE["alpha"]).nmax
+    assert searched == [BASE["alpha"]]
+
+
 def test_negative_swept_rate_is_a_schema_error(tmp_path, capsys):
     obj = dict(BASE, sweep={"gamma_q": [0.1, -0.1]})
     assert cli.main(["sweep", write_json(tmp_path / "sweep.json", obj), "--out", str(tmp_path / "o")]) == 2
