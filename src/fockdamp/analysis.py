@@ -167,8 +167,10 @@ class Samples:
     (OpenBLAS factors a nan without failing, hence the finite check.) Once
     the attenuator has drained the high levels, K is 2 to 4 at nmax = 40.
 
-    Only a block the gate rejects is filled whole, its lower triangles with
-    the conjugates, and goes, unshifted, to one stacked
+    A block the gate rejects raises PositivityViolated at its first sample
+    with a nan or inf among the stored entries. Only a rejected block of
+    finite states is filled whole, its lower triangles with the
+    conjugates, and goes, unshifted, to one stacked
     ``np.linalg.eigvalsh``; LAPACK treats each matrix of the stack on its
     own, so these are the values of one call per sample. A value below -1e-8
     raises PositivityViolated, at the first such sample; otherwise the block
@@ -223,6 +225,10 @@ class Samples:
         else:
             passed = np.isfinite(np.diagonal(factor, axis1=1, axis2=2)).all()
         if not passed:
+            # LAPACK's eigvalsh raises LinAlgError, not a value, on a nan or inf
+            bad = np.flatnonzero(~np.isfinite(flat[:, src]).all(axis=1))
+            if bad.size:
+                raise PositivityViolated(f"non-finite state entry at t={self.t[start + bad[0]]:.6g}")
             lowest = np.linalg.eigvalsh(_lower(flat, rows, cols, src, n), UPLO="L")[:, 0]
             bad = np.flatnonzero(~(lowest >= POSITIVITY_LIMIT))  # nan-safe
             if bad.size:

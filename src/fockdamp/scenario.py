@@ -2,9 +2,14 @@
 
 Scenarios are JSON objects validated against the published JSON Schema
 below; unknown fields are errors, so typos fail loudly instead of being
-ignored. ``load_scenario`` also accepts a run manifest (the file a run
+ignored. ``load_raw`` also accepts a run manifest (the file a run
 writes next to its results), so any finished run can be replayed from its
 manifest alone.
+
+One walk over an object's points (``_walk``) checks each point once and
+resolves its cutoff, searching alpha's coherent tail only where nmax is not
+given. ``validate_dict`` returns the walk's violations; ``parse_scenario``
+and ``sweep_grid`` build their Scenarios from its resolved points.
 """
 
 from __future__ import annotations
@@ -147,22 +152,28 @@ def _largest_array(obj: dict, points: int, nmax: int) -> tuple[str, int]:
     pauli: the stack of generators of one group of sweep points, at most 8.
     trajectories: the population sums of every chunk of 256 trajectories.
     twomode: the sector-by-pairs table ``twomode._sector_generator`` forms.
+    Each engine also keeps a sampled record, one row of floats per sample:
+    the populations (dense, trajectories), those of each point of a Pauli
+    group, or the diagonal of the two-mode sector block.
     """
-    n1 = nmax + 1
-    engine = obj["engine"]
+    n1, samples, engine = nmax + 1, int(obj["samples"]), obj["engine"]
     if engine == "dense":
-        return "stripe stack", 16 * (n1 // 2 + 1) * n1 * n1
-    if engine == "pauli":
+        largest, width = ("stripe stack", 16 * (n1 // 2 + 1) * n1 * n1), n1
+    elif engine == "pauli":
         stack = min(points, _CHUNK)
-        return f"stack of {stack} generator{'s' * (stack > 1)}", 8 * stack * n1 * n1
-    if engine == "trajectories":
+        largest = (f"stack of {stack} generator{'s' * (stack > 1)}", 8 * stack * n1 * n1)
+        width = stack * n1
+    elif engine == "trajectories":
         chunks = -(-int(obj["trajectory"]["n_traj"]) // _TRAJ_CHUNK)
-        return "population sums", 8 * chunks * int(obj["samples"]) * n1
-    # sector pairs: sum over N of the squared count of (n_A, n_B) with n_A + n_B = N
-    nb1 = int(obj["twomode"].get("nmax_b", 4)) + 1
-    lo, hi = sorted((n1, nb1))
-    pairs = (lo - 1) * lo * (2 * lo - 1) // 3 + (hi - lo + 1) * lo * lo
-    return f"sector table at nmax_b={nb1 - 1}", 8 * pairs * (pairs + n1 * nb1) // 2
+        largest, width = ("population sums", 8 * chunks * samples * n1), n1
+    else:
+        # sector pairs: sum over N of the squared count of (n_A, n_B) with n_A + n_B = N
+        nb1 = int(obj["twomode"].get("nmax_b", TwoModeParams.nmax_b)) + 1
+        lo, hi = sorted((n1, nb1))
+        pairs = (lo - 1) * lo * (2 * lo - 1) // 3 + (hi - lo + 1) * lo * lo
+        largest = (f"sector table at nmax_b={nb1 - 1}", 8 * pairs * (pairs + n1 * nb1) // 2)
+        width = n1 * nb1
+    return max(largest, ("sampled record", 8 * samples * width), key=lambda a: a[1])
 
 
 def _cutoff_cap(obj: dict, points: int) -> int:
@@ -320,9 +331,9 @@ def validate_dict(obj: dict) -> list[str]:
 
 
 def _scenarios(obj: dict, swept: bool) -> tuple[list[str], list[tuple], list[Scenario]]:
-    """Check a raw object once, with or without (``swept``) a 'sweep' block,
-    and build each point's Scenario (which keeps the base name); raises
-    ValidationError with every violation."""
+    """Check a raw object once and build each point's Scenario, which keeps
+    the base name; ``swept`` says whether the object must have a 'sweep'
+    block or must not. Raises ValidationError with every violation."""
     violations, fields, values, points = _walk(obj)
     if swept and "sweep" not in obj:
         violations.append("sweep command requires a 'sweep' block")
@@ -335,7 +346,7 @@ def _scenarios(obj: dict, swept: bool) -> tuple[list[str], list[tuple], list[Sce
         u4=_as_complex(raw["u4"]),
         gamma_b=float(raw["gamma_b"]),
         gamma_a_formula=raw.get("gamma_a_formula"),
-        nmax_b=int(raw.get("nmax_b", 4)),
+        nmax_b=int(raw.get("nmax_b", TwoModeParams.nmax_b)),
     )
     return fields, values, [
         Scenario(

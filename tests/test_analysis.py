@@ -197,7 +197,7 @@ def test_positivity_gate_rejects_nan(complex_):
     # OpenBLAS factors a nan without failing; the gate must still reject it
     states = states_with_lowest([0.0] * 3, 6, complex_, 1)
     states[1, 2, 4] = states[1, 4, 2] = np.nan
-    with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+    with pytest.raises(fd.PositivityViolated, match=r"^non-finite state entry at t=1$"):
         matrix_samples(np.arange(3.0), 6).add(0, states.reshape(3, -1))
 
 
@@ -214,17 +214,19 @@ def _record_calls(monkeypatch, name):
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
 def test_the_gate_never_passes_a_non_finite_trailing_entry(monkeypatch, complex_, value):
     # the weight sits on levels 0..2 and the bad entry in column 10, far
-    # outside them: the gate must take it into its block, fail, and hand the
-    # block to eigvalsh, which does not converge on it
+    # outside them: the gate must take it into its block, fail, and name the
+    # sample before eigvalsh, which does not converge on it, is called
+    chol_calls = _record_calls(monkeypatch, "cholesky")
     eig_calls = _record_calls(monkeypatch, "eigvalsh")
     n = 12
     states = np.zeros((4, n, n), dtype=complex if complex_ else float)
     states[:, :3, :3] = [[0.5, 0.1, 0.0], [0.1, 0.3, 0.05], [0.0, 0.05, 0.2]]
     states[2, 8, 10] = states[2, 10, 8] = value
     samples = matrix_samples(np.arange(4.0), n)
-    with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+    with pytest.raises(fd.PositivityViolated, match=r"^non-finite state entry at t=2$"):
         samples.add(0, states.reshape(4, -1))
-    assert eig_calls == [(4, n, n)]
+    assert chol_calls == [(4, 11, 11)]
+    assert eig_calls == []
 
 
 @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])

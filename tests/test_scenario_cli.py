@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import fockdamp as fd
-from fockdamp import cli, scenario
+from fockdamp import analysis, cli, pauli, scenario
 from fockdamp.dynamics import stripe_generators
 from fockdamp.errors import NoInteriorMinimum, ValidationError
 from fockdamp.scenario import (
@@ -290,6 +290,52 @@ def test_largest_array_sizes_match_the_engines():
         assert scenario._largest_array(twomode, 1, nmax)[1] == 8 * packed * pairs
 
 
+def test_the_sampled_record_is_sized_as_the_engines_keep_it(monkeypatch):
+    # bytes per sample of the record, against the diagonals analysis.Samples
+    # keeps and, for trajectories, the populations of the series
+    kept, add = [], analysis.Samples.add
+    monkeypatch.setattr(
+        analysis.Samples, "add", lambda self, *a: add(self, *a) or kept.append(self.diagonals.nbytes)
+    )
+    nmax, samples = 9, BASE["samples"]
+    blocks = {
+        "dense": {},
+        "pauli": {},
+        "trajectories": {"trajectory": {"n_traj": 3, "master_seed": 1}},
+        "twomode": {"rates": {}, "twomode": {"u4": 1.0, "gamma_b": 100.0, "nmax_b": 3}},
+    }
+    for engine, extra in blocks.items():
+        obj = dict(BASE, engine=engine, alpha=0.5, nmax=nmax, **extra)
+        series = cli.run_scenario(parse_scenario(obj)).series
+        if engine == "trajectories":
+            kept.append(series.populations.nbytes)
+        # at 10^6 samples the record is the largest array; the trajectories'
+        # population sums of one chunk are as large
+        per_sample = kept[-1] // samples
+        assert scenario._largest_array(dict(obj, samples=10**6), 1, nmax)[1] == 10**6 * per_sample
+    # a Pauli sweep records each point of a group of up to 8
+    p0 = fd.coherent_density(0.5, fd.FockCutoff(nmax)).populations()
+    for points in (3, 20):
+        kept.clear()
+        list(pauli.evolve_population_batch([p0] * points, [[fd.nonlinear_loss(1.0)]] * points,
+                                           np.linspace(0.0, 4.0, samples)))
+        assert scenario._largest_array(dict(BASE, samples=10**6), points, nmax) == (
+            "sampled record", 10**6 * max(kept) // samples
+        )
+
+
+def test_a_long_record_lowers_the_cap():
+    # never run: 10^6 samples of 181 levels alone would take 1.35 GiB
+    obj = {"alpha": 10, "t_max": 10, "samples": 10**6, "engine": "pauli", "rates": {"gamma_e": 1}}
+    assert validate_dict(obj) == [
+        "|alpha|=10 resolves nmax=180, which is above the pauli engine's cap of nmax=32: "
+        "its sampled record would take 1.35 GiB (limit 0.25 GiB)"
+    ]
+    assert validate_dict(dict(obj, alpha=1, nmax=32)) == []
+    (above,) = validate_dict(dict(obj, alpha=1, nmax=33))
+    assert above.startswith("nmax=33 is above the pauli engine's cap of nmax=32: its sampled record ")
+
+
 def test_run_flag_mode_fixed_step_and_u1(tmp_path):
     runs = {"plain": [], "fixed": ["--fixed-step", "0.01"], "kerr": ["--u1", "0.4"]}
     scenario, csv = {}, {}
@@ -388,10 +434,21 @@ def test_positivity_failure_exit_code(tmp_path, monkeypatch, capsys):
         p[:2] = -1e-6, 1.0 + 1e-6
         return fd.DensityMatrix(np.diag(p))
 
-    monkeypatch.setattr(cli, "coherent_density", negative)
+    def non_finite(alpha, cutoff, **kwargs):
+        # a finite diagonal keeps the trace, so only the positivity check sees it
+        rho = np.zeros((cutoff.dim, cutoff.dim))
+        rho[0, 0] = rho[1, 1] = 0.5
+        rho[0, 1] = rho[1, 0] = np.nan
+        return fd.DensityMatrix(rho)
+
     path = write_json(tmp_path / "neg.json", dict(BASE, engine="dense"))
-    assert cli.main(["run", path, "--out", str(tmp_path)]) == 3
-    assert "numerical failure: min eigenvalue -1.000e-06 at t=0 " in capsys.readouterr().err
+    for start, message in [
+        (negative, "min eigenvalue -1.000e-06 at t=0 "),
+        (non_finite, "non-finite state entry at t=0\n"),
+    ]:
+        monkeypatch.setattr(cli, "coherent_density", start)
+        assert cli.main(["run", path, "--out", str(tmp_path)]) == 3
+        assert f"numerical failure: {message}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("engine", ["dense", "pauli", "trajectories"])
