@@ -82,29 +82,22 @@ def run_scenario(scn: Scenario) -> RunResult:
 _CSV_BLOCK_ROWS = 128
 
 
-def _csv_rows(*columns) -> str:
-    """CSV lines of float columns (1-D arrays, or 2-D with one row per line).
+def _write_csv(path: Path, header, *columns) -> None:
+    """Write ``header`` and the float columns (1-D arrays, or 2-D with one row
+    per line) to ``path`` as CSV, one block of rows at a time.
 
     Each value is written as ``format(x, ".17g")`` would write it, since
-    "%.17g" formats a float the same way, about 128 rows per % operation.
+    "%.17g" formats a float the same way, about 128 rows per % operation;
+    no more of the text than one block is held.
     """
     cols = [np.asarray(c, dtype=float) for c in columns]
     cols = [c if c.ndim == 2 else c[:, None] for c in cols]
     row = ",".join(["%.17g"] * sum(c.shape[1] for c in cols)) + "\n"
-    blocks = []
-    for lo in range(0, len(cols[0]), _CSV_BLOCK_ROWS):
-        block = np.hstack([c[lo : lo + _CSV_BLOCK_ROWS] for c in cols])
-        blocks.append(row * len(block) % tuple(block.ravel().tolist()))
-    return "".join(blocks)
-
-
-def series_csv(series: analysis.TimeSeries) -> str:
-    """Pinned column order: t, mean_n, std_n, g2, trace_err, p0..pN, 17 significant digits."""
-    n_levels = series.n_levels
-    header = ["t", "mean_n", "std_n", "g2", "trace_err"] + [f"p{n}" for n in range(n_levels)]
-    return ",".join(header) + "\n" + _csv_rows(
-        series.t, series.mean_n, series.std_n, series.g2, series.trace_err, series.populations
-    )
+    with path.open("w") as f:
+        f.write(",".join(header) + "\n")
+        for lo in range(0, len(cols[0]), _CSV_BLOCK_ROWS):
+            block = np.hstack([c[lo : lo + _CSV_BLOCK_ROWS] for c in cols])
+            f.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 def series_json(series: analysis.TimeSeries) -> str:
@@ -125,19 +118,22 @@ def write_outputs(result: RunResult, out_dir: Path, fmt: str, want_svg: bool) ->
     run_dir.mkdir(parents=True, exist_ok=True)
     ext = "csv" if fmt == "csv" else "json"
     series_path = run_dir / f"timeseries.{ext}"
-    text = series_csv(result.series) if fmt == "csv" else series_json(result.series)
-    series_path.write_text(text)
+    s = result.series
+    if fmt == "csv":
+        # pinned column order: t, mean_n, std_n, g2, trace_err, p0..pN
+        header = ["t", "mean_n", "std_n", "g2", "trace_err"] + [f"p{n}" for n in range(s.n_levels)]
+        _write_csv(series_path, header, s.t, s.mean_n, s.std_n, s.g2, s.trace_err, s.populations)
+    else:
+        series_path.write_text(series_json(s))
     outputs = {"timeseries": series_path.name}
     if "stderr" in result.extras:
         se = result.extras["stderr"]
-        header = ",".join(["t"] + [f"se_p{n}" for n in range(se.shape[1])])
-        (run_dir / "stderr.csv").write_text(header + "\n" + _csv_rows(result.series.t, se))
+        header = ["t"] + [f"se_p{n}" for n in range(se.shape[1])]
+        _write_csv(run_dir / "stderr.csv", header, s.t, se)
         outputs["stderr"] = "stderr.csv"
     if "b_occupation" in result.extras:
         occ = result.extras["b_occupation"]
-        (run_dir / "mode_b.csv").write_text(
-            "t,mode_b_occupation\n" + _csv_rows(result.series.t, occ)
-        )
+        _write_csv(run_dir / "mode_b.csv", ["t", "mode_b_occupation"], s.t, occ)
         outputs["mode_b"] = "mode_b.csv"
     if want_svg:
         (run_dir / "plot.svg").write_text(svg.render_timeseries(result.series, scn.name))
@@ -323,7 +319,7 @@ def _cmd_sweep(args) -> int:
         for point, row in zip(values, rows)
     ]
     csv_path = out_path / "sweep.csv"
-    csv_path.write_text(",".join(header) + "\n" + _csv_rows(table))
+    _write_csv(csv_path, header, table)
     print(f"wrote {csv_path} ({len(rows)} rows)")
 
     # report-only monotonicity check: more linear loss should not help p1(t*)

@@ -4,16 +4,19 @@ Every channel is a lowering monomial and the Kerr term commutes with the
 photon number, so each generator the engines evolve is linear and constant
 in time: the population cascade and every diagonal stripe of rho are
 upper-triangular, and the two-mode exchange pair is block-diagonal in
-N_ket - N_bra. One matrix exponential per sampling step is therefore exact.
-``integrate`` builds it once per distinct step and applies it to a state
-vector or to a stack of blocks; ``expm`` is Pade-13 scaling and squaring in
-NumPy (Higham, SIAM J. Matrix Anal. Appl. 26, 1179, 2005). On an
-upper-triangular input it resets the diagonal and the first superdiagonal
-to their exact values after every squaring (Al-Mohy & Higham, SIAM J.
-Matrix Anal. Appl. 31, 970, 2009, Code Fragment 2.1), which keeps the
-column sums of a probability-conserving cascade at rounding level.
+N_ket - N_bra. The propagator P of one sampling step is therefore exact,
+and on a uniform grid the state f samples on is P^f times the current one.
+``integrate`` builds P once per distinct step and fills each window of
+samples by doubling: a few products with P, P^2, P^4, ..., squared from P
+once, in place of one product per sample. ``expm`` is Pade-13 scaling and
+squaring in NumPy (Higham, SIAM J. Matrix Anal. Appl. 26, 1179, 2005). On
+an upper-triangular input it resets the diagonal and the first
+superdiagonal to their exact values after every squaring (Al-Mohy &
+Higham, SIAM J. Matrix Anal. Appl. 31, 970, 2009, Code Fragment 2.1),
+which keeps the column sums of a probability-conserving cascade at
+rounding level.
 
-Every step lands on a sample, so ``integrate`` has one callback: it hands
+Every sample lands on the grid, so ``integrate`` has one callback: it hands
 the sampled states up in blocks of 32, and the recorder
 (``analysis.Samples``) checks each block's positivity with one stacked
 factorisation of the levels its states occupy.
@@ -39,8 +42,11 @@ _THETA13 = 5.371920351148152
 _STEP_RTOL = 1e-9
 # matrices per Pade evaluation: bounds the temporaries of a large stack
 _CHUNK = 8
-# samples per post_accept call: bounds the buffer, amortizes the callback
+# samples per post_accept call: amortizes the callback, while the positivity
+# gate's leading block, sized for a block's worst sample, stays small
 _BLOCK = 32
+# samples formed before they are handed on: bounds the buffer and the top power
+_WINDOW = 128
 # the settings argument of an ODE solver's call; exact propagation fixes no step
 EXACT = SimpleNamespace(fixed_step=None)
 
@@ -105,6 +111,51 @@ def _pade13(a):
     return x
 
 
+def _top_power(n, samples):
+    """The largest power 2^J a window steps by, for an n x n propagator or a
+    stack of them.
+
+    J squarings cost about J n^3 operations per block, and each sample costs
+    n^2 however it is reached, so they pay while J n <= samples. The powers
+    kept hold J n^2 entries per block, no more than the 2 * 128 n of two
+    windows of samples while J n <= 256. And 2^J is at most half a window.
+    """
+    return 1 << min(min(samples, 2 * _WINDOW) // n, (_WINDOW // 2).bit_length() - 1)
+
+
+def _apply(prop, src, dst):
+    """dst[k] = prop @ src[k] for every sample k, blockwise on a stack.
+
+    One sample is a matrix-vector product, as plain stepping takes it; more
+    are one matrix-matrix product per block, with the samples as the rows.
+    """
+    if len(src) == 1:
+        np.matmul(prop, src[0, ..., None], out=dst[0, ..., None])
+    else:
+        rows = np.moveaxis(src, 0, -2)
+        np.matmul(rows, np.swapaxes(prop, -1, -2), out=np.moveaxis(dst, 0, -2))
+
+
+def _fill(ys, a, e, powers, top):
+    """ys[a:e] from the sample before a (the last slot when a = 0) under one step.
+
+    Sample a is P times its predecessor; then samples [a + f, a + 2f) are
+    P^f times samples [a, a + f) for f = 1, 2, 4, ... up to ``top``, and
+    the rest follow in chunks of ``top``. ``powers[k]`` is P^(2^k); a
+    missing power is squared from the one below it and kept.
+    """
+    _apply(powers[0], ys[a - 1 : a] if a else ys[-1:], ys[a : a + 1])
+    done = 1
+    while a + done < e:
+        f = min(done, top)
+        k = f.bit_length() - 1
+        if k == len(powers):
+            powers.append(powers[-1] @ powers[-1])
+        m = min(f, e - a - done)
+        _apply(powers[k], ys[a + done - f : a + done - f + m], ys[a + done : a + done + m])
+        done += m
+
+
 def integrate(propagator, y0, t_grid, cfg, post_accept=None, restrict=None):
     """Advance a linear, autonomous system exactly through every point of ``t_grid``.
 
@@ -113,12 +164,21 @@ def integrate(propagator, y0, t_grid, cfg, post_accept=None, restrict=None):
     vector or a stack of them acting blockwise on its rows. It is rebuilt
     only when the step changes by more than 1e-9 relative. The propagated
     state is ``y0``, or ``restrict(y0)`` when the generator acts on an
-    invariant part of it. The states at the grid points, the first one
-    included, are written into one buffer of 32 consecutive samples, and
-    each block (the last may be shorter) is passed once, in order, to
-    ``post_accept(start, ys)``, where ``ys[j]`` is the state at
-    ``t_grid[start + j]``; the engines record their samples and check their
-    invariants there. The next block overwrites ``ys``, so the callback
+    invariant part of it.
+
+    The states at the grid points, the first one included, are formed in
+    windows of 128 consecutive samples (32 at power 1). Within a window, each run of samples
+    under one propagator P is filled by doubling (``_fill``): its first
+    sample is P times its predecessor, and samples [j + f, j + 2f) are P^f
+    times samples [j, j + f) for f = 1, 2, 4, ... up to a top power, after
+    which the run advances in chunks of that power. The powers are squared
+    here, once per propagator, and the top power 2^J grows with the grid
+    and shrinks with the propagator's size n (``_top_power``): at power 1,
+    as for the two-mode sector, every sample is one step, as when stepping.
+    Each window is then passed, in blocks of at most 32 samples, once and
+    in order, to ``post_accept(start, ys)``, where ``ys[j]`` is the state
+    at ``t_grid[start + j]``; the engines record their samples and check
+    their invariants there. The next window overwrites ``ys``, so the callback
     copies what it keeps. Returns the final state.
 
     The call keeps an ODE solver's shape, ``(f, y0, t_grid, cfg)`` and the
@@ -131,22 +191,31 @@ def integrate(propagator, y0, t_grid, cfg, post_accept=None, restrict=None):
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 1:
         raise ValueError("t_grid must be a non-empty 1-D array")
-    if np.any(np.diff(t_grid) <= 0):
+    steps = np.diff(t_grid)
+    if np.any(steps <= 0):
         raise ValueError("t_grid must be strictly ascending")
     y = np.asarray(y0 if restrict is None else restrict(y0))
-    ys = np.empty((min(_BLOCK, t_grid.size),) + y.shape, dtype=y.dtype)
-    h_built, prop = math.nan, None
-    for start in range(0, t_grid.size, _BLOCK):
-        size = min(_BLOCK, t_grid.size - start)
-        for i in range(start, start + size):
-            if i:
-                h = t_grid[i] - t_grid[i - 1]
-                if not abs(h - h_built) <= _STEP_RTOL * h_built:  # nan-safe: builds the first
-                    h_built, prop = h, propagator(h)
-                y = np.matmul(prop, y[..., None])[..., 0]
-                if y.dtype != ys.dtype:  # a complex propagator widens a real start
-                    ys = ys.astype(y.dtype)
-            ys[i - start] = y
+    top = _top_power(y.shape[-1], t_grid.size)
+    window = _WINDOW if top > 1 else _BLOCK  # a stepped run needs no more than a block
+    ys = np.empty((min(window, t_grid.size),) + y.shape, dtype=y.dtype)
+    ys[0] = y
+    h_built, powers = math.nan, None
+    for start in range(0, t_grid.size, window):
+        stop = min(start + window, t_grid.size)
+        i = max(start, 1)
+        while i < stop:
+            h = steps[i - 1]
+            if not abs(h - h_built) <= _STEP_RTOL * h_built:  # nan-safe: builds the first
+                h_built, powers = h, [propagator(h)]
+                dtype = np.result_type(ys, powers[0])
+                if dtype != ys.dtype:  # a complex propagator widens a real start
+                    ys = ys.astype(dtype)
+            # the run under this propagator ends at the next step it does not match
+            off = np.abs(steps[i : stop - 1] - h_built) > _STEP_RTOL * h_built
+            end = i + 1 + int(np.argmax(off)) if off.any() else stop
+            _fill(ys, i - start, end - start, powers, top)
+            i = end
         if post_accept is not None:
-            post_accept(start, ys[:size])
-    return y
+            for lo in range(start, stop, _BLOCK):
+                post_accept(lo, ys[lo - start : min(lo + _BLOCK, stop) - start])
+    return ys[stop - 1 - start].copy()

@@ -144,8 +144,38 @@ def test_population_generator_matches_the_level_rates():
     np.testing.assert_allclose(population_generator(channels, 9), expected, rtol=1e-14, atol=0.0)
 
 
+def _matvec(prop, y):
+    return np.matmul(prop, y[..., None])[..., 0]
+
+
+def doubled(prop, y0, n_samples, top):
+    """The samples of a uniform grid as ``integrate`` forms them, for a state
+    vector: windows of 128, each filled from the sample before it by one step,
+    then by doubling (samples [j + f, j + 2f) are P^f times samples [j, j + f),
+    P^(2f) = P^f P^f) up to the power ``top``, then in chunks of ``top``. A
+    chunk of one sample is a matrix-vector product, a longer one a
+    matrix-matrix product with the samples as rows."""
+    powers = {1: prop}
+    while max(powers) < top:
+        f = max(powers)
+        powers[2 * f] = powers[f] @ powers[f]
+    samples = [y0]
+    for start in range(0, n_samples, 128):
+        run = []
+        stop = min(start + 128, n_samples)
+        if max(start, 1) < stop:
+            run.append(_matvec(prop, samples[-1]))
+        while max(start, 1) + len(run) < stop:
+            f = min(top, 1 << (len(run).bit_length() - 1))
+            m = min(f, stop - max(start, 1) - len(run))
+            src = np.array(run[len(run) - f : len(run) - f + m])
+            run += [_matvec(powers[f], src[0])] if m == 1 else list(src @ powers[f].T)
+        samples += run
+    return np.array(samples)
+
+
 @pytest.mark.parametrize("complex_gen", [False, True])
-@pytest.mark.parametrize("n_samples", [1, 31, 32, 33, 65])
+@pytest.mark.parametrize("n_samples", [1, 6, 31, 32, 33, 65, 300])
 def test_integrate_hands_every_sample_once_in_blocks_of_at_most_32(n_samples, complex_gen):
     # a real start under a complex generator: the block widens without losing sample 0
     gen = population_generator([nonlinear_loss(1.0)], 6)
@@ -164,11 +194,73 @@ def test_integrate_hands_every_sample_once_in_blocks_of_at_most_32(n_samples, co
     prop = expm(gen * t_grid[1]) if n_samples > 1 else None
     stepwise = [p0]
     for _ in range(1, n_samples):
-        stepwise.append(np.matmul(prop, stepwise[-1][:, None])[:, 0])
+        stepwise.append(_matvec(prop, stepwise[-1]))
     samples = np.concatenate([ys for _, ys in blocks])
     assert samples.dtype == (np.complex128 if complex_gen and n_samples > 1 else np.float64)
+    # the doubling's top power at 7 levels: 2^J with J * 7 <= n_samples, up to 64
+    top = {1: 1, 6: 1, 31: 16, 32: 16, 33: 16, 65: 64, 300: 64}[n_samples]
+    assert np.array_equal(samples, doubled(prop, p0, n_samples, top))
+    assert np.array_equal(y, samples[-1])
+    # the trace is 1; the doubled samples round differently from the stepped ones
+    assert np.max(np.abs(samples - stepwise)) <= 1e-14
+    if top == 1:
+        assert np.array_equal(samples, stepwise)
+
+
+def test_integrate_steps_the_two_mode_sector_size():
+    # 175 levels over 41 samples: squaring would cost more than it saves, so
+    # every sample is one step, bit for bit
+    rng = np.random.default_rng(11)
+    gen = np.triu(rng.normal(size=(175, 175))) - 20.0 * np.eye(175)
+    prop = expm(0.01 * gen)
+    y0 = rng.normal(size=175)
+    _, samples = propagate(gen, y0, 0.01 * np.arange(41))
+    stepwise = [y0]
+    for _ in range(40):
+        stepwise.append(_matvec(prop, stepwise[-1]))
     assert np.array_equal(samples, stepwise)
-    assert np.array_equal(y, stepwise[-1])
+
+
+def _stepped(gen, y0, t_grid):
+    """Plain stepping: one propagator per distinct step, one product per sample."""
+    samples, props = [y0], {}
+    for h in np.diff(t_grid):
+        prop = props.setdefault(h, expm(gen * h))
+        samples.append(_matvec(prop, samples[-1]))
+    return np.array(samples)
+
+
+@pytest.mark.parametrize(
+    "steps",
+    [
+        [0.05] * 150 + [0.1] * 149,  # the step changes inside the second window
+        [0.05] * 127 + [0.1] * 70 + [0.05] * 60,  # on a window edge, then back
+        [0.05, 0.08] * 100,  # a new step at every sample
+        [0.05] * 3 + [0.02] + [0.05] * 200,  # one short run early on
+    ],
+)
+def test_integrate_restarts_the_doubling_where_the_step_changes(steps):
+    built = []
+
+    def propagator(h):
+        built.append(h)
+        return expm(gen * h)
+
+    gen = population_generator([nonlinear_loss(1.0), linear_loss(0.1)], 8)
+    p0 = np.eye(9)[8]
+    t_grid = np.concatenate([[0.0], np.cumsum(steps)])
+    changes = 1 + sum(a != b for a, b in zip(steps, steps[1:]))
+    blocks = []
+    y = integrate(
+        propagator, p0, t_grid, EXACT,
+        post_accept=lambda start, ys: blocks.append((start, ys.copy())),
+    )
+    assert len(built) == changes
+    assert [start for start, _ in blocks] == list(range(0, t_grid.size, 32))
+    samples = np.concatenate([ys for _, ys in blocks])
+    assert np.max(np.abs(samples - _stepped(gen, p0, t_grid))) <= 1e-14
+    assert np.max(np.abs(samples.sum(axis=1) - 1.0)) <= 1e-14
+    assert np.array_equal(y, samples[-1])
 
 
 def test_integrate_propagates_the_restricted_state():

@@ -1,9 +1,10 @@
 """Property tests over random channel mixes: the dense engine matches the
 exponential of the vectorized master equation, the dense and population
 engines agree, the trace holds, the dense state stays positive, pure
-d-photon loss conserves the mass of each class of n mod d, and the engines
-and the long-time prediction read one loss table. Over random states near
-the positivity limit, the recorder's Cholesky gate decides as eigvalsh does."""
+d-photon loss conserves the mass of each class of n mod d, the engines
+and the long-time prediction read one loss table, and doubling the samples
+of a grid agrees with stepping through it. Over random states near the
+positivity limit, the recorder's Cholesky gate decides as eigvalsh does."""
 
 import re
 
@@ -32,7 +33,8 @@ from fockdamp.channels import (  # noqa: E402
     three_photon_loss,
     two_photon_loss,
 )
-from fockdamp.dynamics import stripe_generators  # noqa: E402
+from fockdamp.dynamics import _stripe_index, stripe_generators  # noqa: E402
+from fockdamp.integrate import EXACT, expm, integrate  # noqa: E402
 
 GRID = np.linspace(0.0, 3.0, 7)
 CHANNELS = (nonlinear_loss, linear_loss, two_photon_loss, three_photon_loss)
@@ -115,6 +117,40 @@ def test_pure_d_photon_loss_conserves_classes(d, rate, alpha, nmax):
     pops = fd.evolve_populations(p0, [loss(rate)], GRID).populations
     for r in range(d):
         assert np.max(np.abs(pops[:, r::d].sum(axis=1) - p0[r::d].sum())) <= 1e-8
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    rates=mixes,
+    kerr=st.one_of(st.just(0.0), st.floats(0.1, 3.0)),
+    alpha=st.floats(0.3, 2.0),
+    nmax=st.integers(3, 12),
+    size=st.integers(2, 300),
+    step=st.floats(0.005, 0.5),
+)
+def test_doubling_matches_stepping(rates, kerr, alpha, nmax, size, step):
+    channels = [make(r) for make, r in zip(CHANNELS, rates) if r > 0.0]
+    stack = stripe_generators(channels, fd.KerrTerm(kerr), nmax)
+    b, r, k, l = _stripe_index(nmax + 1)
+    y0 = np.zeros(stack.shape[:2], dtype=stack.dtype)
+    values = _coherent(alpha, nmax).entries[k, l]
+    y0[b, r] = values if np.iscomplexobj(stack) else values.real
+    t_grid = step * np.arange(size)
+    blocks = []
+    integrate(
+        lambda h: expm(stack * h), y0, t_grid, EXACT,
+        post_accept=lambda start, ys: blocks.append((start, ys.copy())),
+    )
+    prop = expm(stack * (t_grid[1] - t_grid[0]))
+    stepped = [y0]
+    for _ in range(1, size):
+        stepped.append(np.matmul(prop, stepped[-1][..., None])[..., 0])
+    starts = list(range(0, size, 32))
+    assert [(start, len(ys)) for start, ys in blocks] == [(s, min(32, size - s)) for s in starts]
+    samples = np.concatenate([ys for _, ys in blocks])
+    assert np.max(np.abs(samples - np.array(stepped))) <= 1e-13
+    # stripe 0, in block 0, holds the populations
+    assert np.max(np.abs(samples[:, 0].real.sum(axis=1) - y0[0].real.sum())) <= 1e-13
 
 
 @st.composite

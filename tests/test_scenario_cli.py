@@ -914,21 +914,26 @@ def test_manifest_load_unwraps_scenario(tmp_path):
     assert raw == BASE
 
 
-def test_csv_floats_roundtrip():
+def test_csv_floats_roundtrip(tmp_path):
     v = 0.12345678901234567
-    line = cli._csv_rows([1 - math.exp(-9)], [v])
+    path = tmp_path / "a.csv"
+    cli._write_csv(path, ["x", "v"], [1 - math.exp(-9)], [v])
+    line = path.read_text().splitlines(keepends=True)[1]
     assert line == format(1 - math.exp(-9), ".17g") + "," + format(v, ".17g") + "\n"
     assert float(line.split(",")[1]) == v
 
 
 @pytest.mark.parametrize("n_rows", [1, 128, 129])
-def test_series_csv_matches_per_value_format(n_rows):
+def test_series_csv_matches_per_value_format(n_rows, tmp_path):
     # 7 specials over 8 columns, so every column meets every special value;
-    # 128 and 129 rows reach and cross the formatter's block edge
+    # 128 and 129 rows reach and cross the writer's block edge
     specials = [-0.0, 5e-324, 1e300, math.nan, math.inf, 2.0, -math.inf]
     vals = np.resize(specials, (n_rows, 8))
-    series = fd.TimeSeries(*vals[:, :5].T, populations=vals[:, 5:])
+    s = fd.TimeSeries(*vals[:, :5].T, populations=vals[:, 5:])
+    header = ["t", "mean_n", "std_n", "g2", "trace_err", "p0", "p1", "p2"]
     expected = "t,mean_n,std_n,g2,trace_err,p0,p1,p2\n" + "".join(
         ",".join(format(float(x), ".17g") for x in row) + "\n" for row in vals
     )
-    assert cli.series_csv(series) == expected
+    path = tmp_path / "timeseries.csv"
+    cli._write_csv(path, header, s.t, s.mean_n, s.std_n, s.g2, s.trace_err, s.populations)
+    assert path.read_bytes() == expected.encode()
