@@ -2,9 +2,10 @@
 
 Scenarios are JSON objects validated against the published JSON Schema
 below; unknown fields are errors, so typos fail loudly instead of being
-ignored. ``load_raw`` also accepts a run manifest (the file a run
-writes next to its results), so any finished run can be replayed from its
-manifest alone.
+ignored. ``_schema_errors`` checks the schema's keywords and words each
+violation as the jsonschema package, the tests' oracle, does. ``load_raw``
+also accepts a run manifest (the file a run writes next to its results), so
+any finished run can be replayed from its manifest alone.
 
 One walk over an object's points (``_walk``) checks each point once and
 resolves its cutoff, searching alpha's coherent tail only where nmax is not
@@ -16,12 +17,13 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
+import re
 from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
 
 import numpy as np
-from jsonschema import Draft202012Validator
 
 from .channels import (
     JumpChannel,
@@ -130,7 +132,63 @@ SCENARIO_SCHEMA = {
     },
 }
 
-_validator = Draft202012Validator(SCENARIO_SCHEMA)
+# the draft's types: a boolean is no number, and 50.0 is an integer
+_TYPES = {
+    "number": lambda v: isinstance(v, numbers.Number) and not isinstance(v, bool),
+    "integer": lambda v: (
+        isinstance(v, int) and not isinstance(v, bool) or isinstance(v, float) and v.is_integer()
+    ),
+    "string": lambda v: isinstance(v, str),
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+}
+
+
+def _schema_errors(value, schema: dict, path: tuple = ()):
+    """Yield (path, message) for each violation of ``schema`` by ``value``.
+
+    Knows the keywords SCENARIO_SCHEMA uses. As the draft does, it checks
+    each on its own, in the schema's order, so a bound applies to any number
+    whatever the type; oneOf's branches differ in type, so only "valid under
+    none" is reported. Messages are worded as jsonschema 4.26's.
+    """
+    number, obj, array = _TYPES["number"](value), isinstance(value, dict), isinstance(value, list)
+    for key, arg in schema.items():
+        if key == "type" and not _TYPES[arg](value):
+            yield path, f"{value!r} is not of type {arg!r}"
+        elif key == "enum" and value not in arg:
+            yield path, f"{value!r} is not one of {arg!r}"
+        elif key == "minimum" and number and value < arg:
+            yield path, f"{value!r} is less than the minimum of {arg!r}"
+        elif key == "maximum" and number and value > arg:
+            yield path, f"{value!r} is greater than the maximum of {arg!r}"
+        elif key == "exclusiveMinimum" and number and value <= arg:
+            yield path, f"{value!r} is less than or equal to the minimum of {arg!r}"
+        elif key == "pattern" and isinstance(value, str) and not re.search(arg, value):
+            yield path, f"{value!r} does not match {arg!r}"
+        elif key == "required" and obj:
+            yield from ((path, f"{k!r} is a required property") for k in arg if k not in value)
+        elif key == "properties" and obj:
+            for k, sub in arg.items():
+                if k in value:
+                    yield from _schema_errors(value[k], sub, path + (k,))
+        elif key == "additionalProperties" and obj:
+            extra = sorted(set(value) - set(schema.get("properties", ())), key=str)
+            if extra:
+                listed = f"{', '.join(map(repr, extra))} {'was' if len(extra) == 1 else 'were'}"
+                yield path, f"Additional properties are not allowed ({listed} unexpected)"
+        elif key == "minProperties" and obj and len(value) < arg:
+            few = "should be non-empty" if arg == 1 else "does not have enough properties"
+            yield path, f"{value!r} {few}"
+        elif key == "items" and array:
+            for i, item in enumerate(value):
+                yield from _schema_errors(item, arg, path + (i,))
+        elif key == "minItems" and array and len(value) < arg:
+            yield path, f"{value!r} {'should be non-empty' if arg == 1 else 'is too short'}"
+        elif key == "maxItems" and array and len(value) > arg:
+            yield path, f"{value!r} {'is expected to be empty' if arg == 0 else 'is too long'}"
+        elif key == "oneOf" and all(any(_schema_errors(value, sub)) for sub in arg):
+            yield path, f"{value!r} is not valid under any of the given schemas"
 
 
 def _as_complex(value) -> complex:
@@ -267,9 +325,10 @@ def _walk(obj: dict) -> tuple[list[str], list[str], list[tuple], list[tuple[comp
     at each point, their violations prefixed with its swept values.
     """
     violations = []
-    for err in sorted(_validator.iter_errors(obj), key=lambda e: list(map(str, e.path))):
-        where = "/".join(str(p) for p in err.path) or "(top level)"
-        violations.append(f"{where}: {err.message}")
+    errors = sorted(_schema_errors(obj, SCENARIO_SCHEMA), key=lambda e: list(map(str, e[0])))
+    for path, message in errors:
+        where = "/".join(str(p) for p in path) or "(top level)"
+        violations.append(f"{where}: {message}")
     if violations:
         return violations, [], [], []
     engine = obj["engine"]

@@ -102,9 +102,13 @@ def pauli_on_mc_grid(preset_scns):
     return out
 
 
+# criterion 6's elimination experiment; nmax_a = 12 and nmax_b = 4 by default
+ELIMINATION = dict(u4=1.0, alpha=1.5, gamma_bs=(25.0, 50.0, 100.0))
+
+
 @pytest.fixture(scope="module")
 def elim_records():
-    return elimination_comparison(u4=1.0, alpha=1.5, gamma_bs=(25.0, 50.0, 100.0))
+    return elimination_comparison(**ELIMINATION)
 
 
 def test_criterion_1_pure_nonlinear_two_point_steady(dense_runs):
@@ -262,6 +266,21 @@ def test_criterion_6_elimination_ratio(elim_records):
         f"error ratios {r01:.2f}, {r12:.2f} in the second-order band [2.8, 5.2]: {ratio_ok}; "
         f"top B level mass {[f'{r.b_top_level_mass:.2e}' for r in elim_records]} at least "
         f"1e4 below the errors: {trunc_ok}",
+    )
+
+
+def test_criterion_6_errors_have_converged_in_nmax_b(elim_records):
+    # the top B level mass is read only at the samples and misses the transient
+    # in which mode B fills, so check the truncation directly: two more B
+    # levels move each error by less than 1 % of itself
+    records = elimination_comparison(**ELIMINATION, nmax_b=6)
+    moves = [abs(b.sup_error - a.sup_error) / a.sup_error for a, b in zip(elim_records, records)]
+    ok = all(m < 0.01 for m in moves)
+    assert report(
+        6,
+        ok,
+        f"sup errors move by {[f'{m:.1e}' for m in moves]} of themselves from nmax_b = 4 "
+        f"to 6 (<1e-2): {ok}",
     )
 
 

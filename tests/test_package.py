@@ -1,4 +1,5 @@
 import ast
+import functools
 import os
 import re
 import subprocess
@@ -33,14 +34,20 @@ def test_readme_library_sketch_runs():
     assert names["pred"].regime == "mass collects on the dark levels {0}"
 
 
-def _loaded_after_cli_import(module: str) -> bool:
+@functools.cache
+def _modules_after_cli_import() -> frozenset:
+    """The names in ``sys.modules`` of a fresh interpreter after ``import fockdamp.cli``."""
     src = str(Path(fd.__file__).resolve().parent.parent)
-    code = f"import sys, fockdamp.cli; print({module!r} in sys.modules)"
+    code = "import sys, fockdamp.cli; print(*sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
         capture_output=True, text=True, check=True,
     )
-    return out.stdout.strip() == "True"
+    return frozenset(out.stdout.split())
+
+
+def _loaded_after_cli_import(module: str) -> bool:
+    return module in _modules_after_cli_import()
 
 
 def test_cli_import_leaves_scipy_linalg_unloaded():
@@ -52,6 +59,13 @@ def test_cli_import_leaves_scipy_sparse_unloaded():
     # the two-mode sector generator is built dense; scipy.sparse would add
     # set-up time and resident memory
     assert not _loaded_after_cli_import("scipy.sparse")
+
+
+@pytest.mark.parametrize("module", ["jsonschema", "referencing", "rpds", "attrs"])
+def test_cli_import_leaves_the_schema_packages_unloaded(module):
+    # scenario checks its schema with its own walker; jsonschema and the
+    # packages it needs would add set-up time and resident memory
+    assert not _loaded_after_cli_import(module)
 
 
 def test_every_imported_name_is_used():

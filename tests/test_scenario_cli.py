@@ -640,17 +640,39 @@ def test_sweep_grid_resolves_a_large_swept_value():
 
 def test_sweep_runs_the_schema_once(tmp_path, monkeypatch):
     checked = []
-    validator = scenario._validator
+    walker = scenario._schema_errors
 
-    class Spy:
-        def iter_errors(self, obj):
-            checked.append(obj)
-            return validator.iter_errors(obj)
+    def spy(value, schema, path=()):
+        # the walker recurses into subschemas; count only the whole object
+        if schema is scenario.SCENARIO_SCHEMA:
+            checked.append(value)
+        return walker(value, schema, path)
 
-    monkeypatch.setattr(scenario, "_validator", Spy())
+    monkeypatch.setattr(scenario, "_schema_errors", spy)
     obj = dict(BASE, sweep={"gamma_q": [0.0, 0.1, 0.2], "alpha": [1.0, 1.2, 1.4]})
     assert cli.main(["sweep", write_json(tmp_path / "sweep.json", obj), "--out", str(tmp_path)]) == 0
     assert len(checked) == 1
+
+
+def _keywords(schema):
+    """Each (keyword, value) of ``schema`` and of every subschema in it."""
+    for key, value in schema.items():
+        yield key, value
+        if key in ("properties", "items", "oneOf"):
+            subs = value.values() if key == "properties" else [value] if key == "items" else value
+            for sub in subs:
+                yield from _keywords(sub)
+
+
+def test_the_walker_checks_every_keyword_of_the_schema():
+    # a keyword the walker does not name would pass unchecked; it names each
+    # keyword it checks as a string constant
+    checked = set(scenario._schema_errors.__code__.co_consts)
+    for key, value in _keywords(scenario.SCENARIO_SCHEMA):
+        assert key in checked or key in ("$schema", "title"), key
+        # the forms the walker knows: one type name, and no extra property schema
+        assert key != "type" or value in scenario._TYPES, value
+        assert key != "additionalProperties" or value is False, value
 
 
 def test_each_point_is_searched_for_its_cutoff_once(monkeypatch):

@@ -1,6 +1,9 @@
-"""Property test: ``sweep_grid`` resolves each point without the schema, and
+"""Property tests: ``sweep_grid`` resolves each point without the schema, and
 every point equals ``parse_scenario`` of the plain scenario built by hand
-from the file. Needs ``hypothesis``."""
+from the file; the schema walker reports what ``jsonschema`` reports. Needs
+``hypothesis``, and ``jsonschema`` for the walker's oracle."""
+
+import copy
 
 import pytest
 
@@ -11,7 +14,14 @@ from hypothesis import strategies as st  # noqa: E402
 from test_scenario_cli import raw_point  # noqa: E402
 
 from fockdamp.errors import ValidationError  # noqa: E402
-from fockdamp.scenario import RATE_KEYS, parse_scenario, sweep_grid  # noqa: E402
+from fockdamp.scenario import (  # noqa: E402
+    RATE_KEYS,
+    SCENARIO_SCHEMA,
+    SWEEPABLE,
+    _schema_errors,
+    parse_scenario,
+    sweep_grid,
+)
 
 alphas = st.floats(-4.0, 4.0, allow_nan=False)
 # negative and zero rates and rates that empty a small cutoff are all drawn
@@ -64,3 +74,78 @@ def _grid(sweep, fields):
     for f in fields:
         points = [p + (v,) for p in points for v in sweep[f]]
     return points
+
+
+# a scenario the schema accepts with every key present, nested blocks included
+FULL = {
+    "name": "full",
+    "alpha": [1.0, 0.5],
+    "nmax": 10,
+    "rates": {k: 0.5 for k in RATE_KEYS},
+    "u1": 0.5,
+    "t_max": 1.0,
+    "samples": 3,
+    "engine": "twomode",
+    "integrator": {"abs_tol": 1e-9, "rel_tol": 1e-6, "max_step": 0.1, "fixed_step": 0.01},
+    "trajectory": {"n_traj": 5, "master_seed": 3, "dt_max": 0.1},
+    "twomode": {"u4": [1.0, 0.5], "gamma_b": 25.0, "gamma_a_formula": 1.0, "nmax_b": 4},
+    "sweep": {k: [0.1, 0.2] for k in SWEEPABLE},
+}
+
+
+def _key_paths(obj, path=()):
+    for key, value in obj.items():
+        yield path + (key,), value
+        if isinstance(value, dict):
+            yield from _key_paths(value, path + (key,))
+
+
+MISTYPED = [True, False, None, "x", [1.0], {"x": 1.0}, 1.5]
+# values on and beyond the bounds the schema sets on each kind of key
+OUT_OF_RANGE = {
+    int: [0, 1, -1, 50.0, 0.5, 10**6, 10**6 + 1, 2**64 - 1, 2**64],
+    float: [0, 0.0, -0.5, 1e300],
+    list: [[], [1.0, 2.0, 3.0], [-1.0], [True, 1.0], ["x", 1.0]],
+    str: ["", ".", "..", "a b", "warp", "dense"],
+    dict: [{}],
+}
+
+
+def _changes(path, value):
+    """The key at ``path`` missing, mistyped, out of range, or with an extra
+    sibling, each change as likely as the key being kept (None)."""
+    changes = [(path, "missing", None), (path, "extra", 1.0)]
+    changes += [(path, "set", v) for v in MISTYPED + OUT_OF_RANGE[type(value)]]
+    return st.sampled_from([None] * len(changes) + changes)
+
+
+KEY_CHANGES = [_changes(path, value) for path, value in _key_paths(FULL)]
+
+
+@pytest.fixture(scope="module")
+def oracle():
+    return pytest.importorskip("jsonschema").Draft202012Validator(SCENARIO_SCHEMA)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(changes=st.tuples(*KEY_CHANGES))
+def test_schema_walker_reports_what_jsonschema_reports(oracle, changes):
+    obj = copy.deepcopy(FULL)
+    # keys before their blocks, so that no change to a key undoes one to its block
+    for path, change, value in reversed(copy.deepcopy([c for c in changes if c])):
+        parent = obj
+        for key in path[:-1]:
+            parent = parent[key]
+        if change == "missing":
+            parent.pop(path[-1], None)
+        elif change == "set":
+            parent[path[-1]] = value
+        else:
+            parent[path[-1] + "_extra"] = value
+    expected = [(tuple(e.path), e.message) for e in oracle.iter_errors(obj)]
+    assert sorted(_schema_errors(obj, SCENARIO_SCHEMA), key=_by_path) == sorted(expected, key=_by_path)
+
+
+def _by_path(error):
+    """The order ``_walk`` sorts violations in."""
+    return list(map(str, error[0]))
