@@ -74,8 +74,6 @@ def _extract_populations(state) -> np.ndarray:
     arr = np.asarray(state)
     if arr.ndim == 1:
         return arr.real.astype(float)
-    if arr.ndim == 2 and arr.shape[0] == arr.shape[1]:
-        return np.diag(arr).real.astype(float)
     raise ValueError(f"cannot read populations from shape {arr.shape}")
 
 
@@ -83,7 +81,7 @@ def observables(state) -> Observables:
     """Mean photon number, standard deviation, g2(0) and the level populations.
 
     g2(0) = sum n(n-1) p_n / mean^2, defined as 0 when the mean vanishes.
-    Accepts a DensityMatrix, PureState, PopulationVector or plain array.
+    Accepts a DensityMatrix, PureState, PopulationVector or 1-D array.
     """
     p = _extract_populations(state)
     mean, std, g2 = moments(p[None])
@@ -138,10 +136,10 @@ class Samples:
     """The sampled record of one exact run; ``add`` is ``integrate``'s callback.
 
     ``add(start, ys)`` takes a block of consecutive samples, ``ys[j]`` the
-    state at ``t[start + j]``, in order. ``diagonal`` indexes the diagonal
-    within one state (the populations; for the two-mode pair, the whole
-    diagonal of its sector block); ``add`` keeps it for every sample, and
-    its sum is the trace, ``trace0`` at the start; a stack of states, such as
+    state at ``t[start + j]``, in order. ``add`` keeps each sample's diagonal
+    (the populations; for the two-mode pair, the whole diagonal of its sector
+    block), and its sum is the trace, ``trace0`` at the start. Without
+    ``upper`` the state is its own diagonal: a stack of such states, such as
     several cascades' populations, has one ``trace0`` per state. ``add``
     raises TraceDriftExceeded at the block's first (sample, state), in time
     and then in order, whose trace has drifted by more than 1e-8.
@@ -149,7 +147,8 @@ class Samples:
     When ``upper = (rows, cols, src)`` is given, the flattened state's element
     ``src[p]`` is the matrix entry ``(rows[p], cols[p])`` on or above the
     diagonal, the whole diagonal among them (one state per sample, not a
-    stack), and ``add`` also checks positivity, with a gate that factors
+    stack); the diagonal is read off these entries in row order, and ``add``
+    also checks positivity, with a gate that factors
     only the levels holding weight. Split a state at level K as
     rho = [[A, B], [B^H, C]]. Then
 
@@ -178,22 +177,22 @@ class Samples:
     eigenvalue, that of the state the run ends in, is ``min_eigenvalue``.
     """
 
-    def __init__(self, t_grid, trace0, diagonal, upper=None):
+    def __init__(self, t_grid, trace0, upper=None):
         self.t = np.asarray(t_grid, dtype=float)
         self.trace0 = np.asarray(trace0, dtype=float)
-        self._diagonal = diagonal
         self._upper = None
         self.min_eigenvalue = None
         if upper is not None:
             rows, cols, src = map(np.asarray, upper)
             by_col = np.argsort(cols, kind="stable")
-            self._upper = rows[by_col], cols[by_col], src[by_col]
+            rows, cols, src = self._upper = rows[by_col], cols[by_col], src[by_col]
             # the entries in columns < K are the first _first[K] of them
-            self._first = np.searchsorted(cols[by_col], np.arange(cols.max() + 2))
+            self._first = np.searchsorted(cols, np.arange(cols.max() + 2))
+            self._diagonal = src[rows == cols]  # one per column, so in row order
 
     def add(self, start: int, ys):
         stop = start + len(ys)
-        diag = ys[:, self._diagonal].real
+        diag = ys.real if self._upper is None else ys.reshape(len(ys), -1)[:, self._diagonal].real
         if start == 0:
             self.diagonals = np.zeros((self.t.size,) + diag.shape[1:])
         self.diagonals[start:stop] = diag

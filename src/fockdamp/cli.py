@@ -49,8 +49,8 @@ class RunResult:
     extras: dict
 
 
-def _initial_populations(scn: Scenario) -> pauli.PopulationVector:
-    return pauli.PopulationVector.from_density(coherent_density(scn.alpha, scn.cutoff))
+def _initial_populations(scn: Scenario) -> np.ndarray:
+    return coherent_state(scn.alpha, scn.cutoff).populations()
 
 
 def run_scenario(scn: Scenario) -> RunResult:
@@ -100,16 +100,21 @@ def _write_csv(path: Path, header, *columns) -> None:
             f.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
-def series_json(series: analysis.TimeSeries) -> str:
-    obj = {
-        "t": list(series.t),
-        "mean_n": list(series.mean_n),
-        "std_n": list(series.std_n),
-        "g2": list(series.g2),
-        "trace_err": list(series.trace_err),
-        "populations": [list(row) for row in series.populations],
-    }
-    return json.dumps(obj, sort_keys=True, indent=1) + "\n"
+def _write_json(path: Path, series: analysis.TimeSeries) -> None:
+    """Write ``series`` to ``path`` as ``json.dumps(obj, sort_keys=True,
+    indent=1) + "\\n"`` writes the dict of its lists, one block of rows at a
+    time: "%r" writes a finite float as json does."""
+    with path.open("w") as f:
+        for sep, key in zip("{,,,,,", ("g2", "mean_n", "populations", "std_n", "t", "trace_err")):
+            col = getattr(series, key)
+            row = "  %r" if col.ndim == 1 else "  [\n%s\n  ]" % ",\n".join(["   %r"] * col.shape[1])
+            f.write(f'{sep}\n "{key}": [\n')
+            for lo in range(0, len(col), _CSV_BLOCK_ROWS):
+                block = col[lo : lo + _CSV_BLOCK_ROWS]
+                text = ",\n".join([row] * len(block)) % tuple(block.ravel().tolist())
+                f.write(",\n" + text if lo else text)
+            f.write("\n ]")
+        f.write("\n}\n")
 
 
 def write_outputs(result: RunResult, out_dir: Path, fmt: str, want_svg: bool) -> Path:
@@ -124,7 +129,7 @@ def write_outputs(result: RunResult, out_dir: Path, fmt: str, want_svg: bool) ->
         header = ["t", "mean_n", "std_n", "g2", "trace_err"] + [f"p{n}" for n in range(s.n_levels)]
         _write_csv(series_path, header, s.t, s.mean_n, s.std_n, s.g2, s.trace_err, s.populations)
     else:
-        series_path.write_text(series_json(s))
+        _write_json(series_path, s)
     outputs = {"timeseries": series_path.name}
     if "stderr" in result.extras:
         se = result.extras["stderr"]

@@ -93,7 +93,7 @@ def evolve(
     y0 = np.zeros(stack.shape[:2], dtype=values.dtype)
     y0[b, r] = values
 
-    samples = Samples(t_grid, rho0.trace(), 0, upper=(k, l, b * n1 + r))
+    samples = Samples(t_grid, rho0.trace(), upper=(k, l, b * n1 + r))
     y_final = integrate(lambda h: expm(stack * h), y0, samples.t, EXACT, post_accept=samples.add)
     upper = np.zeros((n1, n1), dtype=values.dtype)
     upper[k, l] = y_final[b, r]

@@ -102,7 +102,7 @@ class PureState:
         object.__setattr__(self, "amplitudes", _frozen_array(v))
 
     def populations(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
+        return (self.amplitudes * self.amplitudes.conj()).real  # np.outer(c, c.conj())'s diagonal
 
 
 def annihilation_matrix(cutoff: FockCutoff) -> np.ndarray:

@@ -128,6 +128,8 @@ def _apply(prop, src, dst):
 
     One sample is a matrix-vector product, as plain stepping takes it; more
     are one matrix-matrix product per block, with the samples as the rows.
+    The rows product gives one sample the same bits, but the two-mode sector
+    steps one at a time, and at 175 levels it takes about 24 us a step, not 8-9.
     """
     if len(src) == 1:
         np.matmul(prop, src[0, ..., None], out=dst[0, ..., None])

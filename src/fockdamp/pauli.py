@@ -17,7 +17,7 @@ import numpy as np
 from .analysis import Samples, TimeSeries
 from .channels import JumpChannel, loss_table
 from .dynamics import _cascade
-from .fock import DensityMatrix, _frozen_array
+from .fock import _frozen_array
 from .integrate import _CHUNK, EXACT, expm, integrate
 
 
@@ -38,10 +38,6 @@ class PopulationVector:
         if p.sum() > 1.0 + 1e-9:
             raise ValueError(f"populations sum to {p.sum()!r} > 1")
         object.__setattr__(self, "p", _frozen_array(p))
-
-    @classmethod
-    def from_density(cls, rho: DensityMatrix) -> "PopulationVector":
-        return cls(rho.populations())
 
 
 def population_generator(channels: list[JumpChannel], nmax: int) -> np.ndarray:
@@ -85,7 +81,7 @@ def evolve_population_batch(p0s, channel_sets, t_grid):
         stack = np.stack(p_inits[lo : lo + _CHUNK])
         nmax = stack.shape[1] - 1
         gens = np.stack([population_generator(ch, nmax) for ch in channel_sets[lo : lo + _CHUNK]])
-        record = Samples(t_grid, stack.sum(axis=1), slice(None))
+        record = Samples(t_grid, stack.sum(axis=1))
         integrate(lambda h: expm(gens * h), stack, record.t, EXACT, post_accept=record.add)
         for j in range(len(stack)):
             yield record.series(state=j)

@@ -137,10 +137,7 @@ def two_mode_evolve(rho_a: DensityMatrix, params: TwoModeParams, t_grid) -> TwoM
     da, db = rho_a.dim, params.nmax_b + 1
     vacuum_b = np.diag(np.eye(db)[0])
     gen, rows, cols = _sector_generator(params, da)
-    samples = Samples(
-        t_grid, rho_a.trace(), rows == cols,
-        upper=(rows, cols, np.arange(rows.size)),
-    )
+    samples = Samples(t_grid, rho_a.trace(), upper=(rows, cols, np.arange(rows.size)))
 
     # the whole pair goes in, so a wrapper of integrate sees the state's size
     # (perfbench's twomode.state_dim); restrict packs its real, diagonal sector

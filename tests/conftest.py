@@ -144,4 +144,4 @@ def matrix_samples(t_grid, n):
     """An ``analysis.Samples`` of unit-trace states stored as whole n x n
     matrices, flattened, with the positivity check on."""
     rows, cols = np.triu_indices(n)
-    return Samples(t_grid, 1.0, np.arange(n) * (n + 1), upper=(rows, cols, rows * n + cols))
+    return Samples(t_grid, 1.0, upper=(rows, cols, rows * n + cols))

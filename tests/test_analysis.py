@@ -85,7 +85,7 @@ def test_moments_match_observables_row_by_row():
 # each exact engine run on a small state for the drift test below
 _DRIFT_RUNS = {
     "pauli": lambda grid: fd.evolve_populations(
-        fd.PopulationVector.from_density(fock_density(3, fd.FockCutoff(4))),
+        fd.PopulationVector(fock_density(3, fd.FockCutoff(4)).populations()),
         [nonlinear_loss(1.0)], grid,
     ),
     "dynamics": lambda grid: fd.evolve(

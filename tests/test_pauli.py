@@ -122,7 +122,7 @@ def test_matches_dense_engine():
     grid = np.linspace(0, 5, 11)
     channels = [nonlinear_loss(1.0), linear_loss(0.05), two_photon_loss(0.03), three_photon_loss(0.01)]
     dense, _ = fd.evolve(rho0, channels, None, grid)
-    pop = evolve_populations(PopulationVector.from_density(rho0), channels, grid)
+    pop = evolve_populations(PopulationVector(rho0.populations()), channels, grid)
     assert np.max(np.abs(dense.populations - pop.populations)) < 1e-8
 
 

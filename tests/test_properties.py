@@ -4,7 +4,9 @@ engines agree, the trace holds, the dense state stays positive, pure
 d-photon loss conserves the mass of each class of n mod d, the engines
 and the long-time prediction read one loss table, and doubling the samples
 of a grid agrees with stepping through it. Over random states near the
-positivity limit, the recorder's Cholesky gate decides as eigvalsh does."""
+positivity limit, the recorder's Cholesky gate decides as eigvalsh does. A
+coherent state's populations are the same bits from its amplitudes as from
+its density matrix."""
 
 import re
 
@@ -261,3 +263,17 @@ def test_the_split_gate_decides_as_eigvalsh(n, lead, complex_, seed, lowest, tai
     assert_gate_decides_as_eigvalsh(
         states_near_the_tail_bound(lowest, n, lead, tail, hidden, complex_, seed)
     )
+
+
+@PROPS
+@given(
+    re_=st.floats(-4.0, 4.0),
+    im=st.floats(-4.0, 4.0),
+    extra=st.integers(0, 8),
+)
+def test_a_pure_state_and_its_density_matrix_share_their_populations(re_, im, extra):
+    # one formula: the products on the diagonal of np.outer(c, c.conj())
+    alpha = complex(re_, im)
+    cut = fd.FockCutoff(fd.min_cutoff_for_coherent(alpha).nmax + extra)
+    pure = fd.coherent_state(alpha, cut).populations()
+    assert np.array_equal(pure, fd.coherent_density(alpha, cut).populations())

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -471,6 +472,62 @@ def test_json_format_output(tmp_path):
     assert len(obj["populations"][0]) == parse_scenario(BASE).nmax + 1
 
 
+def _dumped(series):
+    obj = {key: getattr(series, key).tolist()
+           for key in ("t", "mean_n", "std_n", "g2", "trace_err", "populations")}
+    return json.dumps(obj, sort_keys=True, indent=1) + "\n"
+
+
+def _random_series(samples, levels, seed=0):
+    rng = np.random.default_rng(seed)
+    pops = rng.random((samples, levels))
+    pops[0, :2] = (-0.0, 5e-324)[:levels]
+    t = np.linspace(0.0, 1.0, samples)
+    return analysis.TimeSeries(t, rng.random(samples) * 1e16, rng.random(samples),
+                               rng.random(samples) * 1e-300, rng.random(samples), pops)
+
+
+@pytest.mark.parametrize("samples, levels", [(2, 2), (128, 3), (129, 3), (300, 41)])
+def test_json_series_is_written_as_json_dumps_writes_it(tmp_path, samples, levels):
+    series = _random_series(samples, levels)
+    cli._write_json(tmp_path / "s.json", series)
+    assert (tmp_path / "s.json").read_text() == _dumped(series)
+
+
+def test_json_format_output_is_json_dumps_of_the_run(tmp_path):
+    path = write_json(tmp_path / "scn.json", dict(BASE, alpha=[1.7, -2.2], samples=301))
+    assert cli.main(["run", path, "--out", str(tmp_path), "--format", "json"]) == 0
+    series = cli.run_scenario(parse_scenario(load_raw(path))).series
+    assert (tmp_path / "t" / "timeseries.json").read_text() == _dumped(series)
+
+
+def test_json_series_is_streamed(tmp_path):
+    # the text of a whole record takes several times the record's bytes; one
+    # level keeps the traced run short, as tracing costs about 5 us a value
+    series = _random_series(20_000, 1)
+    record = series.populations.nbytes + 5 * series.t.nbytes
+    tracemalloc.start()
+    try:
+        cli._write_json(tmp_path / "s.json", series)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < record
+
+
+def test_the_pauli_start_is_read_from_amplitudes():
+    # an (nmax + 1)^2 density matrix at nmax = 2000 would take 61 MiB
+    scn = parse_scenario(dict(BASE, alpha=3.0, nmax=2000))
+    tracemalloc.start()
+    try:
+        p0 = cli._initial_populations(scn)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert p0.shape == (2001,)
+
+
 def test_svg_output_well_formed(tmp_path):
     path = write_json(tmp_path / "scn.json", BASE)
     assert cli.main(["run", path, "--out", str(tmp_path), "--svg"]) == 0
@@ -785,6 +842,15 @@ def test_sweep_applies_the_engine_override(tmp_path):
     assert cli.main(["sweep", path, "--out", str(tmp_path), "--engine", "twomode"]) == 2
 
 
+def test_sweep_writes_its_table_only_whatever_the_format_and_svg_flags(tmp_path):
+    # sweep accepts --format and --svg, but writes one CSV table and no series
+    path = str(SCENARIOS / "linear_loss_sweep.json")
+    assert cli.main(["sweep", path, "--out", str(tmp_path / "plain")]) == 0
+    assert cli.main(["sweep", path, "--out", str(tmp_path / "flags"), "--svg", "--format", "json"]) == 0
+    assert [f.name for f in (tmp_path / "flags").iterdir()] == ["sweep.csv"]
+    assert (tmp_path / "flags" / "sweep.csv").read_bytes() == (tmp_path / "plain" / "sweep.csv").read_bytes()
+
+
 def test_seed_needs_the_trajectory_engine(tmp_path, capsys):
     assert cli.main(["preset", "fig1", "--out", str(tmp_path), "--seed", "1"]) == 2
     assert "--seed" in capsys.readouterr().err
@@ -925,6 +991,19 @@ def test_twomode_engine_via_cli(tmp_path):
     path = write_json(tmp_path / "tm.json", obj)
     assert cli.main(["run", path, "--out", str(tmp_path)]) == 0
     assert (tmp_path / "pair" / "mode_b.csv").exists()
+
+
+def test_gamma_a_formula_is_echoed_only(tmp_path):
+    # the two-mode run never reads the effective rate the field sets
+    obj = load_raw(str(SCENARIOS / "two_mode_pair.json"))
+    formula = dict(obj, twomode=dict(obj["twomode"], gamma_a_formula=3.0))
+    for out, scn in (("plain", obj), ("formula", formula)):
+        assert cli.main(["run", write_json(tmp_path / f"{out}.json", scn), "--out", str(tmp_path / out)]) == 0
+    plain, echoed = (tmp_path / "plain" / "two_mode_pair", tmp_path / "formula" / "two_mode_pair")
+    for name in ("timeseries.csv", "mode_b.csv"):
+        assert (plain / name).read_bytes() == (echoed / name).read_bytes()
+    manifest = json.loads((echoed / "manifest.json").read_text())
+    assert manifest["scenario"]["twomode"]["gamma_a_formula"] == 3.0
 
 
 def test_manifest_load_unwraps_scenario(tmp_path):
