@@ -13,8 +13,8 @@ Trajectories own counter-based random substreams keyed on
 (master_seed, trajectory index); identical configuration gives bit-identical
 output. Per-trajectory results accumulate into fixed chunks whose sums are
 added one after another in chunk order, a fixed order, so the output is
-bit-reproducible. All trajectories of a chunk advance together on their
-level populations.
+bit-reproducible. The trajectories of a batch of ``_LEAVES`` chunks advance
+together on their level populations.
 """
 
 from __future__ import annotations
@@ -35,6 +35,8 @@ _MAX_DRAWS = np.int64(2**53)
 _U1 = np.uint64(1)
 _RECORD_BLOCK = 1 << 15
 _CHUNK = 256  # trajectories per chunk; the sums of a chunk are one reduction leaf
+_LEAVES = 2  # chunks per batch of trajectories advanced together
+_LN_TINY = np.log(np.finfo(float).tiny)  # exp is normal from here up, subnormal below
 
 
 @dataclass(frozen=True)
@@ -68,6 +70,29 @@ class EnsembleResult:
         object.__setattr__(self, "stderr", _frozen_array(np.asarray(self.stderr, float)))
 
 
+def _decay(x):
+    """exp(x) in place, with 0 where exp(x) would be subnormal or 0.
+
+    NumPy's exp is several times slower on arguments below ln(tiny) than in
+    range, and most of the sampler's arguments lie there. Those arguments
+    are set to 0 before the exp (faster than exp's ``where=`` mask) and the
+    results to 0 after it. NaN stays NaN.
+    """
+    under = x < _LN_TINY
+    np.copyto(x, 0.0, where=under)
+    np.exp(x, out=x)
+    np.copyto(x, 0.0, where=under)
+    return x
+
+
+def _normalize(v):
+    """Divide each row of v by its sum, in place. The sums are one dgemm with
+    a (levels, 2) block of ones: NumPy sends a (levels, 1) operand to gemv,
+    whose code the channel pick's dgemm does not map."""
+    v /= (v @ np.ones((v.shape[1], 2)))[:, :1]
+    return v
+
+
 def _waiting_times(w, s, u):
     """Each row's waiting time: the tau where q(tau) = sum_n w_n exp(-s_n tau)
     falls to u, or inf where the row never jumps.
@@ -84,13 +109,16 @@ def _waiting_times(w, s, u):
     idx = np.flatnonzero(u > w[:, s == 0.0].sum(axis=1))
     tau[idx] = 0.0
     log_u = np.log(u[idx])
+    # q and -dq/dtau as one product with the (levels, 2) operand [1, s]: that
+    # keeps it on dgemm, which the channel pick already maps, where a
+    # (levels,) operand would map gemv's code as well
+    one_s = np.stack([np.ones_like(s), s], axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):  # underflowed rows end non-finite
         for _ in range(_NEWTON_CAP):
             if not idx.size:
                 break
-            e = w[idx] * np.exp(-s * tau[idx, None])
-            q = e.sum(axis=1)
-            step = (np.log(q) - log_u) * q / (e * s).sum(axis=1)  # e @ s would map ~0.1 MB of gemv code
+            q, dq = ((w[idx] * _decay(-s * tau[idx, None])) @ one_s).T
+            step = (np.log(q) - log_u) * q / dq
             t = tau[idx] + np.maximum(step, 0.0)
             tau[idx] = t
             more = step > _NEWTON_RTOL * np.maximum(t, 1.0)
@@ -100,9 +128,10 @@ def _waiting_times(w, s, u):
     return tau
 
 
-def _record(w, s, t_grid, t, first, stop, shift, out_p, out_p2):
+def _record(w, s, t_grid, t, first, stop, shift, out_p, out_p2, base):
     """Add row r's normalized populations, less ``shift``, at samples
-    first[r]..stop[r]-1, in blocks of rows holding about ``_RECORD_BLOCK``
+    first[r]..stop[r]-1, into rows base[r] + sample of the flat (leaves x
+    samples, levels) sums. Rows go in blocks holding about ``_RECORD_BLOCK``
     values, so a long sample grid never allocates rows x samples x levels."""
     n1 = s.size
     counts = stop - first
@@ -117,22 +146,23 @@ def _record(w, s, t_grid, t, first, stop, shift, out_p, out_p2):
         lo = hi
         if not rows.size:
             continue
-        v = w[rows] * np.exp(-s * (t_grid[samples] - t[rows])[:, None])
-        v /= v.sum(axis=1, keepdims=True)
+        v = _normalize(w[rows] * _decay(-s * (t_grid[samples] - t[rows])[:, None]))
         v -= shift[samples]
-        flat = (samples[:, None] * n1 + np.arange(n1)).ravel()
+        flat = ((base[rows] + samples)[:, None] * n1 + np.arange(n1)).ravel()
         out_p += np.bincount(flat, v.ravel(), out_p.size).reshape(out_p.shape)
         out_p2 += np.bincount(flat, (v * v).ravel(), out_p.size).reshape(out_p.shape)
 
 
-def _run_chunk(w0, table, t_grid, keys, shift, out_p, out_p2):
-    """Advance the trajectories of one chunk together; return their draw counts.
+def _run_chunk(w0, table, t_grid, keys, shift, out_p, out_p2, leaf=None):
+    """Advance a batch of trajectories together; return their draw counts.
 
     Row r holds |psi_n|^2 of the trajectory keyed ``keys[r]``; ``table`` is
-    the mix's ``channels.LossTable``. Every jump shifts the number basis with
-    a real amplitude and the no-jump flow is number-diagonal, so phases (and
-    the Kerr term) never reach the output. Each step is the scalar algorithm
-    under masks: the waiting times, then the channel draw.
+    the mix's ``channels.LossTable``. Row r's sums go to leaf ``leaf[r]`` of
+    the (leaves, samples, levels) ``out_p`` and ``out_p2``, or, with no
+    ``leaf``, to the (samples, levels) pair. Every jump shifts the number
+    basis with a real amplitude and the no-jump flow is number-diagonal, so
+    phases (and the Kerr term) never reach the output. Each step is the
+    scalar algorithm under masks: the waiting times, then the channel draw.
     """
     s, rates, deltas = table.loss, table.rates, table.lowerings
     m2_all = table.amps**2
@@ -145,22 +175,23 @@ def _run_chunk(w0, table, t_grid, keys, shift, out_p, out_p2):
     t = np.full(keys.size, t_grid[0])
     i_s = np.zeros(keys.size, dtype=np.int64)  # the first round records sample 0 too
     draw = np.zeros(keys.size, dtype=np.uint64)
+    base = np.zeros(keys.size, dtype=np.int64) if leaf is None else leaf * n_samples
     u = _rng.uniform(keys, draw)
     draw += _U1
     while True:
         tau = _waiting_times(w, s, u)
         stop = np.searchsorted(t_grid, t + tau, side="right")
-        _record(w, s, t_grid, t, i_s, stop, shift, out_p, out_p2)
+        _record(w, s, t_grid, t, i_s, stop, shift, out_p, out_p2, base)
         done = stop >= n_samples
         n_draws[live[done]] = draw[done]
         keep = ~done
         live, keys, draw, w, t, tau = live[keep], keys[keep], draw[keep], w[keep], t[keep], tau[keep]
+        base = base[keep]
         i_s = stop[keep]
         if not live.size:
             break
         # advance to the jump time and renormalize
-        w = w * np.exp(-s * tau[:, None])
-        w /= w.sum(axis=1, keepdims=True)
+        w = _normalize(w * _decay(-s * tau[:, None]))
         # pick the channel with probability proportional to rate * |L psi|^2
         weights = rates * (w @ m2_all.T)
         r = _rng.uniform(keys, draw) * weights.sum(axis=1)
@@ -172,7 +203,7 @@ def _run_chunk(w0, table, t_grid, keys, shift, out_p, out_p2):
             rows = pick == c
             d = int(deltas[c])
             nxt[rows, : n1 - d] = m2_all[c, d:] * w[rows, d:]
-        w = nxt / nxt.sum(axis=1, keepdims=True)
+        w = _normalize(nxt)
         t = t + tau
         u = _rng.uniform(keys, draw)
         draw += _U1
@@ -225,9 +256,9 @@ def run_ensemble(
     each. Channel selection at a jump is proportional to rate * |L psi|^2;
     jump times come from Newton's method on the log of the squared norm of
     the no-jump evolution against a uniform draw. ``kerr`` is number-diagonal,
-    so it moves no population and is unused. Trajectories run ``_CHUNK`` at a
-    time, and the sums of each chunk are kept apart until ``_summarize``
-    combines them.
+    so it moves no population and is unused. Trajectories run in batches of
+    ``_LEAVES`` chunks of ``_CHUNK``, and the sums of each chunk are kept
+    apart until ``_summarize`` combines them.
     """
     psi = np.array(psi0.amplitudes, dtype=np.complex128)
     psi /= np.linalg.norm(psi)
@@ -240,9 +271,11 @@ def run_ensemble(
     w0 = psi.real**2 + psi.imag**2
     shift = _no_jump_populations(w0, table.loss, t_grid)
 
-    for ci in range(n_chunks):
+    for ci in range(0, n_chunks, _LEAVES):
         lo = ci * _CHUNK
-        hi = min(cfg.n_traj, lo + _CHUNK)
+        hi = min(cfg.n_traj, lo + _LEAVES * _CHUNK)
         keys = _rng.stream_key(cfg.master_seed, np.arange(lo, hi, dtype=np.uint64))
-        draws[lo:hi] = _run_chunk(w0, table, t_grid, keys, shift, out_p[ci], out_p2[ci])
+        sums = out_p[ci : ci + _LEAVES], out_p2[ci : ci + _LEAVES]
+        leaf = np.arange(hi - lo) // _CHUNK
+        draws[lo:hi] = _run_chunk(w0, table, t_grid, keys, shift, *sums, leaf)
     return _summarize(t_grid, shift, out_p, out_p2, draws)

@@ -205,17 +205,48 @@ def test_draw_counts_match_scalar_reference(psi0, channels, kerr, cfg, chunk):
     assert got.tolist() == want
 
 
-@pytest.mark.parametrize("gamma", [1e-3, 1.0, 1e3])
-def test_waiting_times_closed_form(gamma):
+@pytest.mark.parametrize(
+    "gamma, fast, rtol",
+    [pytest.param(g, None, 1e-13, id=str(g)) for g in (1e-3, 1.0, 1e3)]
+    + [pytest.param(g, 1e5, 1e-12, id=f"{g}-fast") for g in (1e-3, 1.0)],
+)
+def test_waiting_times_closed_form(gamma, fast, rtol):
     # a level decaying at gamma beside a dark level of weight d:
-    # d + (1 - d) exp(-gamma tau) = u at tau = -ln((u - d) / (1 - d)) / gamma
+    # d + (1 - d) exp(-gamma tau) = u at tau = -ln((u - d) / (1 - d)) / gamma.
+    # A third level losing at ``fast`` takes 1 % of the decaying weight; its
+    # term underflows at tau = 7.1e-3, and every root here lies beyond 0.04
     d, u = (a.ravel() for a in np.meshgrid([0.0, 0.3, 0.9], [0.95, 0.5, 1e-3, 1e-9, 0.2]))
-    w = np.stack([d, 1.0 - d], axis=1)
-    tau = trajectories._waiting_times(w, np.array([0.0, gamma]), u)
+    if fast is None:
+        w, s = np.stack([d, 1.0 - d], axis=1), np.array([0.0, gamma])
+    else:
+        w = np.stack([d, 0.99 * (1.0 - d), 0.01 * (1.0 - d)], axis=1)
+        s = np.array([0.0, gamma, fast])
+    tau = trajectories._waiting_times(w, s, u)
     jumps = u > d
     assert np.all(np.isinf(tau[~jumps]))
-    exact = -np.log((u[jumps] - d[jumps]) / (1.0 - d[jumps])) / gamma
-    assert np.max(np.abs(tau[jumps] / exact - 1.0)) <= 1e-13
+    exact = -np.log((u[jumps] - d[jumps]) / w[jumps, 1]) / gamma
+    assert np.max(np.abs(tau[jumps] / exact - 1.0)) <= rtol
+
+
+def test_partial_last_batch_and_leaf_match_reference(monkeypatch):
+    # 600 trajectories: leaves of 256, 256 and 88, batches of 512 and 88
+    # (each jumps once, to the dark level 1, at its own time)
+    psi0 = fock_state(2, fd.FockCutoff(3))
+    cfg = TrajectoryConfig(600, 26, np.linspace(0, 3, 4))
+    assert -(-cfg.n_traj // trajectories._CHUNK) == 3
+    assert cfg.n_traj % (trajectories._LEAVES * trajectories._CHUNK) == 88
+    leaves = []
+    summarize = trajectories._summarize
+
+    def spy(t_grid, shift, out_p, out_p2, draws):
+        leaves.append(out_p)
+        return summarize(t_grid, shift, out_p, out_p2, draws)
+
+    monkeypatch.setattr(trajectories, "_summarize", spy)
+    assert_matches_reference(psi0, [nonlinear_loss(1.0)], None, cfg)
+    # each leaf holds the sums of its own chunk, as the reference bins them
+    got, ref = leaves
+    assert np.max(np.abs(got - ref)) <= 1e-9
 
 
 @pytest.mark.parametrize("block", [1, 300])

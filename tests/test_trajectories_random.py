@@ -1,6 +1,7 @@
 """Property tests: the batched sampler against the scalar reference loop of
-``test_trajectories`` on random channel mixes, and its waiting times on
-random weights and rates. Needs ``hypothesis``."""
+``test_trajectories`` on random channel mixes, its waiting times on random
+weights and rates, and its exp without the underflow path. Needs
+``hypothesis``."""
 
 import math
 
@@ -75,3 +76,25 @@ def test_waiting_times_solve_the_norm_equation(data):
     assert np.array_equal(np.isinf(tau), ~jumps)
     q = (w[jumps] * np.exp(-s * tau[jumps, None])).sum(axis=1)
     assert np.max(np.abs(np.log(q) - np.log(u[jumps])), initial=0.0) <= 1e-12
+
+
+TINY = np.finfo(float).tiny
+# arguments a few steps either side of where exp turns subnormal and of where
+# it rounds to 0, then any float
+NEAR = st.sampled_from([np.log(TINY), -1075 * np.log(2.0)]).flatmap(
+    lambda edge: st.integers(-3, 3).map(lambda k: edge + k * np.spacing(edge))
+)
+ARGS = NEAR | st.floats(-800.0, 10.0) | st.floats(allow_nan=True, allow_infinity=True)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.lists(ARGS, min_size=1, max_size=40))
+def test_decay_is_exp_without_subnormals(xs):
+    x = np.array(xs)
+    with np.errstate(over="ignore"):
+        want = np.exp(x)
+        got = trajectories._decay(x.copy())
+    normal = want >= TINY
+    assert np.array_equal(got[normal].view(np.int64), want[normal].view(np.int64))
+    assert np.all(got[want < TINY] == 0.0)
+    assert np.array_equal(np.isnan(got), np.isnan(x))
