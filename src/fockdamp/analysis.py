@@ -155,12 +155,16 @@ class Samples:
         lambda_min(rho) >= min(lambda_min(A), 0) - ||B||_2 - ||C||_2,
 
     and ||B||_2 + ||C||_2 <= 2 sqrt(S(K)), where S(K) is the sum of |rho_ij|^2
-    over the stored entries in columns j >= K. ``add`` sums each column's
-    |rho_ij|^2, reads S(K) for every K off one cumulative sum from the last
-    column down, and takes the smallest K at which S(K) <= 1.25e-9 ** 2 for
-    every sample of the block (a nan or inf is never below it, so it stays
-    inside A). One stacked ``np.linalg.cholesky`` factors the block's leading
-    K x K matrices, their diagonal raised by 2.5e-9. A finite factor of every
+    over the stored entries in columns j >= K. ``add`` finds the columns
+    that some sample of the block holds, a nonzero entry (nan and inf
+    included) in one of them; the columns above the last of these hold
+    exact zeros, as the levels a run has drained do, and add nothing. It
+    sums each held column's |rho_ij|^2, reads S(K) for every K off one
+    cumulative sum from the last held column down, and takes the smallest
+    K at which S(K) <= 1.25e-9 ** 2 for every sample of the block (a nan or
+    inf is never below it, so it stays inside A). One stacked
+    ``np.linalg.cholesky`` factors the block's leading K x K matrices, their
+    diagonal raised by 2.5e-9. A finite factor of every
     sample proves lambda_min(A) above -2.5e-9, so each smallest eigenvalue
     is above -5e-9, less rounding of order 1e-14, and the block passes.
     (OpenBLAS factors a nan without failing, hence the finite check.) Once
@@ -189,6 +193,9 @@ class Samples:
             # the entries in columns < K are the first _first[K] of them
             self._first = np.searchsorted(cols, np.arange(cols.max() + 2))
             self._diagonal = src[rows == cols]  # one per column, so in row order
+            # the column of the entry each flat slot stores (0 for a slot that stores none)
+            self._column = np.zeros(src.max() + 1, dtype=np.intp)
+            self._column[src] = cols
 
     def add(self, start: int, ys):
         stop = start + len(ys)
@@ -209,11 +216,16 @@ class Samples:
         rows, cols, src = self._upper
         m, n = diag.shape
         flat = ys.reshape(m, -1)
-        by_col = np.add.reduceat(_abs2(flat[:, src]), self._first[:-1], axis=1)
-        outside = np.zeros((m, n + 1))  # outside[:, k]: the weight in columns >= k
+        # columns from `held` on hold only zeros in every sample, so they add
+        # nothing to the weights outside; a nan or inf is held
+        held = self._column[flat[:, : self._column.size].any(axis=0)].max(initial=0) + 1
+        by_col = np.add.reduceat(
+            _abs2(flat[:, src[: self._first[held]]]), self._first[:held], axis=1
+        )
+        outside = np.zeros((m, held + 1))  # outside[:, k]: the weight in columns >= k
         np.cumsum(by_col[:, ::-1], axis=1, out=outside[:, -2::-1])
         fits = (outside <= _TAIL_NORM**2).all(axis=0)  # nan-safe
-        k = int(np.argmax(fits))  # fits[n], with nothing outside, always holds
+        k = int(np.argmax(fits))  # fits[held], with nothing outside, always holds
         inside = self._first[k]
         lead = _lower(flat, rows[:inside], cols[:inside], src[:inside], k)
         lead.reshape(m, -1)[:, :: k + 1] += _GATE_SHIFT

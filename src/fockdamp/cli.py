@@ -88,16 +88,22 @@ def _write_csv(path: Path, header, *columns) -> None:
 
     Each value is written as ``format(x, ".17g")`` would write it, since
     "%.17g" formats a float the same way, about 128 rows per % operation;
-    no more of the text than one block is held.
+    no more of the text than one block is held. The trailing columns that
+    are +0.0 in every row of a block, such as the levels a run has drained,
+    are written as the literal 0 that "%.17g" gives them; -0.0, nan and inf
+    are always formatted.
     """
     cols = [np.asarray(c, dtype=float) for c in columns]
     cols = [c if c.ndim == 2 else c[:, None] for c in cols]
-    row = ",".join(["%.17g"] * sum(c.shape[1] for c in cols)) + "\n"
+    width = sum(c.shape[1] for c in cols)
     with path.open("w") as f:
         f.write(",".join(header) + "\n")
         for lo in range(0, len(cols[0]), _CSV_BLOCK_ROWS):
             block = np.hstack([c[lo : lo + _CSV_BLOCK_ROWS] for c in cols])
-            f.write(row * len(block) % tuple(block.ravel().tolist()))
+            zero = ((block == 0.0) & ~np.signbit(block)).all(axis=0)
+            formatted = width - int(np.argmin(zero[::-1])) if not zero.all() else 0
+            row = ",".join(["%.17g"] * formatted + ["0"] * (width - formatted)) + "\n"
+            f.write(row * len(block) % tuple(block[:, :formatted].ravel().tolist()))
 
 
 def _write_json(path: Path, series: analysis.TimeSeries) -> None:

@@ -16,6 +16,12 @@ Higham, SIAM J. Matrix Anal. Appl. 31, 970, 2009, Code Fragment 2.1),
 which keeps the column sums of a probability-conserving cascade at
 rounding level.
 
+A lowering channel never refills a level above the highest one the state
+holds, so under an upper-triangular propagator those levels stay exactly
+empty; the attenuator drains the high levels until they underflow to zero.
+``integrate`` propagates only the live levels, those up to the highest one
+held, on the leading block of each propagator.
+
 Every sample lands on the grid, so ``integrate`` has one callback: it hands
 the sampled states up in blocks of 32, and the recorder
 (``analysis.Samples``) checks each block's positivity with one stacked
@@ -158,6 +164,25 @@ def _fill(ys, a, e, powers, top):
         done += m
 
 
+def _upper_triangular(prop):
+    """Whether ``prop``, a matrix or a stack of them, is finite and exactly
+    upper-triangular, so that no level above the highest one a state holds
+    is ever filled: an inf times a held zero would make a nan there."""
+    return bool(np.isfinite(prop).all()) and not np.tril(prop, -1).any()
+
+
+def _held(y):
+    """1 + the highest level that any row of the state ``y`` holds, at least 1;
+    a nan or inf counts as held."""
+    rows = np.flatnonzero(y.reshape(-1, y.shape[-1]).any(axis=0))
+    return int(rows[-1]) + 1 if rows.size else 1
+
+
+def _leading(prop, live):
+    """The leading live x live block of a matrix or a stack of them, contiguous."""
+    return prop if live == prop.shape[-1] else np.ascontiguousarray(prop[..., :live, :live])
+
+
 def integrate(propagator, y0, t_grid, cfg, post_accept=None, restrict=None):
     """Advance a linear, autonomous system exactly through every point of ``t_grid``.
 
@@ -177,6 +202,17 @@ def integrate(propagator, y0, t_grid, cfg, post_accept=None, restrict=None):
     here, once per propagator, and the top power 2^J grows with the grid
     and shrinks with the propagator's size n (``_top_power``): at power 1,
     as for the two-mode sector, every sample is one step, as when stepping.
+
+    Each new propagator is checked once: if it is finite and exactly
+    upper-triangular, no level above the highest one a state holds (a
+    nonzero entry in any block, nan and inf included) is ever filled. So
+    at the start of each window, the highest level the sample before it
+    holds is found, and when it falls, the kept powers are cut to their
+    leading ``live x live`` block, the levels dropped are zeroed in the
+    window buffer once, and only ``ys[..., :live]`` is filled from then on;
+    the top power is taken from ``live``. A propagator that is not
+    triangular, as the two-mode sector's, is applied to every level.
+
     Each window is then passed, in blocks of at most 32 samples, once and
     in order, to ``post_accept(start, ys)``, where ``ys[j]`` is the state
     at ``t_grid[start + j]``; the engines record their samples and check
@@ -197,25 +233,34 @@ def integrate(propagator, y0, t_grid, cfg, post_accept=None, restrict=None):
     if np.any(steps <= 0):
         raise ValueError("t_grid must be strictly ascending")
     y = np.asarray(y0 if restrict is None else restrict(y0))
-    top = _top_power(y.shape[-1], t_grid.size)
-    window = _WINDOW if top > 1 else _BLOCK  # a stepped run needs no more than a block
+    n = live = y.shape[-1]  # the levels propagated; every level above them is empty
+    # a stepped run needs no more than a block
+    window = _WINDOW if _top_power(n, t_grid.size) > 1 else _BLOCK
     ys = np.empty((min(window, t_grid.size),) + y.shape, dtype=y.dtype)
     ys[0] = y
-    h_built, powers = math.nan, None
+    h_built, powers, triangular = math.nan, None, False
     for start in range(0, t_grid.size, window):
         stop = min(start + window, t_grid.size)
-        i = max(start, 1)
+        i = first = max(start, 1)
         while i < stop:
             h = steps[i - 1]
             if not abs(h - h_built) <= _STEP_RTOL * h_built:  # nan-safe: builds the first
-                h_built, powers = h, [propagator(h)]
-                dtype = np.result_type(ys, powers[0])
+                h_built, power = h, propagator(h)
+                triangular = _upper_triangular(power)
+                live = live if triangular else n
+                powers = [_leading(power, live)]
+                dtype = np.result_type(ys, power)
                 if dtype != ys.dtype:  # a complex propagator widens a real start
                     ys = ys.astype(dtype)
+            if triangular and i == first:  # no sample of this window is pending yet
+                held = _held(ys[i - start - 1])
+                if held < live:
+                    ys[..., held:live] = 0.0
+                    live, powers = held, [_leading(p, held) for p in powers]
             # the run under this propagator ends at the next step it does not match
             off = np.abs(steps[i : stop - 1] - h_built) > _STEP_RTOL * h_built
             end = i + 1 + int(np.argmax(off)) if off.any() else stop
-            _fill(ys, i - start, end - start, powers, top)
+            _fill(ys[..., :live], i - start, end - start, powers, _top_power(live, t_grid.size))
             i = end
         if post_accept is not None:
             for lo in range(start, stop, _BLOCK):

@@ -252,6 +252,34 @@ def test_the_gate_finds_an_eigenvalue_hidden_in_the_trailing_levels(monkeypatch,
     assert chol_calls[0][1] >= n - 1
 
 
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+def test_the_gate_finds_a_negative_eigenvalue_below_empty_columns(monkeypatch, complex_):
+    # every sample holds levels 0..3 only, and sample 3 has an eigenvalue of
+    # -1e-6 there: the columns above hold exact zeros, which the gate skips,
+    # and it must still factor levels 0..3 and reject the block
+    n = 16
+    states = np.zeros((6, n, n), dtype=complex if complex_ else float)
+    states[:, :4, :4] = states_with_lowest([0.0, 0.0, 0.0, -1e-6, 0.0, 0.0], 4, complex_, 3)
+    chol_calls = _record_calls(monkeypatch, "cholesky")
+    with pytest.raises(fd.PositivityViolated, match=r"min eigenvalue -1\.000e-06 at t=3 "):
+        matrix_samples(np.arange(6.0), n).add(0, states.reshape(6, -1))
+    assert chol_calls == [(6, 4, 4)]
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+def test_the_gate_holds_a_non_finite_value_in_the_highest_level(complex_, value):
+    # levels 1..15 are empty in every sample, but sample 2 couples level 15
+    # to level 0 by a nan or inf, its only entry in column 15: the gate
+    # counts that column as held
+    n = 16
+    states = np.zeros((4, n, n), dtype=complex if complex_ else float)
+    states[:, 0, 0] = 1.0
+    states[2, 0, n - 1] = states[2, n - 1, 0] = value
+    with pytest.raises(fd.PositivityViolated, match=r"^non-finite state entry at t=2$"):
+        matrix_samples(np.arange(4.0), n).add(0, states.reshape(4, -1))
+
+
 def test_the_gate_factors_only_the_occupied_levels_after_the_first_block(monkeypatch):
     # fig. 2's add_mixed run: alpha = 3, nmax = 40, 2001 samples to t = 100.
     # The first block holds the coherent state and is factored whole; by the

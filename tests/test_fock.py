@@ -6,6 +6,9 @@ import pytest
 import fockdamp as fd
 from conftest import fock_density, jump_matrix
 from fockdamp.channels import nonlinear_loss, three_photon_loss
+from fockdamp.fock import _NORM_TOL, coherent_amplitudes, poisson_tail
+from fockdamp.scenario import _json_complex, parse_scenario, validate_dict
+from fockdamp.twomode import TAIL_TOL
 
 
 def poisson_pmf(mean, n):
@@ -144,3 +147,42 @@ def test_states_are_immutable():
     rho = fock_density(1, fd.FockCutoff(3))
     with pytest.raises(ValueError):
         rho.entries[0, 0] = 5.0
+
+
+def _accepted(engine, alpha):
+    """The scenario dict of a 2-sample run of ``engine`` from alpha, or None
+    when validation rejects it."""
+    obj = {"name": "start", "alpha": _json_complex(alpha), "t_max": 1.0, "samples": 2,
+           "engine": engine}
+    if engine == "twomode":
+        obj["twomode"] = {"u4": 1.0, "gamma_b": 100.0, "nmax_b": 4}
+    else:
+        obj["rates"] = {"gamma_e": 1.0}
+    if engine == "trajectories":
+        obj["trajectory"] = {"n_traj": 16, "master_seed": 0}
+    return None if validate_dict(obj) else obj
+
+
+@pytest.mark.parametrize("engine", ["dense", "pauli", "trajectories", "twomode"])
+def test_every_accepted_alpha_builds_a_start_of_unit_norm(engine):
+    # the recursion from e^{-|alpha|^2/2} breaks where that is subnormal, at
+    # |alpha| ~ 37.6, which only the pauli and trajectory caps reach
+    lo, hi = 1.0, 400.0  # the largest |alpha| the engine's cap accepts lies between
+    while hi - lo > 1e-3 * lo:
+        lo, hi = ((lo + hi) / 2, hi) if _accepted(engine, (lo + hi) / 2) else (lo, (lo + hi) / 2)
+    edges = [37.5, 37.6, 37.65, 37.7, 37.9, 38.6, 40.0, 45.0, 75.0, 150.0, 300.0]
+    radii = sorted({*np.linspace(0.0, lo, 9), *[r for r in edges if r < lo]})
+    for i, r in enumerate(radii):
+        alpha = r * complex(math.cos(i), math.sin(i)) if i % 3 else (-r if i % 2 else r)
+        scn = parse_scenario(_accepted(engine, alpha))
+        if engine == "twomode":
+            rho = fd.coherent_density(scn.alpha, scn.cutoff, tail_tol=TAIL_TOL)
+            tail = poisson_tail(abs(scn.alpha) ** 2, scn.nmax)
+            assert abs(rho.trace_deficit - tail) < _NORM_TOL
+            continue
+        c = coherent_amplitudes(scn.alpha, scn.cutoff)
+        assert abs(np.linalg.norm(c) - 1.0) < _NORM_TOL, (engine, alpha)
+        if engine == "dense":
+            fd.coherent_density(scn.alpha, scn.cutoff)
+        else:
+            fd.coherent_state(scn.alpha, scn.cutoff)
