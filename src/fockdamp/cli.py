@@ -100,8 +100,8 @@ def _write_csv(path: Path, header, *columns) -> None:
         f.write(",".join(header) + "\n")
         for lo in range(0, len(cols[0]), _CSV_BLOCK_ROWS):
             block = np.hstack([c[lo : lo + _CSV_BLOCK_ROWS] for c in cols])
-            zero = ((block == 0.0) & ~np.signbit(block)).all(axis=0)
-            formatted = width - int(np.argmin(zero[::-1])) if not zero.all() else 0
+            held = np.flatnonzero(((block != 0.0) | np.signbit(block)).any(axis=0))
+            formatted = int(held[-1]) + 1 if held.size else 0  # the rest are +0.0
             row = ",".join(["%.17g"] * formatted + ["0"] * (width - formatted)) + "\n"
             f.write(row * len(block) % tuple(block[:, :formatted].ravel().tolist()))
 

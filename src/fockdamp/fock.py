@@ -9,7 +9,6 @@ All values are immutable after construction.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -160,7 +159,8 @@ def coherent_amplitudes(alpha: complex, cutoff: FockCutoff) -> np.ndarray:
     mag[m] = math.exp(0.5 * (m * math.log1p(d / m) - d - stirling))
     mag[m + 1 :] = mag[m] * np.cumprod(r / np.sqrt(n[m + 1 :]))
     mag[m - 1 :: -1] = mag[m] * np.cumprod(np.sqrt(n[m:0:-1]) / r)
-    phase = cmath.phase(alpha)
+    z = complex(alpha)
+    phase = math.atan2(z.imag, z.real)
     c[:] = mag * np.exp(1j * phase * n) if phase else mag
     return c
 
