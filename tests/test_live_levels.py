@@ -70,7 +70,12 @@ def _assert_positive_zero(a):
 
 
 @settings(derandomize=True, deadline=None, max_examples=12)  # SciPy's expm takes ~1 ms a block
-@given(rates=mixes, kerr=st.one_of(st.just(0.0), st.floats(0.1, 3.0)), start=small_starts(), grid=grids)
+@given(
+    rates=mixes,
+    kerr=st.one_of(st.just(0.0), st.floats(0.1, 3.0)),
+    start=small_starts(),
+    grid=grids,
+)
 def test_the_dense_engine_drops_only_empty_levels(rates, kerr, start, grid):
     c, top = start
     nmax, (size, step) = c.size - 1, grid
@@ -174,7 +179,8 @@ def test_the_csv_writer_writes_every_value_as_percent_17g(
     # subnormal in a trailing column must still be formatted
     rng = np.random.default_rng(seed)
     table = np.zeros((rows, width + zeros))
-    table[:, :width] = rng.normal(size=(rows, width)) * 10.0 ** rng.integers(-300, 300, (rows, width))
+    scale = 10.0 ** rng.integers(-300, 300, (rows, width))
+    table[:, :width] = rng.normal(size=(rows, width)) * scale
     for i, j, v in cells:
         table[i % rows, j % table.shape[1]] = v
     for i, j, v in tail_cells:
