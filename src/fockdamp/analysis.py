@@ -26,7 +26,8 @@ class TimeSeries:
     ``populations`` has one row per sample over levels 0..nmax; rows sum to
     the initial trace up to the monitored drift. ``min_eigenvalue`` is the
     smallest eigenvalue of the last sample, the state the run ends in (for
-    the two-mode pair, its sector block); every earlier sample was only
+    the two-mode pair, the block of its sector over the reachable states,
+    the rest being exactly empty); every earlier sample was only
     checked against the positivity limit. It is None for population-only
     engines, where positivity is the componentwise statement.
     """
@@ -137,12 +138,13 @@ class Samples:
 
     ``add(start, ys)`` takes a block of consecutive samples, ``ys[j]`` the
     state at ``t[start + j]``, in order. ``add`` keeps each sample's diagonal
-    (the populations; for the two-mode pair, the whole diagonal of its sector
-    block), and its sum is the trace, ``trace0`` at the start. Without
-    ``upper`` the state is its own diagonal: a stack of such states, such as
-    several cascades' populations, has one ``trace0`` per state. ``add``
-    raises TraceDriftExceeded at the block's first (sample, state), in time
-    and then in order, whose trace has drifted by more than 1e-8.
+    (the populations; for the two-mode pair, the diagonal of its sector block
+    over the reachable states), and its sum is the trace, ``trace0`` at the
+    start. Without ``upper`` the state is its own diagonal: a stack of such
+    states, such as several cascades' populations, has one ``trace0`` per
+    state. ``add`` raises TraceDriftExceeded at the block's first (sample,
+    state), in time and then in order, whose trace has drifted by more than
+    1e-8.
 
     When ``upper = (rows, cols, src)`` is given, the flattened state's element
     ``src[p]`` is the matrix entry ``(rows[p], cols[p])`` on or above the

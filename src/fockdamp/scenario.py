@@ -209,10 +209,12 @@ def _largest_array(obj: dict, points: int, nmax: int) -> tuple[str, int]:
     dense: the propagator stack of the paired stripes, complex at worst.
     pauli: the stack of generators of one group of sweep points, at most 8.
     trajectories: the population sums of every chunk of 256 trajectories.
-    twomode: the sector-by-pairs table ``twomode._sector_generator`` forms.
+    twomode: the reachable sector's generator ``twomode._sector_generator``
+    builds, or the whole-pair start np.kron(rho_A, |0><0|_B) it is handed,
+    (nmax + 1)^2 (nmax_b + 1)^2 complex values, whichever is larger.
     Each engine also keeps a sampled record, one row of floats per sample:
     the populations (dense, trajectories), those of each point of a Pauli
-    group, or the diagonal of the two-mode sector block.
+    group, or the diagonal of the reachable two-mode sector.
     """
     n1, samples, engine = nmax + 1, int(obj["samples"]), obj["engine"]
     if engine == "dense":
@@ -225,12 +227,17 @@ def _largest_array(obj: dict, points: int, nmax: int) -> tuple[str, int]:
         chunks = -(-int(obj["trajectory"]["n_traj"]) // _TRAJ_CHUNK)
         largest, width = ("population sums", 8 * chunks * samples * n1), n1
     else:
-        # sector pairs: sum over N of the squared count of (n_A, n_B) with n_A + n_B = N
+        # the reachable states have n_A + n_B = N <= nmax, min(N + 1, nmax_b + 1) of each N;
+        # the sector packs s (s + 1) / 2 pairs of the s states of each N
         nb1 = int(obj["twomode"].get("nmax_b", TwoModeParams.nmax_b)) + 1
-        lo, hi = sorted((n1, nb1))
-        pairs = (lo - 1) * lo * (2 * lo - 1) // 3 + (hi - lo + 1) * lo * lo
-        largest = (f"sector table at nmax_b={nb1 - 1}", 8 * pairs * (pairs + n1 * nb1) // 2)
-        width = n1 * nb1
+        lo, wide = min(n1, nb1), max(n1 - nb1, 0)
+        pairs = lo * (lo + 1) * (lo + 2) // 6 + wide * nb1 * (nb1 + 1) // 2
+        largest = max(
+            (f"sector generator at nmax_b={nb1 - 1}", 8 * pairs * pairs),
+            (f"whole-pair start at nmax_b={nb1 - 1}", 16 * (n1 * nb1) ** 2),
+            key=lambda a: a[1],
+        )
+        width = lo * (lo + 1) // 2 + wide * nb1
     return max(largest, ("sampled record", 8 * samples * width), key=lambda a: a[1])
 
 
@@ -341,6 +348,11 @@ def _walk(obj: dict) -> tuple[list[str], list[str], list[tuple], list[tuple[comp
     # allowed coherent tail beyond nmax: loose for the small two-mode basis
     tail_tol = TAIL_TOL if engine == "twomode" else 1e-12
     sized = not violations  # the engine's own block, which sizes its arrays, is there
+    # integrate needs the grid strictly ascending; a subnormal step, as of
+    # t_max = 5e-324 over 3 samples, repeats a time
+    if not np.all(np.diff(np.linspace(0.0, obj["t_max"], int(obj["samples"]))) > 0):
+        violations.append(f"t_max: {obj['t_max']!r} gives no strictly ascending grid of "
+                          f"{int(obj['samples'])} samples")
     sweep = obj.get("sweep", {})
     fields = sorted(sweep)
     values = list(product(*(sweep[f] for f in fields)))

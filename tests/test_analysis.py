@@ -293,12 +293,14 @@ def test_the_gate_factors_only_the_occupied_levels_after_the_first_block(monkeyp
     assert chol_calls[0] == (32, 41, 41)
     assert all(shape[0] <= 32 and shape[1] == shape[2] <= 4 for shape in chol_calls[1:])
     assert eig_calls == [(41, 41)]  # the last sample only: every block passed the gate
-    # the two-mode sector passes the same gate on every block
+    # the two-mode sector passes the same gate on every block; its last sample
+    # is decomposed on the 55 states with n_A + n_B <= 12 (n_A <= 12, n_B <= 4)
     chol_calls.clear()
     eig_calls.clear()
     rho_a = fd.coherent_density(1.5, fd.FockCutoff(12), tail_tol=1e-4)
     fd.two_mode_evolve(rho_a, fd.TwoModeParams(u4=1.0, gamma_b=100.0), np.linspace(0, 100, 41))
-    assert len(chol_calls) == 2 and eig_calls == [(65, 65)]
+    reachable = sum(1 for n_a in range(13) for n_b in range(5) if n_a + n_b <= 12)
+    assert len(chol_calls) == 2 and eig_calls == [(reachable, reachable)] == [(55, 55)]
 
 
 def test_steady_pure_nonlinear():

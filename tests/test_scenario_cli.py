@@ -2,6 +2,7 @@ import io
 import json
 import math
 import tracemalloc
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import fockdamp as fd
-from fockdamp import analysis, cli, pauli, scenario
+from fockdamp import analysis, cli, pauli, scenario, twomode
 from fockdamp.dynamics import stripe_generators
 from fockdamp.errors import NoInteriorMinimum, ValidationError
 from fockdamp.scenario import (
@@ -223,13 +224,25 @@ def test_a_huge_alpha_is_a_validation_error(tmp_path, capsys, argv, violation):
     assert not (tmp_path / "o").exists()
 
 
+def test_a_t_max_too_small_for_its_samples_is_a_validation_error(tmp_path, capsys):
+    # np.linspace(0, 5e-324, 3) repeats a time; integrate would raise ValueError
+    argv = ["run", "--alpha", "1", "--rates", "e=1", "--tmax", "5e-324", "--samples", "3"]
+    assert cli.main(argv + ["--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "  - t_max: 5e-324 gives no strictly ascending grid of 3 samples" in err
+    assert not (tmp_path / "o").exists()
+    assert validate_dict(dict(BASE, t_max=5e-324, samples=2)) == []
+
+
 # alpha = 300, a mean photon number of 90000, resolves a cutoff above 90000;
-# each engine at this module's settings, with the cap its largest array sets
+# each engine at this module's settings, with the cap its largest array sets.
+# At nmax_b = 4 the two-mode sector packs 15 (nmax + 1) - 40 pairs, and its
+# generator, 8 bytes a pair squared, fits in 2^28 bytes up to nmax = 387
 _CAPPED = {
     "dense": ({}, 320),
     "pauli": ({}, 5791),
     "trajectories": ({"samples": 201, "trajectory": {"n_traj": 10000, "master_seed": 1}}, 4172),
-    "twomode": ({"rates": {}, "twomode": {"u4": 1.0, "gamma_b": 100.0}}, 299),
+    "twomode": ({"rates": {}, "twomode": {"u4": 1.0, "gamma_b": 100.0}}, 387),
 }
 
 
@@ -263,15 +276,24 @@ def test_a_cutoff_above_the_cap_is_reported_at_every_sweep_point(tmp_path, capsy
 
 
 def test_an_nmax_b_no_cutoff_fits_is_a_validation_error():
+    # the whole-pair start holds 16 (2 * 2001)^2 = 2.56e8 bytes at nmax = 1 and
+    # 16 (3 * 2001)^2 at nmax = 2, above the limit of 2^28; at nmax_b = 2048
+    # not even nmax = 1 fits
     obj = dict(BASE, engine="twomode", nmax=12, rates={},
                twomode={"u4": 1.0, "gamma_b": 100.0, "nmax_b": 2000})
     (violation,) = validate_dict(obj)
     assert violation.startswith(
-        "nmax=12 is above the twomode engine's cap of nmax=0: its sector table at nmax_b=2000 "
+        "nmax=12 is above the twomode engine's cap of nmax=1: its whole-pair start at nmax_b=2000 "
+    )
+    assert validate_dict(dict(obj, alpha=0.01, nmax=1)) == []
+    wider = dict(obj, alpha=0.01, nmax=1, twomode=dict(obj["twomode"], nmax_b=2048))
+    (violation,) = validate_dict(wider)
+    assert violation.startswith(
+        "nmax=1 is above the twomode engine's cap of nmax=0: its whole-pair start at nmax_b=2048 "
     )
 
 
-def test_largest_array_sizes_match_the_engines():
+def test_largest_array_sizes_match_the_engines(monkeypatch):
     # the bytes each cap is derived from, against the arrays the engines build
     nmax, kerr = 9, fd.KerrTerm(0.5)
     dense = dict(BASE, engine="dense")
@@ -282,13 +304,32 @@ def test_largest_array_sizes_match_the_engines():
     generator = fd.population_generator([fd.nonlinear_loss(1.0)], nmax)
     assert scenario._largest_array(pauli, 3, nmax)[1] == 3 * generator.nbytes
     assert scenario._largest_array(pauli, 20, nmax)[1] == 8 * generator.nbytes
-    for nmax_b in (1, 4, 12):
+    # the two-mode start is the whole pair, as the engine hands it to integrate
+    starts, integrate = [], twomode.integrate
+    monkeypatch.setattr(
+        twomode, "integrate",
+        lambda f, y0, *a, **k: starts.append(y0.nbytes) or integrate(f, y0, *a, **k),
+    )
+    rho_a = fd.coherent_density(0.5, fd.FockCutoff(nmax), tail_tol=twomode.TAIL_TOL)
+    # nmax_b = 1: the start is the largest array; 4 and 12: the sector generator
+    cases = ((1, "whole-pair start"), (4, "sector generator"), (12, "sector generator"))
+    for nmax_b, largest in cases:
         params = fd.TwoModeParams(u4=1.0, gamma_b=100.0, nmax_b=nmax_b)
-        packed = _sector_generator(params, nmax + 1)[0].shape[0]
+        # the states with n_A + n_B <= nmax, and the pairs of equal N among them, j <= k
         n_tot = np.add.outer(np.arange(nmax + 1), np.arange(nmax_b + 1)).ravel()
-        pairs = int((n_tot[:, None] == n_tot[None, :]).sum())
-        twomode = dict(BASE, engine="twomode", twomode={"u4": 1.0, "gamma_b": 100.0, "nmax_b": nmax_b})
-        assert scenario._largest_array(twomode, 1, nmax)[1] == 8 * packed * pairs
+        per_n = np.bincount(n_tot[n_tot <= nmax])
+        pairs = int((per_n * (per_n + 1) // 2).sum())
+        assert _sector_generator(params, nmax + 1)[0].shape == (pairs, pairs)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "top B level", UserWarning)  # nmax_b = 1 is small
+            fd.two_mode_evolve(rho_a, params, np.linspace(0.0, 1.0, BASE["samples"]))
+        assert starts[-1] == 16 * ((nmax + 1) * (nmax_b + 1)) ** 2
+        sizes = {"sector generator": 8 * pairs * pairs, "whole-pair start": starts[-1]}
+        assert max(sizes, key=sizes.get) == largest
+        obj = dict(BASE, engine="twomode", twomode={"u4": 1.0, "gamma_b": 100.0, "nmax_b": nmax_b})
+        assert scenario._largest_array(obj, 1, nmax) == (
+            f"{largest} at nmax_b={nmax_b}", sizes[largest]
+        )
 
 
 def test_the_sampled_record_is_sized_as_the_engines_keep_it(monkeypatch):

@@ -164,6 +164,18 @@ def test_params_validation():
     assert abs(p.gamma_e - 30.0 * (2.0 / 100.0) ** 2) < 1e-15
 
 
+@pytest.mark.parametrize("u4", [math.inf, complex(1.0, math.nan), complex(-math.inf, 2.0)])
+def test_a_non_finite_u4_is_rejected(u4):
+    with pytest.raises(ValueError, match="u4 must be finite"):
+        TwoModeParams(u4=u4, gamma_b=100.0)
+
+
+def test_elimination_without_exchange_names_u4():
+    # gamma_e = 0 leaves the scaled grid tau = gamma_e t without extent
+    with pytest.raises(ValueError, match="u4 must be nonzero"):
+        elimination_comparison(u4=0.0, gamma_bs=(25.0,))
+
+
 @pytest.mark.parametrize("n_samples", [1, 31, 32, 33, 65])
 def test_min_eigenvalue_equals_per_sample_eigvalsh(record_samples, n_samples):
     # samples arrive in blocks of 32, each gated as one stack; these counts
@@ -175,7 +187,11 @@ def test_min_eigenvalue_equals_per_sample_eigvalsh(record_samples, n_samples):
         warnings.filterwarnings("ignore", "top B level", UserWarning)
         res = two_mode_evolve(rho_a, params, np.linspace(0, 0.5, n_samples))
     _, rows, cols = _sector_generator(params, 5)
-    expected = np.linalg.eigvalsh(hermitian(rows, cols, states))[:, 0]
+    # the gate sees the block of the states with n_A + n_B <= 4, in product order
+    reachable = [n_a * 4 + n_b for n_a in range(5) for n_b in range(4) if n_a + n_b <= 4]
+    assert np.array_equal(np.unique(rows), reachable)
+    compact = np.searchsorted(reachable, rows), np.searchsorted(reachable, cols)
+    expected = np.linalg.eigvalsh(hermitian(*compact, states))[:, 0]
     assert len(states) == n_samples
     assert res.series.min_eigenvalue == expected[-1]
     assert expected.min() >= POSITIVITY_LIMIT
