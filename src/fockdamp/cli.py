@@ -405,8 +405,23 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _glue_negative_numbers(argv):
+    """Each ``--flag -1e-3`` as ``--flag=-1e-3``: after a space, argparse takes
+    a negative number in exponent form (``-1e-3``, ``-1e+0``) for an option."""
+    out = []
+    for arg in argv:
+        flag = out[-1] if out else ""
+        takes = flag.startswith("--") and len(flag) > 2 and "=" not in flag
+        if takes and arg[:1] == "-" and arg[1:2].isdigit():
+            out[-1] = f"{flag}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_glue_negative_numbers(argv))
     try:
         return args.func(args)
     except (ValidationError, ParseError, CutoffTooSmall) as exc:

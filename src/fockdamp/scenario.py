@@ -35,9 +35,8 @@ from .channels import (
 )
 from .errors import ParseError, ValidationError
 from .fock import MAX_CUTOFF, FockCutoff, min_cutoff_for_coherent, poisson_tail
-from .integrate import _CHUNK
-from .trajectories import _CHUNK as _TRAJ_CHUNK
-from .trajectories import TrajectoryConfig
+from .integrate import _BLOCK, _CHUNK
+from .trajectories import _BATCH, TrajectoryConfig
 from .twomode import TAIL_TOL, TwoModeParams
 
 ENGINES = ("dense", "pauli", "trajectories", "twomode")
@@ -208,24 +207,27 @@ def _largest_array(obj: dict, points: int, nmax: int) -> tuple[str, int]:
 
     dense: the propagator stack of the paired stripes, complex at worst.
     pauli: the stack of generators of one group of sweep points, at most 8.
-    trajectories: the population sums of every chunk of 256 trajectories.
+    trajectories: the level populations of a batch of up to 512 trajectories.
     twomode: the reachable sector's generator ``twomode._sector_generator``
     builds, or the whole-pair start np.kron(rho_A, |0><0|_B) it is handed,
     (nmax + 1)^2 (nmax_b + 1)^2 complex values, whichever is larger.
     Each engine also keeps a sampled record, one row of floats per sample:
     the populations (dense, trajectories), those of each point of a Pauli
-    group, or the diagonal of the reachable two-mode sector.
+    group, or the diagonal of the reachable two-mode sector. The dense and
+    two-mode positivity gate factors, or decomposes whole, a block of up to
+    32 samples of width x width matrices, complex on the dense engine.
     """
     n1, samples, engine = nmax + 1, int(obj["samples"]), obj["engine"]
+    gate = 0  # bytes per value of the positivity gate's block, 0 where there is none
     if engine == "dense":
-        largest, width = ("stripe stack", 16 * (n1 // 2 + 1) * n1 * n1), n1
+        largest, width, gate = ("stripe stack", 16 * (n1 // 2 + 1) * n1 * n1), n1, 16
     elif engine == "pauli":
         stack = min(points, _CHUNK)
         largest = (f"stack of {stack} generator{'s' * (stack > 1)}", 8 * stack * n1 * n1)
         width = stack * n1
     elif engine == "trajectories":
-        chunks = -(-int(obj["trajectory"]["n_traj"]) // _TRAJ_CHUNK)
-        largest, width = ("population sums", 8 * chunks * samples * n1), n1
+        batch = min(int(obj["trajectory"]["n_traj"]), _BATCH)
+        largest, width = ("batch populations", 8 * batch * n1), n1
     else:
         # the reachable states have n_A + n_B = N <= nmax, min(N + 1, nmax_b + 1) of each N;
         # the sector packs s (s + 1) / 2 pairs of the s states of each N
@@ -237,8 +239,13 @@ def _largest_array(obj: dict, points: int, nmax: int) -> tuple[str, int]:
             (f"whole-pair start at nmax_b={nb1 - 1}", 16 * (n1 * nb1) ** 2),
             key=lambda a: a[1],
         )
-        width = lo * (lo + 1) // 2 + wide * nb1
-    return max(largest, ("sampled record", 8 * samples * width), key=lambda a: a[1])
+        width, gate = lo * (lo + 1) // 2 + wide * nb1, 8
+    return max(
+        largest,
+        ("sampled record", 8 * samples * width),
+        ("positivity block", gate * min(samples, _BLOCK) * width * width),
+        key=lambda a: a[1],
+    )
 
 
 def _cutoff_cap(obj: dict, points: int) -> int:

@@ -11,10 +11,10 @@ the pending draw never jumps again.
 
 Trajectories own counter-based random substreams keyed on
 (master_seed, trajectory index); identical configuration gives bit-identical
-output. Per-trajectory results accumulate into fixed chunks whose sums are
-added one after another in chunk order, a fixed order, so the output is
-bit-reproducible. The trajectories of a batch of ``_LEAVES`` chunks advance
-together on their level populations.
+output. Trajectories advance on their level populations in batches of
+``_BATCH``, and the batches add their results, one after another in index
+order, into one pair of (samples, levels) sums; that order is fixed, so the
+output is bit-reproducible.
 """
 
 from __future__ import annotations
@@ -34,8 +34,7 @@ _NEWTON_CAP = 100
 _MAX_DRAWS = np.int64(2**53)
 _U1 = np.uint64(1)
 _RECORD_BLOCK = 1 << 15
-_CHUNK = 256  # trajectories per chunk; the sums of a chunk are one reduction leaf
-_LEAVES = 2  # chunks per batch of trajectories advanced together
+_BATCH = 512  # trajectories advanced together
 _LN_TINY = np.log(np.finfo(float).tiny)  # exp is normal from here up, subnormal below
 
 
@@ -128,11 +127,11 @@ def _waiting_times(w, s, u):
     return tau
 
 
-def _record(w, s, t_grid, t, first, stop, shift, out_p, out_p2, base):
+def _record(w, s, t_grid, t, first, stop, shift, out_p, out_p2):
     """Add row r's normalized populations, less ``shift``, at samples
-    first[r]..stop[r]-1, into rows base[r] + sample of the flat (leaves x
-    samples, levels) sums. Rows go in blocks holding about ``_RECORD_BLOCK``
-    values, so a long sample grid never allocates rows x samples x levels."""
+    first[r]..stop[r]-1, into the (samples, levels) sums. Rows go in blocks
+    holding about ``_RECORD_BLOCK`` values, so a long sample grid never
+    allocates rows x samples x levels."""
     n1 = s.size
     counts = stop - first
     ends = np.cumsum(counts)
@@ -148,21 +147,21 @@ def _record(w, s, t_grid, t, first, stop, shift, out_p, out_p2, base):
             continue
         v = _normalize(w[rows] * _decay(-s * (t_grid[samples] - t[rows])[:, None]))
         v -= shift[samples]
-        flat = ((base[rows] + samples)[:, None] * n1 + np.arange(n1)).ravel()
+        flat = (samples[:, None] * n1 + np.arange(n1)).ravel()
         out_p += np.bincount(flat, v.ravel(), out_p.size).reshape(out_p.shape)
         out_p2 += np.bincount(flat, (v * v).ravel(), out_p.size).reshape(out_p.shape)
 
 
-def _run_chunk(w0, table, t_grid, keys, shift, out_p, out_p2, leaf=None):
+def _run_batch(w0, table, t_grid, keys, shift, out_p, out_p2):
     """Advance a batch of trajectories together; return their draw counts.
 
     Row r holds |psi_n|^2 of the trajectory keyed ``keys[r]``; ``table`` is
-    the mix's ``channels.LossTable``. Row r's sums go to leaf ``leaf[r]`` of
-    the (leaves, samples, levels) ``out_p`` and ``out_p2``, or, with no
-    ``leaf``, to the (samples, levels) pair. Every jump shifts the number
-    basis with a real amplitude and the no-jump flow is number-diagonal, so
-    phases (and the Kerr term) never reach the output. Each step is the
-    scalar algorithm under masks: the waiting times, then the channel draw.
+    the mix's ``channels.LossTable``. Each row's shifted populations and
+    their squares are added into the (samples, levels) ``out_p`` and
+    ``out_p2``. Every jump shifts the number basis with a real amplitude and
+    the no-jump flow is number-diagonal, so phases (and the Kerr term) never
+    reach the output. Each step is the scalar algorithm under masks: the
+    waiting times, then the channel draw.
     """
     s, rates, deltas = table.loss, table.rates, table.lowerings
     m2_all = table.amps**2
@@ -175,18 +174,16 @@ def _run_chunk(w0, table, t_grid, keys, shift, out_p, out_p2, leaf=None):
     t = np.full(keys.size, t_grid[0])
     i_s = np.zeros(keys.size, dtype=np.int64)  # the first round records sample 0 too
     draw = np.zeros(keys.size, dtype=np.uint64)
-    base = np.zeros(keys.size, dtype=np.int64) if leaf is None else leaf * n_samples
     u = _rng.uniform(keys, draw)
     draw += _U1
     while True:
         tau = _waiting_times(w, s, u)
         stop = np.searchsorted(t_grid, t + tau, side="right")
-        _record(w, s, t_grid, t, i_s, stop, shift, out_p, out_p2, base)
+        _record(w, s, t_grid, t, i_s, stop, shift, out_p, out_p2)
         done = stop >= n_samples
         n_draws[live[done]] = draw[done]
         keep = ~done
         live, keys, draw, w, t, tau = live[keep], keys[keep], draw[keep], w[keep], t[keep], tau[keep]
-        base = base[keep]
         i_s = stop[keep]
         if not live.size:
             break
@@ -225,15 +222,15 @@ def _no_jump_populations(w0, s, t_grid):
 
 
 def _summarize(t_grid, shift, out_p, out_p2, draws) -> EnsembleResult:
-    """Combine the per-chunk shifted sums into the series of the mean
-    populations and their standard errors."""
+    """Turn the shifted sums into the series of the mean populations and
+    their standard errors."""
     if draws.max(initial=0) >= _MAX_DRAWS:
         raise SeedStreamExhausted("a trajectory consumed more draws than a stream provides")
     n = draws.size
-    offset = out_p.sum(axis=0) / n
+    offset = out_p / n
     mean = shift + offset
     if n > 1:
-        var = (out_p2.sum(axis=0) - n * offset**2) / (n - 1)
+        var = (out_p2 - n * offset**2) / (n - 1)
         stderr = np.sqrt(np.maximum(var, 0.0) / n)
     else:
         stderr = np.zeros_like(mean)
@@ -257,25 +254,20 @@ def run_ensemble(
     jump times come from Newton's method on the log of the squared norm of
     the no-jump evolution against a uniform draw. ``kerr`` is number-diagonal,
     so it moves no population and is unused. Trajectories run in batches of
-    ``_LEAVES`` chunks of ``_CHUNK``, and the sums of each chunk are kept
-    apart until ``_summarize`` combines them.
+    ``_BATCH``, in index order, and each batch adds into one pair of sums.
     """
     psi = np.array(psi0.amplitudes, dtype=np.complex128)
     psi /= np.linalg.norm(psi)
     table = loss_table(channels, psi.size - 1)
     t_grid = cfg.t_grid
-    n_chunks = -(-cfg.n_traj // _CHUNK)
-    out_p = np.zeros((n_chunks, t_grid.size, psi.size))
+    out_p = np.zeros((t_grid.size, psi.size))
     out_p2 = np.zeros_like(out_p)
     draws = np.zeros(cfg.n_traj, dtype=np.int64)
     w0 = psi.real**2 + psi.imag**2
     shift = _no_jump_populations(w0, table.loss, t_grid)
 
-    for ci in range(0, n_chunks, _LEAVES):
-        lo = ci * _CHUNK
-        hi = min(cfg.n_traj, lo + _LEAVES * _CHUNK)
+    for lo in range(0, cfg.n_traj, _BATCH):
+        hi = min(cfg.n_traj, lo + _BATCH)
         keys = _rng.stream_key(cfg.master_seed, np.arange(lo, hi, dtype=np.uint64))
-        sums = out_p[ci : ci + _LEAVES], out_p2[ci : ci + _LEAVES]
-        leaf = np.arange(hi - lo) // _CHUNK
-        draws[lo:hi] = _run_chunk(w0, table, t_grid, keys, shift, *sums, leaf)
+        draws[lo:hi] = _run_batch(w0, table, t_grid, keys, shift, out_p, out_p2)
     return _summarize(t_grid, shift, out_p, out_p2, draws)

@@ -188,6 +188,21 @@ def test_non_finite_flags_are_validation_errors(tmp_path, capsys, argv, flag):
 
 
 @pytest.mark.parametrize(
+    "flag, code", [("--alpha", 0), ("--tmax", 2), ("--u1", 0), ("--fixed-step", 2)]
+)
+def test_a_negative_exponent_after_a_space_reads_as_after_equals(tmp_path, capsys, flag, code):
+    # argparse alone reads a lone "-1e-3" as an option: "expected one argument"
+    argv = ["run", "--alpha", "1", "--rates", "e=1", "--tmax", "1", "--samples", "3",
+            "--engine", "pauli"]
+    codes = [
+        _exit_code(argv + value + ["--out", str(tmp_path / out)])
+        for out, value in (("spaced", [flag, "-1e-3"]), ("joined", [f"{flag}=-1e-3"]))
+    ]
+    assert codes == [code, code]
+    assert "expected one argument" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "extra",
     [
         ["--rates", "e=1e308", "--tmax", "1", "--engine", "pauli"],
@@ -237,11 +252,14 @@ def test_a_t_max_too_small_for_its_samples_is_a_validation_error(tmp_path, capsy
 # alpha = 300, a mean photon number of 90000, resolves a cutoff above 90000;
 # each engine at this module's settings, with the cap its largest array sets.
 # At nmax_b = 4 the two-mode sector packs 15 (nmax + 1) - 40 pairs, and its
-# generator, 8 bytes a pair squared, fits in 2^28 bytes up to nmax = 387
+# generator, 8 bytes a pair squared, fits in 2^28 bytes up to nmax = 387; so
+# does the positivity gate's block of 9 samples of 5 (nmax + 1) - 10 states
+# squared, 8 * 9 * 1930^2 = 2.682e8 bytes there. The trajectories advance 512
+# at a time on nmax + 1 levels: 8 * 512 * 65536 = 2^28 bytes at nmax = 65535
 _CAPPED = {
     "dense": ({}, 320),
     "pauli": ({}, 5791),
-    "trajectories": ({"samples": 201, "trajectory": {"n_traj": 10000, "master_seed": 1}}, 4172),
+    "trajectories": ({"samples": 201, "trajectory": {"n_traj": 10000, "master_seed": 1}}, 65535),
     "twomode": ({"rates": {}, "twomode": {"u4": 1.0, "gamma_b": 100.0}}, 387),
 }
 
@@ -296,7 +314,8 @@ def test_an_nmax_b_no_cutoff_fits_is_a_validation_error():
 def test_largest_array_sizes_match_the_engines(monkeypatch):
     # the bytes each cap is derived from, against the arrays the engines build
     nmax, kerr = 9, fd.KerrTerm(0.5)
-    dense = dict(BASE, engine="dense")
+    # at 2 samples; at 9, the positivity block, 16 * 9 * 10^2 bytes, is larger
+    dense = dict(BASE, engine="dense", samples=2)
     assert scenario._largest_array(dense, 1, nmax)[1] == stripe_generators(
         [fd.nonlinear_loss(1.0)], kerr, nmax
     ).nbytes
@@ -326,7 +345,10 @@ def test_largest_array_sizes_match_the_engines(monkeypatch):
         assert starts[-1] == 16 * ((nmax + 1) * (nmax_b + 1)) ** 2
         sizes = {"sector generator": 8 * pairs * pairs, "whole-pair start": starts[-1]}
         assert max(sizes, key=sizes.get) == largest
-        obj = dict(BASE, engine="twomode", twomode={"u4": 1.0, "gamma_b": 100.0, "nmax_b": nmax_b})
+        # at 2 samples the positivity block, 16 (5 * 10 - 10)^2 bytes at
+        # nmax_b = 4 and 16 * 19^2 at 1, is smaller still; at 9 it is not
+        obj = dict(BASE, engine="twomode", samples=2,
+                   twomode={"u4": 1.0, "gamma_b": 100.0, "nmax_b": nmax_b})
         assert scenario._largest_array(obj, 1, nmax) == (
             f"{largest} at nmax_b={nmax_b}", sizes[largest]
         )
@@ -351,8 +373,7 @@ def test_the_sampled_record_is_sized_as_the_engines_keep_it(monkeypatch):
         series = cli.run_scenario(parse_scenario(obj)).series
         if engine == "trajectories":
             kept.append(series.populations.nbytes)
-        # at 10^6 samples the record is the largest array; the trajectories'
-        # population sums of one chunk are as large
+        # at 10^6 samples the record is the largest array
         per_sample = kept[-1] // samples
         assert scenario._largest_array(dict(obj, samples=10**6), 1, nmax)[1] == 10**6 * per_sample
     # a Pauli sweep records each point of a group of up to 8
@@ -364,6 +385,58 @@ def test_the_sampled_record_is_sized_as_the_engines_keep_it(monkeypatch):
         assert scenario._largest_array(dict(BASE, samples=10**6), points, nmax) == (
             "sampled record", 10**6 * max(kept) // samples
         )
+
+
+@pytest.mark.parametrize(
+    "engine, extra, width, itemsize",
+    [
+        pytest.param("dense", {"u1": 0.5}, 10, 16, id="dense"),
+        # nmax_b = 4: 15 states with n_A + n_B <= 4, and 5 for each n_A of 5..9
+        pytest.param("twomode", {"rates": {}, "twomode": {"u4": 1.0, "gamma_b": 100.0}}, 40, 8,
+                     id="twomode"),
+    ],
+)
+def test_the_positivity_block_is_sized_as_the_gate_factors_it(monkeypatch, engine, extra,
+                                                               width, itemsize):
+    # with no tail left outside, the gate factors every held level of a block
+    # of 32 samples; the last level holds weight, so that is the record's width
+    factored, cholesky = [], np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: factored.append(a) or cholesky(a))
+    monkeypatch.setattr(analysis, "_TAIL_NORM", 0.0)
+    obj = dict(BASE, engine=engine, alpha=0.5, nmax=9, samples=41, **extra)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "top B level", UserWarning)
+        cli.run_scenario(parse_scenario(obj))
+    assert max(a.shape for a in factored) == (32, width, width)
+    assert {a.itemsize for a in factored} == {itemsize}
+    assert scenario._largest_array(obj, 1, 9) == (
+        "positivity block", max(a.nbytes for a in factored)
+    )
+
+
+def test_a_long_two_mode_run_is_capped_by_its_positivity_block():
+    # from 32 samples on, the gate's block at nmax_b = 4 holds 32 matrices of
+    # 5 (nmax + 1) - 10 states squared: 8 * 32 * 1020^2 = 2.663e8 bytes at
+    # nmax = 205, and 8 * 32 * 1025^2 = 2.690e8 at 206, above 2^28 = 2.684e8
+    obj = dict(BASE, engine="twomode", alpha=1.0, samples=41, rates={},
+               twomode={"u4": 1.0, "gamma_b": 100.0})
+    assert validate_dict(dict(obj, nmax=205)) == []
+    (above,) = validate_dict(dict(obj, nmax=206))
+    assert above.startswith(
+        "nmax=206 is above the twomode engine's cap of nmax=205: its positivity block would take "
+    )
+
+
+def test_a_batch_of_trajectories_above_the_limit_is_a_validation_error():
+    # 512 trajectories advance together on 100001 levels: 8 * 512 * 100001 =
+    # 4.096e8 bytes, above 2^28, though the sums of 2 samples are small
+    obj = dict(BASE, engine="trajectories", alpha=1.0, nmax=100000, samples=2,
+               trajectory={"n_traj": 512, "master_seed": 1})
+    (violation,) = validate_dict(obj)
+    assert violation.startswith(
+        "nmax=100000 is above the trajectories engine's cap of nmax=65535: "
+        "its batch populations would take "
+    )
 
 
 def test_a_long_record_lowers_the_cap():

@@ -106,24 +106,20 @@ def reference_ensemble(psi0, channels, kerr, cfg):
     n = np.arange(psi.size, dtype=float)
     theta = (kerr.strength if kerr is not None else 0.0) * n * (n - 1.0)
     shift = trajectories._no_jump_populations(np.abs(psi) ** 2, s, t_grid)
-    chunk = trajectories._CHUNK
-    n_chunks = -(-cfg.n_traj // chunk)
-    out_p = np.zeros((n_chunks, t_grid.size, psi.size))
+    # every trajectory adds into one (samples, levels) pair of sums, in index order
+    out_p = np.zeros((t_grid.size, psi.size))
     out_p2 = np.zeros_like(out_p)
     draws = np.zeros(cfg.n_traj, dtype=np.int64)
     for tr in range(cfg.n_traj):
-        ci = tr // chunk
         key = _rng.stream_key(cfg.master_seed, tr)
-        draws[tr] = _traj_np(
-            psi, s, theta, m_all, rates, deltas, t_grid, key, shift, out_p[ci], out_p2[ci]
-        )
+        draws[tr] = _traj_np(psi, s, theta, m_all, rates, deltas, t_grid, key, shift, out_p, out_p2)
     return trajectories._summarize(t_grid, shift, out_p, out_p2, draws)
 
 
-def assert_matches_reference(psi0, channels, kerr, cfg, chunk=trajectories._CHUNK):
-    # both sides group trajectories into chunks of trajectories._CHUNK
+def assert_matches_reference(psi0, channels, kerr, cfg, batch=trajectories._BATCH):
+    # the engine advances trajectories in batches of trajectories._BATCH
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(trajectories, "_CHUNK", chunk)
+        mp.setattr(trajectories, "_BATCH", batch)
         got = run_ensemble(psi0, channels, kerr, cfg)
         ref = reference_ensemble(psi0, channels, kerr, cfg)
     assert np.max(np.abs(got.series.populations - ref.series.populations)) <= 1e-9
@@ -132,7 +128,7 @@ def assert_matches_reference(psi0, channels, kerr, cfg, chunk=trajectories._CHUN
 
 
 @pytest.mark.parametrize(
-    "psi0, channels, kerr, cfg, chunk",
+    "psi0, channels, kerr, cfg, batch",
     [
         pytest.param(
             fd.coherent_state(2.0, fd.min_cutoff_for_coherent(2.0)),
@@ -176,18 +172,18 @@ def assert_matches_reference(psi0, channels, kerr, cfg, chunk=trajectories._CHUN
         ),
     ],
 )
-def test_batched_sampler_matches_scalar_reference(psi0, channels, kerr, cfg, chunk):
-    assert_matches_reference(psi0, channels, kerr, cfg, chunk)
+def test_batched_sampler_matches_scalar_reference(psi0, channels, kerr, cfg, batch):
+    assert_matches_reference(psi0, channels, kerr, cfg, batch)
 
 
 # the cases of test_batched_sampler_matches_scalar_reference
 REFERENCE_CASES = test_batched_sampler_matches_scalar_reference.pytestmark[0].args[1]
 
 
-@pytest.mark.parametrize("psi0, channels, kerr, cfg, chunk", REFERENCE_CASES)
-def test_draw_counts_match_scalar_reference(psi0, channels, kerr, cfg, chunk):
+@pytest.mark.parametrize("psi0, channels, kerr, cfg, batch", REFERENCE_CASES)
+def test_draw_counts_match_scalar_reference(psi0, channels, kerr, cfg, batch):
     # one draw per waiting time and one per channel pick, as the reference takes
-    # them; draw counts do not depend on the chunking, so one chunk runs them all
+    # them; draw counts do not depend on the batching, so one batch runs them all
     psi = psi0.amplitudes / np.linalg.norm(psi0.amplitudes)
     table = loss_table(channels, psi.size - 1)
     rates, deltas, m_all, s = table
@@ -198,7 +194,7 @@ def test_draw_counts_match_scalar_reference(psi0, channels, kerr, cfg, chunk):
     shift = trajectories._no_jump_populations(w0, s, t_grid)
     sums = np.zeros((2, t_grid.size, psi.size))
     keys = [_rng.stream_key(cfg.master_seed, tr) for tr in range(cfg.n_traj)]
-    got = trajectories._run_chunk(w0, table, t_grid, np.array(keys, dtype=np.uint64), shift, *sums)
+    got = trajectories._run_batch(w0, table, t_grid, np.array(keys, dtype=np.uint64), shift, *sums)
     want = [
         _traj_np(psi, s, theta, m_all, rates, deltas, t_grid, k, shift, *sums) for k in keys
     ]
@@ -229,23 +225,22 @@ def test_waiting_times_closed_form(gamma, fast, rtol):
 
 
 def test_partial_last_batch_and_leaf_match_reference(monkeypatch):
-    # 600 trajectories: leaves of 256, 256 and 88, batches of 512 and 88
+    # 600 trajectories: batches of 512 and 88
     # (each jumps once, to the dark level 1, at its own time)
     psi0 = fock_state(2, fd.FockCutoff(3))
     cfg = TrajectoryConfig(600, 26, np.linspace(0, 3, 4))
-    assert -(-cfg.n_traj // trajectories._CHUNK) == 3
-    assert cfg.n_traj % (trajectories._LEAVES * trajectories._CHUNK) == 88
-    leaves = []
+    assert cfg.n_traj - trajectories._BATCH == 88
+    sums = []
     summarize = trajectories._summarize
 
     def spy(t_grid, shift, out_p, out_p2, draws):
-        leaves.append(out_p)
+        sums.append(out_p)
         return summarize(t_grid, shift, out_p, out_p2, draws)
 
     monkeypatch.setattr(trajectories, "_summarize", spy)
     assert_matches_reference(psi0, [nonlinear_loss(1.0)], None, cfg)
-    # each leaf holds the sums of its own chunk, as the reference bins them
-    got, ref = leaves
+    # the engine's sums over both batches are the reference's
+    got, ref = sums
     assert np.max(np.abs(got - ref)) <= 1e-9
 
 
@@ -255,7 +250,7 @@ def test_recording_in_small_blocks_matches_reference(monkeypatch, block):
     monkeypatch.setattr(trajectories, "_RECORD_BLOCK", block)
     psi0 = fd.coherent_state(1.5, fd.min_cutoff_for_coherent(1.5))
     cfg = TrajectoryConfig(40, 25, np.linspace(0, 6, 31))
-    assert_matches_reference(psi0, [nonlinear_loss(1.0), linear_loss(0.2)], None, cfg, chunk=16)
+    assert_matches_reference(psi0, [nonlinear_loss(1.0), linear_loss(0.2)], None, cfg, batch=16)
 
 
 @pytest.mark.parametrize(
