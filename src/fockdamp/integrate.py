@@ -14,7 +14,11 @@ an upper-triangular input it resets the diagonal and the first
 superdiagonal to their exact values after every squaring (Al-Mohy &
 Higham, SIAM J. Matrix Anal. Appl. 31, 970, 2009, Code Fragment 2.1),
 which keeps the column sums of a probability-conserving cascade at
-rounding level.
+rounding level. It reads the zero pattern of its input, and a matrix of
+64 levels or more that is block upper-triangular, as the two-mode sector
+ordered by total excitation is, is split into strips of at least 32 rows:
+each product computes only the blocks that can be nonzero, and the Pade
+solve is a back-substitution over the diagonal blocks.
 
 A lowering channel never refills a level above the highest one the state
 holds, so under an upper-triangular propagator those levels stay exactly
@@ -31,6 +35,7 @@ factorisation of the levels its states occupy.
 from __future__ import annotations
 
 import math
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -48,6 +53,8 @@ _THETA13 = 5.371920351148152
 _STEP_RTOL = 1e-9
 # matrices per Pade evaluation: bounds the temporaries of a large stack
 _CHUNK = 8
+# rows per strip, at least, when a block upper-triangular input is split
+_STRIP = 32
 # samples per post_accept call: amortizes the callback, while the positivity
 # gate's leading block, sized for a block's worst sample, stays small
 _BLOCK = 32
@@ -82,38 +89,83 @@ def expm(a):
     return out
 
 
+def _strips(a):
+    """Whether ``a``, a matrix or a stack of them, is exactly upper-triangular,
+    and the row bounds of the strips it splits into.
+
+    One scan finds the lowest nonzero row of each column (nan and inf count),
+    over the stack. A cut k splits ``a`` when no column left of k reaches row
+    k or below; ``a`` is then block upper-triangular over its cuts, and so are
+    its powers and its exponential. The cuts are merged greedily into strips
+    of at least ``_STRIP`` rows, so a matrix under 2 * _STRIP levels is one strip.
+    """
+    n = a.shape[-1]
+    held = (a != 0).reshape(-1, n, n).any(axis=0)
+    lowest = np.where(held.any(axis=0), n - 1 - np.argmax(held[::-1], axis=0), -1)
+    triangular = bool((lowest <= np.arange(n)).all())
+    bounds = [0]
+    if n >= 2 * _STRIP:
+        for k in np.flatnonzero(np.maximum.accumulate(lowest)[:-1] < np.arange(1, n)) + 1:
+            if k - bounds[-1] >= _STRIP and n - k >= _STRIP:
+                bounds.append(int(k))
+    return triangular, bounds + [n]
+
+
+def _strip_product(x, y, bounds):
+    """x @ y for x and y block upper-triangular over the strips ``bounds``:
+    each strip of rows meets only the columns from its own first row on."""
+    out = np.zeros(np.broadcast_shapes(x.shape, y.shape), dtype=np.result_type(x, y))
+    for r0, r1 in zip(bounds[:-1], bounds[1:]):
+        out[..., r0:r1, r0:] = x[..., r0:r1, r0:] @ y[..., r0:, r0:]
+    return out
+
+
+def _strip_solve(q, p, bounds):
+    """q^-1 p for q and p block upper-triangular over the strips ``bounds``,
+    by back-substitution: one solve per diagonal block, from the last up."""
+    x = np.zeros(np.broadcast_shapes(q.shape, p.shape), dtype=np.result_type(q, p))
+    for r0, r1 in zip(bounds[-2::-1], bounds[:0:-1]):
+        rhs = p[..., r0:r1, r0:] - q[..., r0:r1, r1:] @ x[..., r1:, r0:]
+        x[..., r0:r1, r0:] = np.linalg.solve(q[..., r0:r1, r0:r1], rhs)
+    return x
+
+
 def _pade13(a):
     n = a.shape[-1]
     diag = np.arange(n)
-    triangular = not np.any(np.tril(a, -1))
+    triangular, bounds = _strips(a)
+    mul = np.matmul if len(bounds) == 2 else partial(_strip_product, bounds=bounds)
+    solve = np.linalg.solve if len(bounds) == 2 else partial(_strip_solve, bounds=bounds)
     norm = float(np.abs(a).sum(axis=-2).max())
     if not math.isfinite(norm):
         raise GeneratorOverflow(f"generator norm {norm}: a rate, time or Kerr strength is too large")
     s = math.ceil(math.log2(norm / _THETA13)) if norm > _THETA13 else 0
     a = a / 2.0**s
     b = _PADE13
-    a2 = a @ a
-    a4 = a2 @ a2
-    a6 = a4 @ a2
-    u = a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2
+    a2 = mul(a, a)
+    a4 = mul(a2, a2)
+    a6 = mul(a4, a2)
+    u = mul(a6, b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2
     u[..., diag, diag] += b[1]
-    u = a @ u
-    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2
+    u = mul(a, u)
+    v = mul(a6, b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2
     del a2, a4, a6
     v[..., diag, diag] += b[0]
-    x = np.linalg.solve(v - u, v + u)
+    x = solve(v - u, v + u)
     del u, v
     if triangular:
-        d = a[..., diag, diag]
-        t12 = a[..., diag[:-1], diag[1:]]
+        # the exact diagonal and first superdiagonal of every power 2^i, i = 0..s
+        scale = (2.0 ** np.arange(s + 1)).reshape((-1,) + (1,) * (a.ndim - 1))
+        d = scale * a[..., diag, diag]
+        exact_diag = np.exp(d)
+        t12 = scale * a[..., diag[:-1], diag[1:]]
+        exact_sup = t12 * _exp_divided_difference(d[..., :-1], d[..., 1:])
     for j in range(s, -1, -1):
         if j < s:
-            x = x @ x
+            x = mul(x, x)
         if triangular:
-            scale = 2.0 ** (s - j)
-            x[..., diag, diag] = np.exp(scale * d)
-            l1, l2 = scale * d[..., :-1], scale * d[..., 1:]
-            x[..., diag[:-1], diag[1:]] = scale * t12 * _exp_divided_difference(l1, l2)
+            x[..., diag, diag] = exact_diag[s - j]
+            x[..., diag[:-1], diag[1:]] = exact_sup[s - j]
     return x
 
 
@@ -140,8 +192,9 @@ def _apply(prop, src, dst):
     if len(src) == 1:
         np.matmul(prop, src[0, ..., None], out=dst[0, ..., None])
     else:
-        rows = np.moveaxis(src, 0, -2)
-        np.matmul(rows, np.swapaxes(prop, -1, -2), out=np.moveaxis(dst, 0, -2))
+        # a state is at most 2-D, so swapping axes 0 and -2 moves the samples to -2
+        rows = np.swapaxes(src, 0, -2)
+        np.matmul(rows, np.swapaxes(prop, -1, -2), out=np.swapaxes(dst, 0, -2))
 
 
 def _fill(ys, a, e, powers, top):
@@ -211,7 +264,8 @@ def integrate(propagator, y0, t_grid, cfg, post_accept=None, restrict=None):
     leading ``live x live`` block, the levels dropped are zeroed in the
     window buffer once, and only ``ys[..., :live]`` is filled from then on;
     the top power is taken from ``live``. A propagator that is not
-    triangular, as the two-mode sector's, is applied to every level.
+    triangular, as the two-mode sector's (triangular only by blocks), is
+    applied to every level.
 
     Each window is then passed, in blocks of at most 32 samples, once and
     in order, to ``post_accept(start, ys)``, where ``ys[j]`` is the state

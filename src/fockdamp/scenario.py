@@ -386,10 +386,13 @@ def _walk(obj: dict) -> tuple[list[str], list[str], list[tuple], list[tuple[comp
             what, nbytes = _largest_array(obj, len(values), size)
             if nbytes > ARRAY_LIMIT:
                 named = f"nmax={size}" if nmax is not None else f"|alpha|={r:g} resolves nmax={size}, which"
+                gib, limit = nbytes / 2**30, ARRAY_LIMIT / 2**30
+                # three digits, or as many more as it takes to read above the limit
+                d = next(d for d in range(3, 18) if f"{gib:.{d}g}" != f"{limit:.{d}g}")
                 errors.append(
                     f"{named} is above the {engine} engine's cap of nmax="
                     f"{_cutoff_cap(obj, len(values))}: its {what} would take "
-                    f"{nbytes / 2**30:.3g} GiB (limit {ARRAY_LIMIT / 2**30:g} GiB)"
+                    f"{gib:.{d}g} GiB (limit {limit:.{d}g} GiB)"
                 )
         if nmax is not None:
             # a resolved cutoff is at least 3, so only a given one can be too small

@@ -16,10 +16,12 @@ the total excitation N = n_A + n_B (the exchange keeps it, the damping
 lowers it), and the start rho_A x |0><0|_B has N <= nmax_a, so only the
 reachable states, those with N <= nmax_a, are ever filled: the sector is
 built, propagated and checked over them alone, and the rest of it stays
-exactly empty. In the gauge rho'_jk = (i e^{-i arg u4})^(n_B(j) - n_B(k))
-rho_jk the sector generator is real; B starts in vacuum, so the sector
-starts diagonal, stays real and symmetric, and its entries with j <= k are
-propagated as one real vector.
+exactly empty. Its entries are ordered by N, so the damping, which feeds
+block N from block N + 1, lies above the diagonal blocks, and ``expm``
+builds the propagator over strips of those blocks. In the gauge
+rho'_jk = (i e^{-i arg u4})^(n_B(j) - n_B(k)) rho_jk the sector generator
+is real; B starts in vacuum, so the sector starts diagonal, stays real and
+symmetric, and its entries with j <= k are propagated as one real vector.
 """
 
 from __future__ import annotations
@@ -113,7 +115,9 @@ def _sector_generator(params: TwoModeParams, da: int):
     The reachable states are the |n_A> x |n_B> with n_A + n_B <= da - 1
     (module docstring). Returns ``(gen, j, k)``: packed entry p is the
     gauged rho'[j[p], k[p]], with j[p] <= k[p] product indices of reachable
-    states of equal N, in row-major order. In the gauge the pair evolves as
+    states of equal N, ordered by N and then row-major, so ``gen`` is block
+    upper-bidiagonal in N: the drift stays within block N and the damping
+    feeds it from block N + 1. In the gauge the pair evolves as
     d rho'/dt = A rho' + rho' A^T + J rho' J^T, with the real
     A = |u4| (K - K^T) - J^T J / 2, K = (a^dag a a) x b^dag and
     J = sqrt(gamma_b) 1 x b: on the row-major rho' that is
@@ -146,11 +150,14 @@ def _sector_generator(params: TwoModeParams, da: int):
     packed = out_j <= out_k
     j, k = np.nonzero(np.triu(n_tot[:, None] == n_tot))
     key, size = j * m + k, j.size  # the keys ascend
-    out = np.searchsorted(key, out_j[packed] * m + out_k[packed])
+    by_n = np.argsort(n_tot[j], kind="stable")
+    slot = np.empty(size, dtype=np.intp)
+    slot[by_n] = np.arange(size)  # the packed place of each key
+    out = slot[np.searchsorted(key, out_j[packed] * m + out_k[packed])]
     lo, hi = np.minimum(in_j, in_k)[packed], np.maximum(in_j, in_k)[packed]
-    inp = np.searchsorted(key, lo * m + hi)
+    inp = slot[np.searchsorted(key, lo * m + hi)]
     gen = np.bincount(out * size + inp, weights=value[packed], minlength=size * size)
-    return gen.reshape(size, size), states[j], states[k]
+    return gen.reshape(size, size), states[j[by_n]], states[k[by_n]]
 
 
 def two_mode_evolve(rho_a: DensityMatrix, params: TwoModeParams, t_grid) -> TwoModeResult:
@@ -172,7 +179,7 @@ def two_mode_evolve(rho_a: DensityMatrix, params: TwoModeParams, t_grid) -> TwoM
     da, db = rho_a.dim, params.nmax_b + 1
     vacuum_b = np.diag(np.eye(db)[0])
     gen, rows, cols = _sector_generator(params, da)
-    states = rows[rows == cols]  # the reachable states, ascending
+    states = np.sort(rows[rows == cols])  # the reachable states
     n_a, n_b = np.divmod(states, db)
     compact = np.searchsorted(states, rows), np.searchsorted(states, cols)
     samples = Samples(t_grid, rho_a.trace(), upper=(*compact, np.arange(rows.size)))

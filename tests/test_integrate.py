@@ -6,10 +6,13 @@ import scipy.linalg as sla
 
 import fockdamp as fd
 from conftest import population_oracle
+from fockdamp import dynamics
 from fockdamp.channels import linear_loss, nonlinear_loss, three_photon_loss, two_photon_loss
+from fockdamp.cli import run_scenario
 from fockdamp.dynamics import stripe_generators
-from fockdamp.integrate import EXACT, expm, integrate
+from fockdamp.integrate import EXACT, _strips, expm, integrate
 from fockdamp.pauli import population_generator
+from fockdamp.scenario import parse_scenario, preset_scenarios
 
 
 def propagate(gen, y0, t_grid):
@@ -85,6 +88,22 @@ def test_expm_keeps_the_paired_stripes_apart_on_the_fig1_stack(u1):
         for rows in (slice(None, split), slice(split, None)):
             alone = sla.expm(stack[b, rows, rows])
             assert np.max(np.abs(prop[b, rows, rows] - alone)) <= 1e-14
+
+
+def test_every_preset_stack_is_one_strip(monkeypatch):
+    # the presets' stripe stacks have 41 levels, too few for two strips of
+    # 32: expm takes each whole, with the exact triangular resets
+    stacks = []
+    monkeypatch.setattr(dynamics, "expm", lambda a: stacks.append(a) or expm(a))
+    for which in ("fig1", "fig2"):
+        for raw in preset_scenarios(which):
+            run_scenario(parse_scenario(raw))
+    assert len(stacks) == 6
+    for stack in stacks:
+        assert stack.shape[-1] == 41
+        assert _strips(stack) == (True, [0, 41])
+        for i in range(0, len(stack), 8):  # the matrices of one Pade evaluation
+            assert _strips(stack[i : i + 8]) == (True, [0, 41])
 
 
 def test_population_propagator_conserves_probability():

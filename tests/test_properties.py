@@ -6,7 +6,8 @@ and the long-time prediction read one loss table, and doubling the samples
 of a grid agrees with stepping through it. Over random states near the
 positivity limit, the recorder's Cholesky gate decides as eigvalsh does. A
 coherent state's populations are the same bits from its amplitudes as from
-its density matrix."""
+its density matrix. The exponential of a random block upper-triangular
+matrix, built strip by strip, matches scipy's."""
 
 import re
 
@@ -15,7 +16,7 @@ import pytest
 import scipy.linalg as sla
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 import fockdamp as fd  # noqa: E402
@@ -36,7 +37,7 @@ from fockdamp.channels import (  # noqa: E402
     two_photon_loss,
 )
 from fockdamp.dynamics import _stripe_index, stripe_generators  # noqa: E402
-from fockdamp.integrate import EXACT, expm, integrate  # noqa: E402
+from fockdamp.integrate import EXACT, _strips, expm, integrate  # noqa: E402
 
 GRID = np.linspace(0.0, 3.0, 7)
 CHANNELS = (nonlinear_loss, linear_loss, two_photon_loss, three_photon_loss)
@@ -277,3 +278,34 @@ def test_a_pure_state_and_its_density_matrix_share_their_populations(re_, im, ex
     cut = fd.FockCutoff(fd.min_cutoff_for_coherent(alpha).nmax + extra)
     pure = fd.coherent_state(alpha, cut).populations()
     assert np.array_equal(pure, fd.coherent_density(alpha, cut).populations())
+
+
+@PROPS
+@given(
+    blocks=st.lists(st.integers(1, 30), min_size=1, max_size=6),
+    stack=st.sampled_from([(), (1,), (3,)]),
+    complex_=st.booleans(),
+    triangular=st.booleans(),
+    scale=st.floats(0.1, 5.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+# the two-mode sector's strips at nmax_a = 12, nmax_b = 4, and a triangular stack of 100 levels
+@example(blocks=[35, 45, 75], stack=(), complex_=False, triangular=False, scale=3.0, seed=1)
+@example(blocks=[30] * 3 + [10], stack=(3,), complex_=True, triangular=True, scale=3.0, seed=2)
+def test_expm_of_a_block_upper_triangular_matrix_matches_scipy(
+    blocks, stack, complex_, triangular, scale, seed
+):
+    # from 64 levels on, expm splits such a matrix into strips of its blocks
+    n = sum(blocks)
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=stack + (n, n))
+    if complex_:
+        a = a + 1j * rng.normal(size=a.shape)
+    block = np.repeat(np.arange(len(blocks)), blocks)
+    a = np.where(block[:, None] <= block, a, 0.0) * (scale / np.sqrt(n))
+    if triangular:
+        a = np.triu(a)
+    if blocks in ([35, 45, 75], [30] * 3 + [10]):
+        assert _strips(a) == (triangular, [0, 35, 80, 155] if n == 155 else [0, 32, 64, 100])
+    exact = sla.expm(a)
+    assert np.max(np.abs(expm(a) - exact)) <= 1e-12 * np.max(np.abs(exact))

@@ -427,6 +427,15 @@ def test_a_long_two_mode_run_is_capped_by_its_positivity_block():
     )
 
 
+def test_a_size_just_above_the_limit_reads_above_it():
+    # 268 960 000 bytes against 2^28 = 268 435 456: both are 0.25 GiB to three
+    # digits, so the size takes a fourth
+    obj = dict(BASE, engine="twomode", alpha=1.0, samples=41, nmax=206, rates={},
+               twomode={"u4": 1.0, "gamma_b": 100.0})
+    (above,) = validate_dict(obj)
+    assert above.endswith("its positivity block would take 0.2505 GiB (limit 0.25 GiB)")
+
+
 def test_a_batch_of_trajectories_above_the_limit_is_a_validation_error():
     # 512 trajectories advance together on 100001 levels: 8 * 512 * 100001 =
     # 4.096e8 bytes, above 2^28, though the sums of 2 samples are small

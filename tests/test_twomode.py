@@ -12,6 +12,7 @@ from fockdamp import twomode
 from fockdamp.analysis import POSITIVITY_LIMIT
 from fockdamp.channels import nonlinear_loss
 from fockdamp.fock import FockCutoff, annihilation_matrix
+from fockdamp.integrate import _strips
 from fockdamp.twomode import (
     TwoModeParams,
     _sector_generator,
@@ -93,6 +94,22 @@ def test_sector_generator_matches_liouvillian_sector():
     drho = (lsup @ rho.reshape(-1)).reshape(20, 20)
     assert np.max(np.abs(gen @ x - (phase * drho[rows, cols]).real)) < 1e-12
     assert np.max(np.abs((phase * drho[rows, cols]).imag)) < 1e-12
+
+
+def test_the_sector_is_ordered_by_total_excitation():
+    # no term raises N = n_A + n_B: the packed entries ascend in N, and the
+    # generator feeds no entry from one of lower N, nor from one more than
+    # one excitation above it
+    params = TwoModeParams(u4=0.8 + 0.3j, gamma_b=12.0, nmax_b=4)
+    gen, rows, cols = _sector_generator(params, 13)
+    n_tot = rows // 5 + rows % 5
+    assert np.array_equal(n_tot, cols // 5 + cols % 5)
+    assert np.all(np.diff(n_tot) >= 0)
+    to, src = np.nonzero(gen)
+    assert np.all(n_tot[to] <= n_tot[src]) and np.all(n_tot[src] <= n_tot[to] + 1)
+    # blocks of 1, 3, 6, 10 and then 15 entries; expm merges them into strips of 32 or more
+    assert np.array_equal(np.bincount(n_tot), [1, 3, 6, 10] + [15] * 9)
+    assert _strips(gen) == (False, [0, 35, 80, 155])
 
 
 def test_two_photons_decay_at_effective_rate():
