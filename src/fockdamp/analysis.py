@@ -90,18 +90,24 @@ def observables(state) -> Observables:
 
 
 def moments(populations) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``mean_n``, ``std_n`` and ``g2`` of every row of a (samples, levels) array.
+    """``mean_n``, ``std_n`` and ``g2`` of every row of populations over the
+    last axis, of a (samples, levels) array or a (samples, states, levels) one.
 
     One array operation each: the variance is clamped at 0 and g2 is 0 where
     the squared mean is not positive, which takes in a mean below about
     1e-154 whose square underflows. ``observables`` is its one-row case.
     """
     p = np.asarray(populations, dtype=float)
-    n = np.arange(p.shape[1], dtype=float)
-    mean = p @ n
+    n = np.arange(p.shape[-1], dtype=float)
+    rows = p.reshape(-1, n.size)  # a stack as one matrix: one product, not one per sample
+
+    def weighted(w):
+        return (rows @ w).reshape(p.shape[:-1])
+
+    mean = weighted(n)
     mean2 = mean * mean
-    std = np.sqrt(np.maximum(p @ (n * n) - mean2, 0.0))
-    g2 = np.divide(p @ (n * (n - 1.0)), mean2, out=np.zeros_like(mean), where=mean2 > 0.0)
+    std = np.sqrt(np.maximum(weighted(n * n) - mean2, 0.0))
+    g2 = np.divide(weighted(n * (n - 1.0)), mean2, out=np.zeros_like(mean), where=mean2 > 0.0)
     return mean, std, g2
 
 
@@ -204,8 +210,10 @@ class Samples:
         diag = ys.real if self._upper is None else ys.reshape(len(ys), -1)[:, self._diagonal].real
         if start == 0:
             self.diagonals = np.zeros((self.t.size,) + diag.shape[1:])
-        self.diagonals[start:stop] = diag
-        drift = np.abs(diag.sum(axis=-1) - self.trace0)
+            self.trace_err = np.zeros(self.diagonals.shape[:-1])
+        kept = self.diagonals[start:stop]
+        kept[...] = diag  # contiguous rows sum pairwise, whatever the layout of diag
+        drift = self.trace_err[start:stop] = np.abs(kept.sum(axis=-1) - self.trace0)
         bad = np.flatnonzero(~(drift <= TRACE_DRIFT_LIMIT))  # nan-safe, row-major
         if bad.size:
             first = np.unravel_index(bad[0], drift.shape)
@@ -253,16 +261,22 @@ class Samples:
             (last,) = _lower(flat[-1:], rows, cols, src, n)
             self.min_eigenvalue = np.linalg.eigvalsh(last, UPLO="L")[0]
 
-    def series(self, populations=None, state=...) -> TimeSeries:
+    def series(self, populations=None) -> TimeSeries:
         """The TimeSeries of the recorded diagonals, or of ``populations``
-        derived from them; the trace error is always the diagonals'. Of a
-        stacked record, ``state`` picks the state."""
-        diagonals = self.diagonals[:, state]
-        pops = diagonals if populations is None else populations
-        trace_err = np.abs(diagonals.sum(axis=-1) - self.trace0[state])
+        derived from them; the trace error is always the diagonals'."""
+        pops = self.diagonals if populations is None else populations
         return TimeSeries(
-            self.t, *moments(pops), trace_err, pops, min_eigenvalue=self.min_eigenvalue
+            self.t, *moments(pops), self.trace_err, pops, min_eigenvalue=self.min_eigenvalue
         )
+
+    def each_series(self):
+        """Of a stacked record, the TimeSeries of each state in order, from
+        one ``moments`` pass over the whole record."""
+        mean, std, g2 = moments(self.diagonals)
+        for j in range(self.trace0.size):
+            yield TimeSeries(
+                self.t, mean[:, j], std[:, j], g2[:, j], self.trace_err[:, j], self.diagonals[:, j]
+            )
 
 
 @dataclass(frozen=True)

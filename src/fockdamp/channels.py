@@ -102,27 +102,61 @@ def lowering_amplitudes(channel: JumpChannel, nmax: int) -> np.ndarray:
 
 class LossTable(NamedTuple):
     """The active channels of a mix over levels 0..nmax: channel c takes level n
-    to n - lowerings[c] at rates[c] * amps[c, n]**2, and loss[n] sums those."""
+    to n - lowerings[c] at rates[c] * amps[c, n]**2, and loss[n] sums those.
+    A table of several mixes (``loss_tables``) leads ``rates`` and ``loss``
+    with an axis of mixes: mix m runs channel c at rates[m, c]."""
 
-    rates: np.ndarray  # (channels,)
+    rates: np.ndarray  # (channels,), or (mixes, channels)
     lowerings: np.ndarray  # (channels,) net lowering d of each channel
     amps: np.ndarray  # (channels, levels) lowering_amplitudes rows
-    loss: np.ndarray  # (levels,)
+    loss: np.ndarray  # (levels,), or (mixes, levels)
+
+
+def _kind(channel: JumpChannel) -> tuple[int, int]:
+    return channel.creation_power, channel.annihilation_power
+
+
+def loss_tables(channel_sets, nmax: int) -> LossTable:
+    """One LossTable of several mixes over levels 0..nmax, each mix's row
+    bitwise its own ``loss_table``.
+
+    The table's channels hold each mix's channels with a positive rate, in
+    the order given: a channel takes the first column of its kind after the
+    previous one's, or a new column at the end. So each mix's loss is summed
+    in its own order, and a column it lacks has rate 0, which adds +0.0 and
+    changes no bit. Raises DimensionMismatch, as ``lowering_amplitudes``
+    does, for an active a^k that empties the space.
+    """
+    columns, placed = [], []  # columns: one channel of each kind; placed: (mix, column, rate)
+    for m, channels in enumerate(channel_sets):
+        at = 0
+        for c in channels:
+            if c.rate > 0.0:
+                at = next(
+                    (i for i in range(at, len(columns)) if _kind(columns[i]) == _kind(c)),
+                    len(columns),
+                )
+                if at == len(columns):
+                    columns.append(c)
+                placed.append((m, at, c.rate))
+                at += 1
+    rates = np.zeros((len(channel_sets), len(columns)))
+    for m, at, rate in placed:
+        rates[m, at] = rate
+    amps = np.zeros((len(columns), nmax + 1))
+    loss = np.zeros((len(channel_sets), nmax + 1))
+    for rate, row, c in zip(rates.T, amps, columns):
+        row[:] = lowering_amplitudes(c, nmax)
+        loss += rate[:, None] * row**2
+    lowerings = np.array([c.net_lowering for c in columns], dtype=np.int64)
+    return LossTable(rates, lowerings, amps, loss)
 
 
 def loss_table(channels: list[JumpChannel], nmax: int) -> LossTable:
     """The LossTable of the channels with a positive rate, in the order given,
-    with the loss summed in that order. Raises DimensionMismatch, as
-    ``lowering_amplitudes`` does, for an active a^k that empties the space."""
-    active = [c for c in channels if c.rate > 0.0]
-    amps = np.zeros((len(active), nmax + 1))
-    loss = np.zeros(nmax + 1)
-    for row, c in zip(amps, active):
-        row[:] = lowering_amplitudes(c, nmax)
-        loss += c.rate * row**2
-    rates = np.array([c.rate for c in active], dtype=float)
-    lowerings = np.array([c.net_lowering for c in active], dtype=np.int64)
-    return LossTable(rates, lowerings, amps, loss)
+    with the loss summed in that order: the one mix of ``loss_tables``."""
+    rates, lowerings, amps, loss = loss_tables([channels], nmax)
+    return LossTable(rates[0], lowerings, amps, loss[0])
 
 
 @dataclass(frozen=True)

@@ -241,17 +241,15 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_preset(args) -> int:
-    raws = preset_scenarios(args.which)
-    results = []
-    for raw in raws:
+    for raw in preset_scenarios(args.which):
+        result = None  # let the run before go: only the last one, add_mixed, is read below
         raw = _apply_overrides(raw, args)
         scn = parse_scenario(raw)
         result = run_scenario(scn)
         write_outputs(result, Path(args.out), args.format, args.svg)
         _print_summary(result)
-        results.append(result)
     if args.which == "fig2":
-        mixed = results[-1]
+        mixed = result
         try:
             sm = analysis.find_sigma_min(mixed.series, (0.5, 20.0))
             report = {
@@ -299,15 +297,20 @@ def _sweep_rows(scenarios: list[Scenario]) -> list[dict]:
     """The ``_sigma_row`` of every grid point, in grid order.
 
     Consecutive Pauli points of one cutoff go to the Pauli engine together,
-    which runs them in stacks; sweep points share the time grid. Each series
-    is reduced to its row as it arrives. Other engines run point by point.
+    which runs them in groups; sweep points share the time grid, and the
+    points of one alpha share one start. Each series is reduced to its row
+    as it arrives. Other engines run point by point.
     """
     rows = []
     for (engine, _), group in groupby(scenarios, lambda s: (s.engine, s.nmax)):
         group = list(group)
         if engine == "pauli":
+            starts = {}
+            for scn in group:
+                if scn.alpha not in starts:
+                    starts[scn.alpha] = pauli.PopulationVector(_initial_populations(scn))
             series = pauli.evolve_population_batch(
-                [_initial_populations(scn) for scn in group],
+                [starts[scn.alpha] for scn in group],
                 [scn.channels() for scn in group],
                 group[0].t_grid,
             )

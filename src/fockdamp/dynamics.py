@@ -37,14 +37,17 @@ def _stripe_index(n1: int):
 def _cascade(table, b, r, k, l, dtype=float) -> np.ndarray:
     """The one feed-and-decay rule: generators of the elements (k, l), element p
     at row r[p] of block b[p]. (k, l) decays at half the summed loss of k and l
-    and is fed by (k + c, l + c), c rows on, for each channel lowering by c."""
-    n1 = table.loss.size
-    stack = np.zeros((b.max() + 1, n1, n1), dtype)
-    flat, at = stack.reshape(-1), (b * n1 + r) * n1 + r  # at: the flat index of (b, r, r)
-    for rate, c, amp in zip(table.rates, table.lowerings, table.amps):
+    and is fed by (k + c, l + c), c rows on, for each channel lowering by c.
+    A table of several mixes (``channels.loss_tables``) gives one stack of
+    blocks per mix, each bitwise that mix's own."""
+    mixes, n1 = table.loss.shape[:-1], table.loss.shape[-1]
+    stack = np.zeros(mixes + (b.max() + 1, n1, n1), dtype)
+    flat = stack.reshape(mixes + (-1,))
+    at = (b * n1 + r) * n1 + r  # the flat index of (b, r, r)
+    for i, (c, amp) in enumerate(zip(table.lowerings, table.amps)):
         fed = l < n1 - c  # (k + c, l + c) is inside the cutoff
-        flat[c:][at[fed]] += rate * amp[c:][k[fed]] * amp[c:][l[fed]]
-    flat[at] = 0.0 - 0.5 * (table.loss[k] + table.loss[l])  # dark: +0.0, not -0.0
+        flat[..., at[fed] + c] += table.rates[..., i, None] * amp[k[fed] + c] * amp[l[fed] + c]
+    flat[..., at] = 0.0 - 0.5 * (table.loss[..., k] + table.loss[..., l])  # dark: +0.0, not -0.0
     return stack
 
 

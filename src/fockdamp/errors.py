@@ -31,7 +31,8 @@ class PositivityViolated(FockdampError):
 
 
 class GeneratorOverflow(FockdampError):
-    """A step generator's norm is not finite: a rate, time or Kerr strength is too large."""
+    """A step generator's norm is not finite, or it turns a phase by 2^53 rad
+    or more: a rate, time or Kerr strength is too large."""
 
 
 class NoClosedForm(FockdampError):

@@ -48,6 +48,8 @@ _PADE13 = (
     1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
 )
 _THETA13 = 5.371920351148152
+# a phase from 2^53 rad on has an ulp of at least 2 rad, so its exponential is noise
+_PHASE_LIMIT = 2.0**53
 # a new step this close to the cached one reuses its propagator; np.linspace
 # steps jitter by about 1e-13 relative
 _STEP_RTOL = 1e-9
@@ -139,6 +141,11 @@ def _pade13(a):
     norm = float(np.abs(a).sum(axis=-2).max())
     if not math.isfinite(norm):
         raise GeneratorOverflow(f"generator norm {norm}: a rate, time or Kerr strength is too large")
+    if np.iscomplexobj(a) and (phase := float(np.abs(a.imag).max())) >= _PHASE_LIMIT:
+        raise GeneratorOverflow(
+            f"a step turns a phase by {phase:.3e} rad, at least 2^53, which no double "
+            "resolves: the Kerr strength or the time is too large"
+        )
     s = math.ceil(math.log2(norm / _THETA13)) if norm > _THETA13 else 0
     a = a / 2.0**s
     b = _PADE13

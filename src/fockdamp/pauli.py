@@ -15,10 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import Samples, TimeSeries
-from .channels import JumpChannel, loss_table
+from .channels import JumpChannel, loss_tables
 from .dynamics import _cascade
 from .fock import _frozen_array
-from .integrate import _CHUNK, EXACT, expm, integrate
+from .integrate import _CHUNK, EXACT, _top_power, expm, integrate
+
+# the bytes a group of cascades may hold, well under scenario.ARRAY_LIMIT: 22
+# points of 801 samples on 41 levels, so a group there takes 16
+_GROUP_BYTES = 8 * 2**20
 
 
 @dataclass(frozen=True)
@@ -47,9 +51,16 @@ def population_generator(channels: list[JumpChannel], nmax: int) -> np.ndarray:
     eigenvalues of M are its diagonal, the loss rates: ``dynamics._cascade``
     of the elements (n, n).
     """
-    levels = np.arange(nmax + 1)
-    (gen,) = _cascade(loss_table(channels, nmax), 0 * levels, levels, levels, levels)
+    (gen,) = population_generators([channels], nmax)
     return gen
+
+
+def population_generators(channel_sets, nmax: int) -> np.ndarray:
+    """The ``population_generator`` of each mix, bit for bit, as a (mixes,
+    levels, levels) stack: one ``channels.loss_tables`` table and one
+    ``dynamics._cascade`` call for them all."""
+    levels = np.arange(nmax + 1)
+    return _cascade(loss_tables(channel_sets, nmax), 0 * levels, levels, levels, levels)[:, 0]
 
 
 def evolve_populations(p0, channels: list[JumpChannel], t_grid) -> TimeSeries:
@@ -63,25 +74,42 @@ def evolve_populations(p0, channels: list[JumpChannel], t_grid) -> TimeSeries:
     return series
 
 
+def group_points(levels: int, samples: int) -> int:
+    """The most cascades of ``levels`` levels and ``samples`` samples that
+    ``evolve_population_batch`` runs together, at least 1.
+
+    A point holds its record, samples x levels floats, and levels^2 floats
+    each for its generator and for every propagator power ``integrate``
+    keeps, P to P^(2^J) for the top power 2^J. A group takes as many points
+    as fit in _GROUP_BYTES, and from 8 on a multiple of 8, so that ``expm``
+    scales the same chunks of 8 as when groups held at most 8.
+    """
+    top = _top_power(levels, samples).bit_length() - 1  # J
+    point = 8 * (samples * levels + (top + 2) * levels * levels)
+    fit = max(_GROUP_BYTES // point, 1)
+    return fit if fit < _CHUNK else fit - fit % _CHUNK
+
+
 def evolve_population_batch(p0s, channel_sets, t_grid):
     """Propagate N cascades of one cutoff; yield their TimeSeries in order.
 
-    The cascades run in stacks of at most ``integrate._CHUNK``, which bounds
-    their memory. A stack's generators are stacked, so one ``expm`` call
-    builds every propagator, one ``integrate`` call advances the (stack,
-    levels) state and one ``analysis.Samples`` records it with the drift
-    check of ``evolve_populations``: the cascade reported is the earliest
-    to drift in time, then the first in order. ``expm`` scales a stack by
-    its largest norm, so a cascade may take more squarings here than alone.
+    The cascades run in groups of ``group_points``, which bounds their
+    memory. A group's generators come from one ``population_generators``
+    call, one ``expm`` call builds every propagator, one ``integrate`` call
+    advances the (group, levels) state and one ``analysis.Samples`` records
+    it with the drift check of ``evolve_populations``: the cascade reported
+    is the earliest to drift in time, then the first in order. One
+    ``moments`` pass summarizes the group's record. ``expm`` scales each
+    chunk of 8 by its largest norm, so a cascade may take more squarings
+    here than alone.
     """
     if len(p0s) != len(channel_sets):
         raise ValueError(f"{len(p0s)} initial states for {len(channel_sets)} channel sets")
     p_inits = [p0.p if isinstance(p0, PopulationVector) else PopulationVector(p0).p for p0 in p0s]
-    for lo in range(0, len(p_inits), _CHUNK):
-        stack = np.stack(p_inits[lo : lo + _CHUNK])
-        nmax = stack.shape[1] - 1
-        gens = np.stack([population_generator(ch, nmax) for ch in channel_sets[lo : lo + _CHUNK]])
+    size = group_points(p_inits[0].size, np.size(t_grid)) if p_inits else 1
+    for lo in range(0, len(p_inits), size):
+        stack = np.stack(p_inits[lo : lo + size])
+        gens = population_generators(channel_sets[lo : lo + size], stack.shape[1] - 1)
         record = Samples(t_grid, stack.sum(axis=1))
         integrate(lambda h: expm(gens * h), stack, record.t, EXACT, post_accept=record.add)
-        for j in range(len(stack)):
-            yield record.series(state=j)
+        yield from record.each_series()

@@ -35,7 +35,8 @@ from .channels import (
 )
 from .errors import ParseError, ValidationError
 from .fock import MAX_CUTOFF, FockCutoff, min_cutoff_for_coherent, poisson_tail
-from .integrate import _BLOCK, _CHUNK
+from .integrate import _BLOCK
+from .pauli import group_points
 from .trajectories import _BATCH, TrajectoryConfig
 from .twomode import TAIL_TOL, TwoModeParams
 
@@ -206,7 +207,10 @@ def _largest_array(obj: dict, points: int, nmax: int) -> tuple[str, int]:
     """What the engine's largest array at cutoff ``nmax`` holds, and its bytes.
 
     dense: the propagator stack of the paired stripes, complex at worst.
-    pauli: the stack of generators of one group of sweep points, at most 8.
+    pauli: the stack of generators of one group of sweep points, as many as
+    ``pauli.group_points`` puts in a group at this cutoff and sample count;
+    a group of more than one point holds at most 8 MiB, so only a point
+    that runs alone reaches the limit.
     trajectories: the level populations of a batch of up to 512 trajectories.
     twomode: the reachable sector's generator ``twomode._sector_generator``
     builds, or the whole-pair start np.kron(rho_A, |0><0|_B) it is handed,
@@ -222,7 +226,7 @@ def _largest_array(obj: dict, points: int, nmax: int) -> tuple[str, int]:
     if engine == "dense":
         largest, width, gate = ("stripe stack", 16 * (n1 // 2 + 1) * n1 * n1), n1, 16
     elif engine == "pauli":
-        stack = min(points, _CHUNK)
+        stack = min(points, group_points(n1, samples))
         largest = (f"stack of {stack} generator{'s' * (stack > 1)}", 8 * stack * n1 * n1)
         width = stack * n1
     elif engine == "trajectories":

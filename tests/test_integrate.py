@@ -53,6 +53,17 @@ def test_expm_on_random_complex_dense_matrix(scale):
     assert np.max(np.abs(expm(a) - exact)) <= 1e-13 * max(1.0, np.max(np.abs(exact)))
 
 
+def test_expm_refuses_a_phase_of_2_to_the_53_rad():
+    # from 2^53 on, a double's spacing is 2 rad or more: the phase is noise.
+    # Just below it the exponential is still formed (and exact on a diagonal)
+    below = np.nextafter(2.0**53, 0.0)
+    assert expm(np.array([[-1.0 + 1j * below]]))[0, 0] == np.exp(-1.0 + 1j * below)
+    for phase in (2.0**53, -(2.0**53), 1e300):
+        with pytest.raises(fd.GeneratorOverflow, match="at least 2\\^53"):
+            expm(np.array([[-1.0, 0.0], [0.0, -1.0 + 1j * phase]]))
+    assert expm(np.array([[-1e300]]))[0, 0] == 0.0  # a real argument has no phase
+
+
 @pytest.mark.parametrize(
     "a, b",
     [(-1.0, -1.0), (-1.0, -1.0001), (-30.0, -0.5), (-0.1 + 20j, -0.3 - 5j), (-2.0 + 1j, -2.0 + 1j)],

@@ -177,21 +177,63 @@ def test_batch_reports_the_earliest_drift_in_time_then_in_order(monkeypatch):
         list(evolve_population_batch(p0s, channels, grid))
 
 
-def test_batch_stacks_at_most_eight_cascades(monkeypatch):
-    sizes = []
-    original = pauli.integrate
+# a point of 13 levels and 5 samples holds its record, 5 x 13 floats, and
+# 13^2 floats each for its generator and for the one propagator power kept
+# (the top power is 1 at 5 samples): 8 (65 + 2 * 169) = 3224 bytes
+_POINT_BYTES = 3224
 
-    def recorded(propagator, y0, t_grid, cfg, **kwargs):
-        sizes.append(len(y0))
+
+def test_batch_groups_close_at_the_byte_budget(monkeypatch):
+    recorded, original = [], pauli.integrate
+
+    def counted(propagator, y0, t_grid, cfg, **kwargs):
+        recorded.append(len(y0))
         return original(propagator, y0, t_grid, cfg, **kwargs)
 
-    monkeypatch.setattr(pauli, "integrate", recorded)
+    monkeypatch.setattr(pauli, "integrate", counted)
     channels = [[nonlinear_loss(1.0), linear_loss(0.01 * i)] for i in range(9)]
     grid = np.linspace(0, 2, 5)
-    batch = list(evolve_population_batch([poisson_vector(2.0, 12)] * 9, channels, grid))
-    assert sizes == [8, 1]
-    assert len(batch) == 9
-    assert batch[8].populations[-1, 0] > batch[0].populations[-1, 0]
+    for budget, sizes in (
+        (5 * _POINT_BYTES, [5, 4]),  # five points fill the budget exactly
+        (5 * _POINT_BYTES - 1, [4, 4, 1]),  # the fifth would pass it
+        (_POINT_BYTES - 1, [1] * 9),  # a point above the budget runs alone
+        (9 * _POINT_BYTES, [8, 1]),  # from 8 on, a multiple of 8
+        (17 * _POINT_BYTES, [9]),
+    ):
+        recorded.clear()
+        monkeypatch.setattr(pauli, "_GROUP_BYTES", budget)
+        batch = list(evolve_population_batch([poisson_vector(2.0, 12)] * 9, channels, grid))
+        assert recorded == sizes
+        assert len(batch) == 9
+        assert batch[8].populations[-1, 0] > batch[0].populations[-1, 0]
+
+
+def test_twenty_points_match_groups_of_at_most_eight():
+    # the groups of at most 8 that the batch ran before it grouped by bytes:
+    # 8 MiB holds 16 points of 41 levels and 801 samples (22, rounded down to
+    # a multiple of 8), so 20 run as 16 and 4, and expm scales the same chunks
+    # of 8. The nonlinear rates set generator norms a few powers of two apart,
+    # so a chunk of other points would scale some of them differently.
+    rng = np.random.default_rng(3)
+    channel_sets = [
+        [nonlinear_loss(e), linear_loss(q), two_photon_loss(s), three_photon_loss(0.0)]
+        for e, q, s in zip(rng.choice([0.3, 1.0, 3.0], 20), rng.choice([0.0, 0.01, 0.1], 20),
+                           rng.choice([0.0, 0.005, 0.05], 20))
+    ]
+    p0s = [poisson_vector(mean, 40) for mean in rng.uniform(4.0, 12.0, 20)]
+    grid = np.linspace(0, 20, 801)
+    assert pauli.group_points(41, 801) == 16
+    whole = list(evolve_population_batch(p0s, channel_sets, grid))
+    eights = [
+        series
+        for lo in range(0, 20, 8)
+        for series in evolve_population_batch(p0s[lo : lo + 8], channel_sets[lo : lo + 8], grid)
+    ]
+    for one, other in zip(whole, eights, strict=True):
+        assert one.min_eigenvalue is other.min_eigenvalue is None
+        for name in ("t",) + _FIELDS:
+            a, b = getattr(one, name), getattr(other, name)
+            assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b)), name
 
 
 def test_batch_needs_one_state_per_channel_set():

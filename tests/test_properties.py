@@ -2,7 +2,8 @@
 exponential of the vectorized master equation, the dense and population
 engines agree, the trace holds, the dense state stays positive, pure
 d-photon loss conserves the mass of each class of n mod d, the engines
-and the long-time prediction read one loss table, and doubling the samples
+and the long-time prediction read one loss table, a group's generators
+are each mix's own bits, and doubling the samples
 of a grid agrees with stepping through it. Over random states near the
 positivity limit, the recorder's Cholesky gate decides as eigvalsh does. A
 coherent state's populations are the same bits from its amplitudes as from
@@ -38,6 +39,7 @@ from fockdamp.channels import (  # noqa: E402
 )
 from fockdamp.dynamics import _stripe_index, stripe_generators  # noqa: E402
 from fockdamp.integrate import EXACT, _strips, expm, integrate  # noqa: E402
+from fockdamp.pauli import population_generators  # noqa: E402
 
 GRID = np.linspace(0.0, 3.0, 7)
 CHANNELS = (nonlinear_loss, linear_loss, two_photon_loss, three_photon_loss)
@@ -183,6 +185,28 @@ def test_engines_read_one_loss_table(rates, p0, kerr):
     t_end = 100.0 / np.abs(diag[diag != 0.0]).min()
     series = fd.evolve_populations(p0, channels, np.array([0.0, t_end]))
     assert np.max(np.abs(series.populations[-1] - pred)) <= 1e-9
+
+
+# a mix of any of the four kinds, in any order, repeated or at rate 0, with
+# rates decades apart, so that the order of the loss sums shows in their bits
+mix = st.lists(
+    st.tuples(st.sampled_from(CHANNELS), st.one_of(st.just(0.0), st.floats(1e-3, 1e3))),
+    max_size=6,
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(sets=st.lists(mix, min_size=1, max_size=10), nmax=st.integers(3, 20))
+def test_a_groups_generators_are_each_mixs_own_bits(sets, nmax):
+    channel_sets = [[make(r) for make, r in s] for s in sets]
+    group = population_generators(channel_sets, nmax)
+    assert group.shape == (len(sets), nmax + 1, nmax + 1)
+    for channels, gen in zip(channel_sets, group, strict=True):
+        # the mix alone, and stripe 0 of the dense engine, built from its own table
+        for alone in (fd.population_generator(channels, nmax),
+                      stripe_generators(channels, None, nmax)[0]):
+            assert np.array_equal(gen, alone)
+            assert np.array_equal(np.signbit(gen), np.signbit(alone))  # a dark level is +0.0
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)

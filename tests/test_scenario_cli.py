@@ -221,6 +221,23 @@ def test_an_overflowing_generator_is_a_numerical_failure(tmp_path, capsys, extra
 
 
 @pytest.mark.parametrize(
+    "rates, u1, code",
+    [("q=1.1", "--u1=1e300", 3), ("q=1.1", "--u1=0.7", 0), ("q=1e300", "--u1=0", 0)],
+    ids=["kerr-1e300", "kerr-0.7", "real-1e300"],
+)
+def test_a_step_phase_no_double_resolves_is_a_numerical_failure(tmp_path, capsys, rates, u1,
+                                                                 code):
+    # u1 = 1e300 turns a phase by about 1e303 rad a step, where a double's ulp
+    # is some 1e287 rad; a real generator of any finite norm stays exact
+    argv = ["run", "--alpha", "2.59", "--rates", rates, "--tmax", "2.59", u1, "--samples", "3",
+            "--out", str(tmp_path / "o")]
+    assert cli.main(argv) == code
+    err = capsys.readouterr().err
+    assert ("at least 2^53, which no double resolves" in err) == (code == 3)
+    assert (tmp_path / "o").exists() == (code == 0)
+
+
+@pytest.mark.parametrize(
     "argv, violation",
     [
         (["run", "--alpha", "400", "--rates", "e=1", "--tmax", "1"],
@@ -255,7 +272,9 @@ def test_a_t_max_too_small_for_its_samples_is_a_validation_error(tmp_path, capsy
 # generator, 8 bytes a pair squared, fits in 2^28 bytes up to nmax = 387; so
 # does the positivity gate's block of 9 samples of 5 (nmax + 1) - 10 states
 # squared, 8 * 9 * 1930^2 = 2.682e8 bytes there. The trajectories advance 512
-# at a time on nmax + 1 levels: 8 * 512 * 65536 = 2^28 bytes at nmax = 65535
+# at a time on nmax + 1 levels: 8 * 512 * 65536 = 2^28 bytes at nmax = 65535.
+# The Pauli cap is one point's generator, 8 * 5792^2 = 2.684e8 bytes at
+# nmax = 5791; it is also a sweep's (test_largest_array_sizes_match_the_engines)
 _CAPPED = {
     "dense": ({}, 320),
     "pauli": ({}, 5791),
@@ -319,10 +338,21 @@ def test_largest_array_sizes_match_the_engines(monkeypatch):
     assert scenario._largest_array(dense, 1, nmax)[1] == stripe_generators(
         [fd.nonlinear_loss(1.0)], kerr, nmax
     ).nbytes
+    # a Pauli group holds as many points as fit in 8 MiB (pauli.group_points):
+    # all 20 at 10 levels and 9 samples, 16 at 41 levels and 801 samples,
+    # where the record is the largest array, and one alone at 2001 levels
     pauli = dict(BASE, engine="pauli")
     generator = fd.population_generator([fd.nonlinear_loss(1.0)], nmax)
     assert scenario._largest_array(pauli, 3, nmax)[1] == 3 * generator.nbytes
-    assert scenario._largest_array(pauli, 20, nmax)[1] == 8 * generator.nbytes
+    assert scenario._largest_array(pauli, 20, nmax)[1] == 20 * generator.nbytes
+    assert scenario._largest_array(dict(pauli, samples=801), 20, 40) == (
+        "sampled record", 8 * 801 * 16 * 41
+    )
+    assert scenario._largest_array(pauli, 20, 2000) == ("stack of 1 generator", 8 * 2001**2)
+    # so a sweep's cap is one point's: it was 4095 at 2 points, 3343 at 3 and
+    # 2047 from 8 on, when a group held 8 points whatever their size
+    for points in (1, 2, 3, 8, 20, 4096):
+        assert scenario._cutoff_cap(pauli, points) == _CAPPED["pauli"][1]
     # the two-mode start is the whole pair, as the engine hands it to integrate
     starts, integrate = [], twomode.integrate
     monkeypatch.setattr(
@@ -376,14 +406,17 @@ def test_the_sampled_record_is_sized_as_the_engines_keep_it(monkeypatch):
         # at 10^6 samples the record is the largest array
         per_sample = kept[-1] // samples
         assert scenario._largest_array(dict(obj, samples=10**6), 1, nmax)[1] == 10**6 * per_sample
-    # a Pauli sweep records each point of a group of up to 8
+    # a Pauli sweep records each point of a group: all 3 or 20 points at 41
+    # samples, and the 20 in groups of 8 at 10^4 samples, where a point holds
+    # 0.8 MB, so that ten fit in 8 MiB, rounded down to 8
     p0 = fd.coherent_density(0.5, fd.FockCutoff(nmax)).populations()
-    for points in (3, 20):
+    for points, samples, group in ((3, 41, 3), (20, 41, 20), (20, 10**4, 8)):
         kept.clear()
         list(pauli.evolve_population_batch([p0] * points, [[fd.nonlinear_loss(1.0)]] * points,
                                            np.linspace(0.0, 4.0, samples)))
-        assert scenario._largest_array(dict(BASE, samples=10**6), points, nmax) == (
-            "sampled record", 10**6 * max(kept) // samples
+        assert max(kept) == 8 * samples * group * (nmax + 1)
+        assert scenario._largest_array(dict(BASE, samples=samples), points, nmax) == (
+            "sampled record", max(kept)
         )
 
 
