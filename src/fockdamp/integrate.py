@@ -9,16 +9,16 @@ and on a uniform grid the state f samples on is P^f times the current one.
 ``integrate`` builds P once per distinct step and fills each window of
 samples by doubling: a few products with P, P^2, P^4, ..., squared from P
 once, in place of one product per sample. ``expm`` is Pade-13 scaling and
-squaring in NumPy (Higham, SIAM J. Matrix Anal. Appl. 26, 1179, 2005). On
-an upper-triangular input it resets the diagonal and the first
-superdiagonal to their exact values after every squaring (Al-Mohy &
-Higham, SIAM J. Matrix Anal. Appl. 31, 970, 2009, Code Fragment 2.1),
-which keeps the column sums of a probability-conserving cascade at
-rounding level. It reads the zero pattern of its input, and a matrix of
-64 levels or more that is block upper-triangular, as the two-mode sector
-ordered by total excitation is, is split into strips of at least 32 rows:
-each product computes only the blocks that can be nonzero, and the Pade
-solve is a back-substitution over the diagonal blocks.
+squaring in NumPy (Higham, SIAM J. Matrix Anal. Appl. 26, 1179, 2005), each
+matrix of a stack scaled by its own norm. On an upper-triangular input it
+resets the diagonal and the first superdiagonal to their exact values after
+every squaring (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 970, 2009,
+Code Fragment 2.1), which keeps the column sums of a probability-conserving
+cascade at rounding level. It reads the zero pattern of its input, and a
+matrix of 64 levels or more that is block upper-triangular, as the two-mode
+sector ordered by total excitation is, is split into strips of at least 32
+rows: each product computes only the blocks that can be nonzero, and the
+Pade solve is a back-substitution over the diagonal blocks.
 
 A lowering channel never refills a level above the highest one the state
 holds, so under an upper-triangular propagator those levels stay exactly
@@ -81,7 +81,13 @@ def _exp_divided_difference(l1, l2):
 
 
 def expm(a):
-    """Matrix exponential of a square matrix or of a stack of them."""
+    """Matrix exponential of a square matrix or of a stack of them.
+
+    Each matrix takes the squarings its own norm asks for (``_pade13``), so
+    on a stack of upper-triangular matrices ``expm(stack)[i]`` is
+    ``expm(stack[i])`` bit for bit. A stack is evaluated in chunks of
+    ``_CHUNK`` matrices, which only bounds the temporaries.
+    """
     a = np.asarray(a)
     if a.ndim < 3 or a.shape[0] <= _CHUNK:
         return _pade13(a)
@@ -132,22 +138,43 @@ def _strip_solve(q, p, bounds):
     return x
 
 
+def _squarings(norm):
+    """ceil(log2(norm / theta_13)), exactly, or 0 for a norm up to theta_13."""
+    mantissa, exponent = math.frexp(norm / _THETA13)
+    return exponent - (mantissa == 0.5) if norm > _THETA13 else 0
+
+
 def _pade13(a):
-    n = a.shape[-1]
+    """``expm`` of a matrix or a stack of them, each scaled by its own norm.
+
+    Matrix m takes s_m = ceil(log2(||A_m||_1 / theta_13)) squarings
+    (``_squarings``). A stack whose exponents differ is ordered by them once,
+    largest first, so each squaring round squares only the leading slice that
+    still needs it; a stack whose exponents agree is not reordered. So a
+    matrix of the stack takes the operations it would take alone, and when
+    the stack splits into the same strips as the matrix, as every
+    upper-triangular stack of one size does, its exponential is bit for bit
+    the matrix's own.
+    """
+    shape, n = a.shape, a.shape[-1]
+    a = a.reshape(-1, n, n)
     diag = np.arange(n)
     triangular, bounds = _strips(a)
     mul = np.matmul if len(bounds) == 2 else partial(_strip_product, bounds=bounds)
     solve = np.linalg.solve if len(bounds) == 2 else partial(_strip_solve, bounds=bounds)
-    norm = float(np.abs(a).sum(axis=-2).max())
-    if not math.isfinite(norm):
+    norms = np.abs(a).sum(axis=-2).max(axis=-1)
+    if not math.isfinite(norm := float(norms.max())):
         raise GeneratorOverflow(f"generator norm {norm}: a rate, time or Kerr strength is too large")
     if np.iscomplexobj(a) and (phase := float(np.abs(a.imag).max())) >= _PHASE_LIMIT:
         raise GeneratorOverflow(
             f"a step turns a phase by {phase:.3e} rad, at least 2^53, which no double "
             "resolves: the Kerr strength or the time is too large"
         )
-    s = math.ceil(math.log2(norm / _THETA13)) if norm > _THETA13 else 0
-    a = a / 2.0**s
+    s = [_squarings(norm) for norm in norms.tolist()]
+    order = sorted(range(len(s)), key=s.__getitem__, reverse=True) if len(set(s)) > 1 else None
+    if order is not None:
+        a, s = a[order], [s[m] for m in order]
+    a = a / (2.0 ** np.array(s))[:, None, None]
     b = _PADE13
     a2 = mul(a, a)
     a4 = mul(a2, a2)
@@ -161,19 +188,26 @@ def _pade13(a):
     x = solve(v - u, v + u)
     del u, v
     if triangular:
-        # the exact diagonal and first superdiagonal of every power 2^i, i = 0..s
-        scale = (2.0 ** np.arange(s + 1)).reshape((-1,) + (1,) * (a.ndim - 1))
-        d = scale * a[..., diag, diag]
+        # the exact diagonal and first superdiagonal of every power 2^i, i = 0..s_m;
+        # 0 past s_m, where nothing is read, so that no exp overflows there
+        rounds = np.arange(s[0] + 1)[:, None]
+        scale = np.where(rounds <= s, 2.0**rounds, 0.0)[..., None]
+        d = scale * a[:, diag, diag]
         exact_diag = np.exp(d)
-        t12 = scale * a[..., diag[:-1], diag[1:]]
+        t12 = scale * a[:, diag[:-1], diag[1:]]
         exact_sup = t12 * _exp_divided_difference(d[..., :-1], d[..., 1:])
-    for j in range(s, -1, -1):
-        if j < s:
+    for i in range(s[0] + 1):
+        k = sum(sm >= i for sm in s)  # the matrices taking power 2^i lead the stack
+        if i and k == len(x):
             x = mul(x, x)
+        elif i:
+            x[:k] = mul(x[:k], x[:k])
         if triangular:
-            x[..., diag, diag] = exact_diag[s - j]
-            x[..., diag[:-1], diag[1:]] = exact_sup[s - j]
-    return x
+            x[:k, diag, diag] = exact_diag[i, :k]
+            x[:k, diag[:-1], diag[1:]] = exact_sup[i, :k]
+    if order is not None:
+        x[order] = x.copy()
+    return x.reshape(shape)
 
 
 def _top_power(n, samples):

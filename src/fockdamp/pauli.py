@@ -18,10 +18,10 @@ from .analysis import Samples, TimeSeries
 from .channels import JumpChannel, loss_tables
 from .dynamics import _cascade
 from .fock import _frozen_array
-from .integrate import _CHUNK, EXACT, _top_power, expm, integrate
+from .integrate import EXACT, _top_power, expm, integrate
 
 # the bytes a group of cascades may hold, well under scenario.ARRAY_LIMIT: 22
-# points of 801 samples on 41 levels, so a group there takes 16
+# points of 801 samples on 41 levels
 _GROUP_BYTES = 8 * 2**20
 
 
@@ -81,13 +81,11 @@ def group_points(levels: int, samples: int) -> int:
     A point holds its record, samples x levels floats, and levels^2 floats
     each for its generator and for every propagator power ``integrate``
     keeps, P to P^(2^J) for the top power 2^J. A group takes as many points
-    as fit in _GROUP_BYTES, and from 8 on a multiple of 8, so that ``expm``
-    scales the same chunks of 8 as when groups held at most 8.
+    as fit in _GROUP_BYTES.
     """
     top = _top_power(levels, samples).bit_length() - 1  # J
     point = 8 * (samples * levels + (top + 2) * levels * levels)
-    fit = max(_GROUP_BYTES // point, 1)
-    return fit if fit < _CHUNK else fit - fit % _CHUNK
+    return max(_GROUP_BYTES // point, 1)
 
 
 def evolve_population_batch(p0s, channel_sets, t_grid):
@@ -100,8 +98,9 @@ def evolve_population_batch(p0s, channel_sets, t_grid):
     it with the drift check of ``evolve_populations``: the cascade reported
     is the earliest to drift in time, then the first in order. One
     ``moments`` pass summarizes the group's record. ``expm`` scales each
-    chunk of 8 by its largest norm, so a cascade may take more squarings
-    here than alone.
+    propagator by its own norm, so a cascade's propagator is its own bits
+    however the cascades are grouped; the group's ``moments`` product can
+    still round a cascade's mean, spread or g2 otherwise than its lone run.
     """
     if len(p0s) != len(channel_sets):
         raise ValueError(f"{len(p0s)} initial states for {len(channel_sets)} channel sets")

@@ -36,7 +36,6 @@ from .channels import (
 from .errors import ParseError, ValidationError
 from .fock import MAX_CUTOFF, FockCutoff, min_cutoff_for_coherent, poisson_tail
 from .integrate import _BLOCK
-from .pauli import group_points
 from .trajectories import _BATCH, TrajectoryConfig
 from .twomode import TAIL_TOL, TwoModeParams
 
@@ -203,32 +202,29 @@ def _as_complex(value) -> complex:
 ARRAY_LIMIT = 2**28
 
 
-def _largest_array(obj: dict, points: int, nmax: int) -> tuple[str, int]:
+def _largest_array(obj: dict, nmax: int) -> tuple[str, int]:
     """What the engine's largest array at cutoff ``nmax`` holds, and its bytes.
 
     dense: the propagator stack of the paired stripes, complex at worst.
-    pauli: the stack of generators of one group of sweep points, as many as
-    ``pauli.group_points`` puts in a group at this cutoff and sample count;
-    a group of more than one point holds at most 8 MiB, so only a point
-    that runs alone reaches the limit.
+    pauli: the generator of one point. A sweep runs its points in groups
+    (``pauli.group_points``), and a group of more than one point holds at
+    most 8 MiB, so only a point that runs alone can reach the limit.
     trajectories: the level populations of a batch of up to 512 trajectories.
     twomode: the reachable sector's generator ``twomode._sector_generator``
     builds, or the whole-pair start np.kron(rho_A, |0><0|_B) it is handed,
     (nmax + 1)^2 (nmax_b + 1)^2 complex values, whichever is larger.
     Each engine also keeps a sampled record, one row of floats per sample:
-    the populations (dense, trajectories), those of each point of a Pauli
-    group, or the diagonal of the reachable two-mode sector. The dense and
-    two-mode positivity gate factors, or decomposes whole, a block of up to
-    32 samples of width x width matrices, complex on the dense engine.
+    the populations (dense, pauli, trajectories), or the diagonal of the
+    reachable two-mode sector. The dense and two-mode positivity gate
+    factors, or decomposes whole, a block of up to 32 samples of width x
+    width matrices, complex on the dense engine.
     """
     n1, samples, engine = nmax + 1, int(obj["samples"]), obj["engine"]
     gate = 0  # bytes per value of the positivity gate's block, 0 where there is none
     if engine == "dense":
         largest, width, gate = ("stripe stack", 16 * (n1 // 2 + 1) * n1 * n1), n1, 16
     elif engine == "pauli":
-        stack = min(points, group_points(n1, samples))
-        largest = (f"stack of {stack} generator{'s' * (stack > 1)}", 8 * stack * n1 * n1)
-        width = stack * n1
+        largest, width = ("generator", 8 * n1 * n1), n1
     elif engine == "trajectories":
         batch = min(int(obj["trajectory"]["n_traj"]), _BATCH)
         largest, width = ("batch populations", 8 * batch * n1), n1
@@ -252,12 +248,12 @@ def _largest_array(obj: dict, points: int, nmax: int) -> tuple[str, int]:
     )
 
 
-def _cutoff_cap(obj: dict, points: int) -> int:
+def _cutoff_cap(obj: dict) -> int:
     """The largest nmax whose ``_largest_array`` fits in ARRAY_LIMIT (0 if none)."""
     lo, hi = 0, MAX_CUTOFF + 1  # the array grows with nmax
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if _largest_array(obj, points, mid)[1] <= ARRAY_LIMIT else (lo, mid)
+        lo, hi = (mid, hi) if _largest_array(obj, mid)[1] <= ARRAY_LIMIT else (lo, mid)
     return lo
 
 
@@ -387,7 +383,7 @@ def _walk(obj: dict) -> tuple[list[str], list[str], list[tuple], list[tuple[comp
         elif sized and size is None:
             size = min_cutoff_for_coherent(alpha, tail_tol).nmax
         if sized and size is not None:
-            what, nbytes = _largest_array(obj, len(values), size)
+            what, nbytes = _largest_array(obj, size)
             if nbytes > ARRAY_LIMIT:
                 named = f"nmax={size}" if nmax is not None else f"|alpha|={r:g} resolves nmax={size}, which"
                 gib, limit = nbytes / 2**30, ARRAY_LIMIT / 2**30
@@ -395,7 +391,7 @@ def _walk(obj: dict) -> tuple[list[str], list[str], list[tuple], list[tuple[comp
                 d = next(d for d in range(3, 18) if f"{gib:.{d}g}" != f"{limit:.{d}g}")
                 errors.append(
                     f"{named} is above the {engine} engine's cap of nmax="
-                    f"{_cutoff_cap(obj, len(values))}: its {what} would take "
+                    f"{_cutoff_cap(obj)}: its {what} would take "
                     f"{gib:.{d}g} GiB (limit {limit:.{d}g} GiB)"
                 )
         if nmax is not None:

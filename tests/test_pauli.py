@@ -7,7 +7,7 @@ import scipy.linalg as sla
 import fockdamp as fd
 from conftest import population_oracle
 from fockdamp.channels import linear_loss, nonlinear_loss, three_photon_loss, two_photon_loss
-from fockdamp import pauli
+from fockdamp import analysis, pauli
 from fockdamp.pauli import (
     PopulationVector,
     evolve_population_batch,
@@ -130,29 +130,28 @@ _FIELDS = ("populations", "trace_err", "mean_n", "std_n", "g2")
 
 
 @pytest.mark.parametrize(
-    "channel_sets, tol",
+    "channel_sets",
     [
-        # generator norms within one power of two: the stack takes the
-        # squarings of each cascade alone, so every value is equal
-        ([[nonlinear_loss(1.0)], [nonlinear_loss(1.0), linear_loss(0.05)],
-          [nonlinear_loss(1.0), two_photon_loss(0.02)]], 0.0),
-        # norms from 0 to 2500: the small ones take the largest one's
-        # squarings here, which moves them at rounding level (3.6e-15 in std_n)
-        ([[nonlinear_loss(1.0)], [two_photon_loss(0.3)], [three_photon_loss(0.2), linear_loss(0.5)],
-          [linear_loss(2.0)], []], 1e-12),
+        # generator norms within one power of two: every cascade takes the
+        # same number of squarings
+        [[nonlinear_loss(1.0)], [nonlinear_loss(1.0), linear_loss(0.05)],
+         [nonlinear_loss(1.0), two_photon_loss(0.02)]],
+        # norms from 0 to 2500: expm scales each propagator by its own, so
+        # the small ones take the squarings they take alone
+        [[nonlinear_loss(1.0)], [two_photon_loss(0.3)], [three_photon_loss(0.2), linear_loss(0.5)],
+         [linear_loss(2.0)], []],
     ],
     ids=["same-scaling", "mixed-norms"],
 )
-def test_batch_matches_one_run_per_cascade(channel_sets, tol):
+def test_batch_matches_one_run_per_cascade(channel_sets):
     p0s = [poisson_vector(mean, 30) for mean in (4.0, 6.0, 2.0, 5.0, 0.5)[: len(channel_sets)]]
     grid = np.linspace(0, 6, 81)  # three sample blocks
     batch = evolve_population_batch(p0s, channel_sets, grid)
     for p0, channels, series in zip(p0s, channel_sets, batch, strict=True):
         alone = evolve_populations(p0, channels, grid)
-        assert np.array_equal(series.t, alone.t)
-        for name in _FIELDS:
-            diff = np.max(np.abs(getattr(series, name) - getattr(alone, name)))
-            assert diff <= tol, name
+        for name in ("t",) + _FIELDS:
+            a, b = getattr(series, name), getattr(alone, name)
+            assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b)), name
 
 
 def test_batch_reports_the_earliest_drift_in_time_then_in_order(monkeypatch):
@@ -197,7 +196,8 @@ def test_batch_groups_close_at_the_byte_budget(monkeypatch):
         (5 * _POINT_BYTES, [5, 4]),  # five points fill the budget exactly
         (5 * _POINT_BYTES - 1, [4, 4, 1]),  # the fifth would pass it
         (_POINT_BYTES - 1, [1] * 9),  # a point above the budget runs alone
-        (9 * _POINT_BYTES, [8, 1]),  # from 8 on, a multiple of 8
+        (8 * _POINT_BYTES, [8, 1]),
+        (9 * _POINT_BYTES, [9]),  # no multiple of 8 either: expm scales each matrix alone
         (17 * _POINT_BYTES, [9]),
     ):
         recorded.clear()
@@ -209,11 +209,10 @@ def test_batch_groups_close_at_the_byte_budget(monkeypatch):
 
 
 def test_twenty_points_match_groups_of_at_most_eight():
-    # the groups of at most 8 that the batch ran before it grouped by bytes:
-    # 8 MiB holds 16 points of 41 levels and 801 samples (22, rounded down to
-    # a multiple of 8), so 20 run as 16 and 4, and expm scales the same chunks
-    # of 8. The nonlinear rates set generator norms a few powers of two apart,
-    # so a chunk of other points would scale some of them differently.
+    # 8 MiB holds 22 points of 41 levels and 801 samples, so the 20 run as
+    # one group; here they also run in groups of 8, of 3 and one at a time.
+    # The nonlinear rates set generator norms a few powers of two apart, and
+    # expm scales each propagator by its own, so every split gives the same bits
     rng = np.random.default_rng(3)
     channel_sets = [
         [nonlinear_loss(e), linear_loss(q), two_photon_loss(s), three_photon_loss(0.0)]
@@ -222,18 +221,42 @@ def test_twenty_points_match_groups_of_at_most_eight():
     ]
     p0s = [poisson_vector(mean, 40) for mean in rng.uniform(4.0, 12.0, 20)]
     grid = np.linspace(0, 20, 801)
-    assert pauli.group_points(41, 801) == 16
+    assert pauli.group_points(41, 801) == 22
     whole = list(evolve_population_batch(p0s, channel_sets, grid))
-    eights = [
-        series
-        for lo in range(0, 20, 8)
-        for series in evolve_population_batch(p0s[lo : lo + 8], channel_sets[lo : lo + 8], grid)
-    ]
-    for one, other in zip(whole, eights, strict=True):
-        assert one.min_eigenvalue is other.min_eigenvalue is None
-        for name in ("t",) + _FIELDS:
-            a, b = getattr(one, name), getattr(other, name)
-            assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b)), name
+    for size in (8, 3, 1):
+        split = [
+            series
+            for lo in range(0, 20, size)
+            for series in evolve_population_batch(p0s[lo : lo + size], channel_sets[lo : lo + size],
+                                                  grid)
+        ]
+        for one, other in zip(whole, split, strict=True):
+            assert one.min_eigenvalue is other.min_eigenvalue is None
+            for name in ("t",) + _FIELDS:
+                a, b = getattr(one, name), getattr(other, name)
+                assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b)), name
+
+
+def test_a_groups_record_and_generators_stay_within_the_byte_budget(monkeypatch):
+    # all 3 or 20 points of 10 levels at 41 samples run as one group; at 10^4
+    # samples a point holds 0.8 MB, so that the 20 run as two groups of ten
+    kept, add = [], analysis.Samples.add
+    monkeypatch.setattr(
+        analysis.Samples, "add", lambda self, *a: add(self, *a) or kept.append(self.diagonals.nbytes)
+    )
+    built, generators = [], pauli.population_generators
+    monkeypatch.setattr(
+        pauli, "population_generators", lambda *a: built.append(generators(*a)) or built[-1]
+    )
+    p0 = poisson_vector(0.25, 9)
+    for points, samples, group in ((3, 41, 3), (20, 41, 20), (20, 10**4, 10)):
+        kept.clear()
+        built.clear()
+        list(evolve_population_batch([p0] * points, [[nonlinear_loss(1.0)]] * points,
+                                     np.linspace(0.0, 4.0, samples)))
+        assert [len(gens) for gens in built] == [group] * (points // group)
+        assert max(kept) == 8 * samples * group * 10
+        assert max(kept) + max(gens.nbytes for gens in built) <= pauli._GROUP_BYTES
 
 
 def test_batch_needs_one_state_per_channel_set():

@@ -8,7 +8,8 @@ of a grid agrees with stepping through it. Over random states near the
 positivity limit, the recorder's Cholesky gate decides as eigvalsh does. A
 coherent state's populations are the same bits from its amplitudes as from
 its density matrix. The exponential of a random block upper-triangular
-matrix, built strip by strip, matches scipy's."""
+matrix, built strip by strip, matches scipy's, and each exponential of a
+stack is its matrix's own bits."""
 
 import re
 
@@ -333,3 +334,21 @@ def test_expm_of_a_block_upper_triangular_matrix_matches_scipy(
         assert _strips(a) == (triangular, [0, 35, 80, 155] if n == 155 else [0, 32, 64, 100])
     exact = sla.expm(a)
     assert np.max(np.abs(expm(a) - exact)) <= 1e-12 * np.max(np.abs(exact))
+
+
+@PROPS
+@given(
+    n=st.one_of(st.integers(2, 20), st.integers(64, 72)),
+    exponents=st.lists(st.integers(-4, 8), min_size=2, max_size=12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_each_exponential_of_a_stack_is_its_matrixs_own_bits(n, exponents, seed):
+    # column sums up to 2^e: norms a few powers of two apart, which expm
+    # scales each by its own, in one chunk of 8 or across two; from 64
+    # levels on, each matrix is split into strips
+    rng = np.random.default_rng(seed)
+    a = np.triu(rng.uniform(-1.0, 1.0, (len(exponents), n, n)))
+    a *= (2.0 ** np.array(exponents) / n)[:, None, None]
+    for matrix, exp in zip(a, expm(a), strict=True):
+        alone = expm(matrix)
+        assert np.array_equal(exp, alone) and np.array_equal(np.signbit(exp), np.signbit(alone))

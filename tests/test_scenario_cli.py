@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import fockdamp as fd
-from fockdamp import analysis, cli, pauli, scenario, twomode
+from fockdamp import analysis, cli, scenario, twomode
 from fockdamp.dynamics import stripe_generators
 from fockdamp.errors import NoInteriorMinimum, ValidationError
 from fockdamp.scenario import (
@@ -335,24 +335,25 @@ def test_largest_array_sizes_match_the_engines(monkeypatch):
     nmax, kerr = 9, fd.KerrTerm(0.5)
     # at 2 samples; at 9, the positivity block, 16 * 9 * 10^2 bytes, is larger
     dense = dict(BASE, engine="dense", samples=2)
-    assert scenario._largest_array(dense, 1, nmax)[1] == stripe_generators(
+    assert scenario._largest_array(dense, nmax)[1] == stripe_generators(
         [fd.nonlinear_loss(1.0)], kerr, nmax
     ).nbytes
-    # a Pauli group holds as many points as fit in 8 MiB (pauli.group_points):
-    # all 20 at 10 levels and 9 samples, 16 at 41 levels and 801 samples,
-    # where the record is the largest array, and one alone at 2001 levels
+    # a Pauli point holds its generator and its record, the larger at 801
+    # samples on 41 levels
     pauli = dict(BASE, engine="pauli")
     generator = fd.population_generator([fd.nonlinear_loss(1.0)], nmax)
-    assert scenario._largest_array(pauli, 3, nmax)[1] == 3 * generator.nbytes
-    assert scenario._largest_array(pauli, 20, nmax)[1] == 20 * generator.nbytes
-    assert scenario._largest_array(dict(pauli, samples=801), 20, 40) == (
-        "sampled record", 8 * 801 * 16 * 41
+    assert scenario._largest_array(pauli, nmax) == ("generator", generator.nbytes)
+    assert scenario._largest_array(dict(pauli, samples=801), 40) == ("sampled record", 8 * 801 * 41)
+    assert scenario._largest_array(pauli, 2000) == ("generator", 8 * 2001**2)
+    # a group of more than one point holds at most 8 MiB (test_pauli.py), so
+    # a sweep's cap is one point's
+    sweep = dict(pauli, alpha=1.0, sweep={"gamma_q": [0.0, 0.1, 0.2]})
+    assert validate_dict(dict(sweep, nmax=_CAPPED["pauli"][1])) == []
+    above = validate_dict(dict(sweep, nmax=_CAPPED["pauli"][1] + 1))
+    assert len(above) == 3 and all(
+        f"above the pauli engine's cap of nmax={_CAPPED['pauli'][1]}: its generator " in v
+        for v in above
     )
-    assert scenario._largest_array(pauli, 20, 2000) == ("stack of 1 generator", 8 * 2001**2)
-    # so a sweep's cap is one point's: it was 4095 at 2 points, 3343 at 3 and
-    # 2047 from 8 on, when a group held 8 points whatever their size
-    for points in (1, 2, 3, 8, 20, 4096):
-        assert scenario._cutoff_cap(pauli, points) == _CAPPED["pauli"][1]
     # the two-mode start is the whole pair, as the engine hands it to integrate
     starts, integrate = [], twomode.integrate
     monkeypatch.setattr(
@@ -379,7 +380,7 @@ def test_largest_array_sizes_match_the_engines(monkeypatch):
         # nmax_b = 4 and 16 * 19^2 at 1, is smaller still; at 9 it is not
         obj = dict(BASE, engine="twomode", samples=2,
                    twomode={"u4": 1.0, "gamma_b": 100.0, "nmax_b": nmax_b})
-        assert scenario._largest_array(obj, 1, nmax) == (
+        assert scenario._largest_array(obj, nmax) == (
             f"{largest} at nmax_b={nmax_b}", sizes[largest]
         )
 
@@ -405,19 +406,7 @@ def test_the_sampled_record_is_sized_as_the_engines_keep_it(monkeypatch):
             kept.append(series.populations.nbytes)
         # at 10^6 samples the record is the largest array
         per_sample = kept[-1] // samples
-        assert scenario._largest_array(dict(obj, samples=10**6), 1, nmax)[1] == 10**6 * per_sample
-    # a Pauli sweep records each point of a group: all 3 or 20 points at 41
-    # samples, and the 20 in groups of 8 at 10^4 samples, where a point holds
-    # 0.8 MB, so that ten fit in 8 MiB, rounded down to 8
-    p0 = fd.coherent_density(0.5, fd.FockCutoff(nmax)).populations()
-    for points, samples, group in ((3, 41, 3), (20, 41, 20), (20, 10**4, 8)):
-        kept.clear()
-        list(pauli.evolve_population_batch([p0] * points, [[fd.nonlinear_loss(1.0)]] * points,
-                                           np.linspace(0.0, 4.0, samples)))
-        assert max(kept) == 8 * samples * group * (nmax + 1)
-        assert scenario._largest_array(dict(BASE, samples=samples), points, nmax) == (
-            "sampled record", max(kept)
-        )
+        assert scenario._largest_array(dict(obj, samples=10**6), nmax)[1] == 10**6 * per_sample
 
 
 @pytest.mark.parametrize(
@@ -442,7 +431,7 @@ def test_the_positivity_block_is_sized_as_the_gate_factors_it(monkeypatch, engin
         cli.run_scenario(parse_scenario(obj))
     assert max(a.shape for a in factored) == (32, width, width)
     assert {a.itemsize for a in factored} == {itemsize}
-    assert scenario._largest_array(obj, 1, 9) == (
+    assert scenario._largest_array(obj, 9) == (
         "positivity block", max(a.nbytes for a in factored)
     )
 
@@ -795,7 +784,7 @@ def _assert_rows_match_single_runs(tmp_path, obj):
 
 def test_sweep_batches_match_single_runs(tmp_path, monkeypatch):
     # nine points of one cutoff go to the Pauli engine in one call, which
-    # stacks them as 8 and 1 (test_pauli.py)
+    # runs them as one group (test_pauli.py)
     obj = dict(load_raw(str(SCENARIOS / "linear_loss_sweep.json")),
                sweep={"gamma_q": [0.0, 0.05, 0.1], "gamma_s": [0.0, 0.025, 0.3]})
     sizes = _batch_sizes(monkeypatch)
